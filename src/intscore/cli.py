@@ -52,7 +52,6 @@ from .solver import SolveConfig, solve
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_NO_SOLUTION = 3
 
 
 class UsageError(Exception):

@@ -86,10 +86,6 @@ class BandRule:
         return ok
 
     def overlaps(self, other: "BandRule") -> bool:
-        lo = max(v for v in (self.low, other.low) if v is not None) \
-            if (self.low is not None or other.low is not None) else -math.inf
-        hi = min(v for v in (self.high, other.high) if v is not None) \
-            if (self.high is not None or other.high is not None) else math.inf
         a_lo = -math.inf if self.low is None else self.low
         a_hi = math.inf if self.high is None else self.high
         b_lo = -math.inf if other.low is None else other.low

@@ -10,25 +10,27 @@ preferred). The data is first projected onto the active columns, which
 collapses it to at most 2^|A| distinct patterns per class, so the search
 is fast even when the original dataset is large.
 
-The search prunes with a grouped relaxation that is tighter than the
-per-pattern interval bound of the main solver: patterns sharing the same
-mask over the still-free coefficients receive one shared unknown offset,
-so each mask group contributes the sliding-window minimum of its exact
-loss curve. Conflicting label pairs always share a group and are costed
-exactly by the curve itself.
+All loss curves come from the kernel in loss.py, over segments of the
+projected patterns. The search prunes with a grouped relaxation that is
+tighter than the per-pattern interval bound of the main solver: patterns
+sharing the same mask over the still-free coefficients form one segment
+and receive one shared unknown offset, so each segment contributes the
+sliding-window minimum of its exact loss curve. Conflicting label pairs
+always share a segment and are costed exactly by its curve, so they need
+no folding into the step weights.
 
 Bounds are computed for all siblings at once. The children of a node
 differ only in the coefficient v of the feature j branched on, and v moves
 the scores of exactly the rows with x_j = 1. So within each group of the
 children's grouping, the loss curve of child v is c0(t) + c1(t + v), where
-c0 and c1 are the curves of the group's x_j = 0 and x_j = 1 rows. Both are
-built once per expansion, from one histogram over an offset grid widened
-by the bound of j; the window minima and the intercept profile then run on
-all 2b+1 children together, and give each child exactly the bound the
-per-node computation gives it. The last two coefficients are not bounded:
-every value pair is scored at once from four such curves. Before the full
-search, a search with every bound halved supplies the incumbent; the
-result does not depend on it.
+c0 and c1 are the curves of the group's x_j = 0 and x_j = 1 rows. Both come
+from one kernel call over an offset grid widened by the bound of j; the
+window minima and the intercept profile then run on all 2b+1 children
+together, and give each child exactly the bound the per-node computation
+gives it. The last two coefficients are not bounded: every value pair is
+scored at once from four such curves. Before the full search, a search
+with every bound halved supplies the incumbent; the result does not depend
+on it.
 """
 
 from __future__ import annotations
@@ -38,12 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset
+from .loss import curve_plan, exact_steps, loss_curves, loss_units
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is optional
-    njit = None
 
 
 @dataclass(frozen=True)
@@ -115,183 +113,6 @@ def _sliding_min(rows: np.ndarray, w: int) -> np.ndarray:
     return np.minimum(suff[:, idx], pref[:, idx + w - 1])
 
 
-if njit is not None:
-    _INF = np.int64(1) << 62
-
-    @njit(cache=True)
-    def _grouped_bound_jit(base, is_pos, units, inverse, half, l0b, pad):  # pragma: no cover
-        n_groups = half.shape[0]
-        span = l0b + pad
-        t_len = 2 * span + 1
-        grid_len = 2 * l0b + 1
-        cp = np.zeros((n_groups, t_len), np.int64)
-        cn = np.zeros((n_groups, t_len), np.int64)
-        for i in range(base.shape[0]):
-            g = inverse[i]
-            if is_pos[i]:
-                idx = -base[i] + span
-                if idx >= t_len:
-                    idx = t_len - 1
-                if idx >= 0:
-                    cp[g, idx] += units[i]
-            else:
-                idx = 1 - base[i] + span
-                if idx <= t_len - 1:
-                    if idx < 0:
-                        idx = 0
-                    cn[g, idx] += units[i]
-
-        profile = np.zeros(grid_len, np.int64)
-        curve = np.empty(t_len, np.int64)
-        scratch = t_len + 2 * pad + 2
-        pref = np.empty(scratch, np.int64)
-        suff = np.empty(scratch, np.int64)
-        for g in range(n_groups):
-            acc = np.int64(0)
-            for t in range(t_len - 1, -1, -1):
-                acc += cp[g, t]
-                curve[t] = acc
-            acc = np.int64(0)
-            for t in range(t_len):
-                acc += cn[g, t]
-                curve[t] += acc
-
-            s = half[g]
-            start = pad - s
-            if s == 0:
-                for q in range(grid_len):
-                    profile[q] += curve[start + q]
-                continue
-            w = 2 * s + 1
-            nb = (t_len + w - 1) // w
-            padded = nb * w
-            for t in range(padded):
-                v = curve[t] if t < t_len else _INF
-                pref[t] = v if t % w == 0 else min(pref[t - 1], v)
-            for t in range(padded - 1, -1, -1):
-                v = curve[t] if t < t_len else _INF
-                suff[t] = v if (t % w == w - 1 or t == padded - 1) else min(suff[t + 1], v)
-            for q in range(grid_len):
-                i0 = start + q
-                lo = suff[i0]
-                hi = pref[i0 + w - 1]
-                profile[q] += lo if lo < hi else hi
-        best = profile[0]
-        for q in range(1, grid_len):
-            if profile[q] < best:
-                best = profile[q]
-        return best
-
-    @njit(cache=True)
-    def _search_jit(pats, units, is_pos, order, values, nvalues, inverse_mat,
-                    half_flat, half_off, pads, l0b,
-                    best_units, best_l1, best_coef, best_lam0):  # pragma: no cover
-        """Full depth-first search over the active coefficients.
-
-        Mirrors the pure-Python recursion exactly: one grouped bound per
-        interior node, an intercept scan per leaf, incumbent ordered by
-        (loss units, l1, coefficient tuple) with the canonical intercept.
-        """
-        k = order.shape[0]
-        n_rows = pats.shape[0]
-        base = np.zeros(n_rows, np.int64)
-        coef = np.zeros(k, np.int64)
-        l1_stack = np.zeros(k + 1, np.int64)
-        vptr = np.zeros(k + 1, np.int64)
-        applied = np.zeros(k, np.int64)
-        has_applied = np.zeros(k, np.uint8)
-
-        depth = 0
-        while depth >= 0:
-            j = order[depth]
-            if has_applied[depth] == 1:
-                v = applied[depth]
-                if v != 0:
-                    for i in range(n_rows):
-                        base[i] -= v * pats[i, j]
-                    coef[j] = 0
-                has_applied[depth] = 0
-            if vptr[depth] >= nvalues[j]:
-                vptr[depth] = 0
-                depth -= 1
-                continue
-            v = values[j, vptr[depth]]
-            vptr[depth] += 1
-            if v != 0:
-                for i in range(n_rows):
-                    base[i] += v * pats[i, j]
-                coef[j] = v
-            applied[depth] = v
-            has_applied[depth] = 1
-            l1_stack[depth + 1] = l1_stack[depth] + (v if v >= 0 else -v)
-
-            if depth + 1 == k:
-                u, lam0 = _leaf_best_jit(base, is_pos, units, l0b)
-                l1 = l1_stack[k]
-                better = False
-                if u < best_units or (u == best_units and l1 < best_l1):
-                    better = True
-                elif u == best_units and l1 == best_l1:
-                    for jj in range(k):
-                        if coef[jj] != best_coef[jj]:
-                            better = coef[jj] < best_coef[jj]
-                            break
-                if better:
-                    best_units = u
-                    best_l1 = l1
-                    for jj in range(k):
-                        best_coef[jj] = coef[jj]
-                    best_lam0 = lam0
-                continue
-
-            d1 = depth + 1
-            bound = _grouped_bound_jit(
-                base, is_pos, units, inverse_mat[d1],
-                half_flat[half_off[d1]:half_off[d1 + 1]], l0b, pads[d1])
-            if bound > best_units or (bound == best_units
-                                      and l1_stack[d1] > best_l1):
-                continue
-            depth = d1
-        return best_units, best_l1, best_coef, best_lam0
-
-    @njit(cache=True)
-    def _leaf_best_jit(base, is_pos, units, l0b):  # pragma: no cover
-        grid_len = 2 * l0b + 1
-        cp = np.zeros(grid_len, np.int64)
-        cn = np.zeros(grid_len, np.int64)
-        for i in range(base.shape[0]):
-            if is_pos[i]:
-                idx = -base[i] + l0b
-                if idx >= grid_len:
-                    idx = grid_len - 1
-                if idx >= 0:
-                    cp[idx] += units[i]
-            else:
-                idx = 1 - base[i] + l0b
-                if idx <= grid_len - 1:
-                    if idx < 0:
-                        idx = 0
-                    cn[idx] += units[i]
-        acc = np.int64(0)
-        for t in range(grid_len - 1, -1, -1):
-            acc += cp[t]
-            cp[t] = acc
-        acc = np.int64(0)
-        for t in range(grid_len):
-            acc += cn[t]
-            cp[t] += acc
-        # smallest magnitude first, negative before positive on ties
-        best_units = cp[l0b]
-        best_lam0 = 0
-        for m in range(1, l0b + 1):
-            for lam0 in (-m, m):
-                u = cp[lam0 + l0b]
-                if u < best_units:
-                    best_units = u
-                    best_lam0 = lam0
-        return best_units, best_lam0
-
-
 def _strided(arr: np.ndarray, start: int, steps, length: int) -> np.ndarray:
     """View v of C-contiguous arr with v[i_1, .., i_L, q] =
     arr.flat[start + sum(step_l * i_l) + q], i_l in range(n_l), for steps
@@ -326,20 +147,14 @@ class _RestrictedSearch:
         self.k = proj.p
         self.bounds = bounds.astype(np.int64)
 
-        den = int(np.lcm(cfg.w_plus.denominator, cfg.w_minus.denominator))
-        self.unit_den = den * proj.source_n
-        n_pos, n_neg = len(proj.pos_counts), len(proj.neg_counts)
+        self.units, _ = loss_units(proj, cfg)
+        n_pos = len(proj.pos_counts)
         self.pats = np.concatenate([proj.pos_patterns, proj.neg_patterns],
                                    axis=0).astype(np.int64) \
-            if self.k else np.zeros((n_pos + n_neg, 0), dtype=np.int64)
+            if self.k else np.zeros((len(self.units), 0), dtype=np.int64)
         self.cols = np.ascontiguousarray(self.pats.T)
-        self.units = np.concatenate([proj.pos_counts * int(cfg.w_plus * den),
-                                     proj.neg_counts * int(cfg.w_minus * den)])
-        self.is_pos = np.zeros(n_pos + n_neg, dtype=bool)
-        self.is_pos[:n_pos] = True
-        # a row's loss steps at offset 1 - base: down for positives, up for
-        # negatives; curves are exact while the units fit a float64 mantissa
-        self.signed = np.where(self.is_pos, -self.units, self.units).astype(np.float64)
+        self.is_pos = np.arange(len(self.units)) < n_pos
+        self.steps, self.start = exact_steps(self.units, n_pos)
         total = int(self.units.sum())
         self.dtype = np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
 
@@ -391,88 +206,17 @@ class _RestrictedSearch:
         self.child_plans = [self._child_plan(d) for d in range(self.k - 2)]
         self.leaf_plans = {}
 
-        if njit is not None and self.k:
-            maxv = max(len(v) for v in self.values)
-            self._values_mat = np.zeros((self.k, maxv), dtype=np.int64)
-            self._nvalues = np.zeros(self.k, dtype=np.int64)
-            for j, vals in enumerate(self.values):
-                self._values_mat[j, :len(vals)] = vals
-                self._nvalues[j] = len(vals)
-            self._order_arr = np.array(self.order, dtype=np.int64)
-            self._inverse_mat = np.stack([g["inverse"] for g in self.groups])
-            halves = [g["half"] for g in self.groups]
-            self._half_off = np.cumsum([0] + [len(h) for h in halves]).astype(np.int64)
-            self._half_flat = np.concatenate(halves).astype(np.int64)
-            self._pads = np.array([g["pad"] for g in self.groups], dtype=np.int64)
-
         self.best = None  # (units, l1, coef tuple, intercept)
 
-    # -- loss curves -----------------------------------------------------------
-
-    def _segments(self, seg, n_seg, lo, width):
-        """Constant part of a _segment_curves call: rows split into n_seg
-        segments by seg, curves over offsets lo .. lo + width - 1."""
-        pos_units = np.bincount(seg[self.is_pos], weights=self.units[self.is_pos],
-                                minlength=n_seg)
-        # every row adds one event wherever base puts it, so what a flat
-        # cumsum carries into a segment from the ones before it is fixed
-        totals = np.bincount(seg, weights=self.signed, minlength=n_seg)
-        carried = np.cumsum(totals) - totals
-        return {"seg_col": seg * (width + 1), "n_seg": n_seg, "lo": lo,
-                "width": width, "offset": (pos_units - carried)[:, None]}
-
-    def _segment_curves(self, segs):
-        """Row s, column q: units lost by segment s when its member scores
-        are base + lo + q. A row's loss steps at q = 1 - base - lo; steps
-        below the grid are clipped to column 0, those above it to a spill
-        column that is dropped."""
-        width, n_seg = segs["width"], segs["n_seg"]
-        col = (1 - segs["lo"]) - self.base
-        np.maximum(col, 0, out=col)
-        np.minimum(col, width, out=col)
-        col += segs["seg_col"]
-        hist = np.bincount(col, weights=self.signed, minlength=n_seg * (width + 1))
-        cum = np.cumsum(hist).reshape(n_seg, width + 1)
-        curves = np.empty((n_seg, width), dtype=self.dtype)
-        np.add(cum[:, :width], segs["offset"], out=curves, casting="unsafe")
-        return curves
-
-    def _curves(self, grouping):
-        """Exact loss-vs-offset curve per group: row g maps offset t to the
-        units lost by g's members when every member score is base + t.
-        Events clipped into the grid keep their meaning: an event beyond the
-        high end is lost at every offset in range, one below at none."""
-        inverse, n_groups = grouping["inverse"], grouping["n_groups"]
-        t_lo, t_len = grouping["t_lo"], grouping["t_len"]
-        width = t_len + 1  # one spill column for out-of-range events
-
-        # positive rows lose when t <= -base, negative rows when t >= 1 - base
-        pos_idx = np.clip(-self.base[self.is_pos] - t_lo, -1, t_len - 1)
-        keep = pos_idx >= 0
-        flat_pos = inverse[self.is_pos][keep] * width + pos_idx[keep]
-        neg_idx = np.clip((1 - self.base[~self.is_pos]) - t_lo, 0, t_len)
-        flat_neg = inverse[~self.is_pos] * width + neg_idx + n_groups * width
-
-        flat = np.concatenate([flat_pos, flat_neg])
-        w = np.concatenate([self.units[self.is_pos][keep], self.units[~self.is_pos]])
-        hist = np.bincount(flat, weights=w, minlength=2 * n_groups * width)
-        hist = hist.reshape(2, n_groups, width)
-
-        pos_cum = np.cumsum(hist[0], axis=1)
-        pos_suffix = pos_cum[:, -1:] - pos_cum + hist[0]  # sum of events >= t
-        curves = pos_suffix[:, :t_len]
-        curves += np.cumsum(hist[1], axis=1)[:, :t_len]
-        return curves
+    # -- per-node bound ----------------------------------------------------------
 
     def _bound_units(self, depth) -> int:
         """Grouped bound of the current node at `depth`, one node at a time;
         the reference that _child_bounds must reproduce."""
         grouping = self.groups[depth]
-        if njit is not None:
-            return int(_grouped_bound_jit(self.base, self.is_pos, self.units,
-                                          grouping["inverse"], grouping["half"],
-                                          self.l0b, grouping["pad"]))
-        curves = self._curves(grouping)
+        plan = curve_plan(self.steps, self.start, grouping["inverse"], grouping["n_groups"],
+                          grouping["t_lo"], grouping["t_len"])
+        curves = loss_curves(plan, self.base)
         pad = grouping["pad"]
         profile = np.zeros(self.grid_len)
         for s, rows_idx in grouping["buckets"]:
@@ -497,8 +241,8 @@ class _RestrictedSearch:
             g0, g1 = np.searchsorted(half, [s, s + 1]).tolist()
             k = (2 * s + 1).bit_length() - 1
             levels[k][1].append((g0, g1, pad - s, 2 * s + 1 - (1 << k)))
-        segs = self._segments(self.cols[j] * n_groups + grouping["inverse"],
-                              2 * n_groups, grouping["t_lo"] - b, t_len + 2 * b)
+        segs = curve_plan(self.steps, self.start, self.cols[j] * n_groups + grouping["inverse"],
+                          2 * n_groups, grouping["t_lo"] - b, t_len + 2 * b)
         return {"b": b, "n_groups": n_groups, "pad": pad, "t_len": t_len,
                 "levels": levels, "segs": segs,
                 "chunk": max(1, _CHUNK_ELEMENTS // (n_groups * t_len))}
@@ -509,7 +253,7 @@ class _RestrictedSearch:
         plan = self.child_plans[depth]
         b, n_groups, t_len = plan["b"], plan["n_groups"], plan["t_len"]
         width = t_len + 2 * b
-        curves = self._segment_curves(plan["segs"])
+        curves = loss_curves(plan["segs"], self.base, self.dtype)
         bounds = np.empty(2 * b + 1, dtype=np.int64)
         for v0 in range(0, 2 * b + 1, plan["chunk"]):
             n_values = min(plan["chunk"], 2 * b + 1 - v0)
@@ -560,8 +304,8 @@ class _RestrictedSearch:
                 "bs": bs, "span": span,
                 "absv": sum(np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in bs]),
                             np.zeros((), dtype=np.int64)),
-                "segs": self._segments(seg, 1 << len(feats), -self.l0b - span,
-                                       self.grid_len + 2 * span),
+                "segs": curve_plan(self.steps, self.start, seg, 1 << len(feats),
+                                   -self.l0b - span, self.grid_len + 2 * span),
             }
         return plan
 
@@ -571,7 +315,7 @@ class _RestrictedSearch:
         their values: axis l holds values -b_l .. b_l of feats[l]."""
         plan = self._leaf_plan(feats)
         bs, span = plan["bs"], plan["span"]
-        curves = self._segment_curves(plan["segs"])
+        curves = loss_curves(plan["segs"], self.base, self.dtype)
         profile = np.zeros([2 * b + 1 for b in bs] + [self.grid_len], dtype=self.dtype)
         for cls in range(len(curves)):
             bits = [(cls >> bit) & 1 for bit in range(len(feats))]
@@ -639,20 +383,7 @@ class _RestrictedSearch:
         for j in range(self.k - 1, -1, -1):
             self._undo(j, current[j])
 
-    def run(self):
-        if njit is not None and self.k:
-            coefs = np.array(self.best[2], dtype=np.int64)
-            units, l1, coefs, lam0 = _search_jit(
-                self.pats, self.units, self.is_pos, self._order_arr,
-                self._values_mat, self._nvalues, self._inverse_mat,
-                self._half_flat, self._half_off, self._pads, self.l0b,
-                self.best[0], self.best[1], coefs, self.best[3])
-            self.best = (int(units), int(l1),
-                         tuple(int(c) for c in coefs), int(lam0))
-            return
-        self._run_py(0, 0)
-
-    def _run_py(self, depth, l1_fixed):
+    def run(self, depth=0, l1_fixed=0):
         if self.k - depth <= 2:
             self._offer(tuple(sorted(self.order[depth:])), l1_fixed)
             return
@@ -664,7 +395,7 @@ class _RestrictedSearch:
             if (child[v + b], l1) > self.best[:2]:
                 continue  # no completion can beat the incumbent key
             self._apply(j, v)
-            self._run_py(depth + 1, l1)
+            self.run(depth + 1, l1)
             self._undo(j, v)
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import as_fraction, frac_float, frac_str
+from .common import as_fraction, frac_float
 from .data import BinaryDataset
 
 
@@ -111,8 +111,3 @@ def rules_csv(rules) -> str:
                      f"{frac_float(r.support):.4f},{frac_float(r.confidence):.4f}")
     return "\n".join(lines) + "\n"
 
-
-def rules_json(rules) -> list:
-    return [{"antecedent": list(r.antecedent), "condition": r.condition(),
-             "support": frac_str(r.support), "confidence": frac_str(r.confidence),
-             "lift": frac_str(r.lift)} for r in rules]

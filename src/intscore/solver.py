@@ -1,20 +1,25 @@
 """Exact branch-and-bound minimization of the scoring-system objective.
 
-The search branches on feature coefficients only; the intercept is solved
-in closed form at every leaf by scanning the integer threshold range once
-(the loss as a function of the intercept is a step function, so the best
-intercept for a fixed coefficient vector falls out of two cumulative
-histograms). Features are branched in descending order of class signal
-|P(y=+1 | x_j=1) - P(y=+1)|, with candidate values tried outward from 0.
+The search branches on feature coefficients only. Features are branched in
+descending order of class signal |P(y=+1 | x_j=1) - P(y=+1)|, with
+candidate values tried outward from 0. The intercept is never branched on:
+the loss as a function of a shared offset added to every score is a step
+function, so one loss curve over the intercept grid (loss.loss_curves)
+gives the loss of every intercept at once.
 
-Node pruning uses a shared-intercept interval relaxation: every unfixed
-coefficient is relaxed to its interval [-bound_j, bound_j] independently
-per pattern, while the intercept remains a single shared integer. For each
-candidate intercept the relaxation counts patterns whose whole score
-interval violates their margin, plus the unavoidable cost of conflicting
-label pairs not already counted; the bound is the minimum over intercepts.
-The bound is monotone along any search path, so the proven lower bound
-never decreases and exhausting the tree certifies optimality.
+The search keeps two score vectors over the distinct patterns. base holds
+the scores of the fixed coefficients; unfixed ones count as zero. edge
+adds to base the reach of the unfixed coefficients, each relaxed to its
+interval [-bound_j, bound_j] independently per pattern: upward for a
+positive pattern, downward for a negative one. A leaf is the curve of base
+at its least point, with ties broken toward the smallest intercept. A
+node's bound is the least point of the curve of edge: every pattern that
+misses its margin even at its edge score is surely lost. Conflict pairs
+(one pattern occurring with both labels) are folded into the bound's step
+weights: a pair costs its cheaper side over the offsets where neither of
+its rows is surely lost. The bound is monotone along any search path, so
+the proven lower bound never decreases and exhausting the tree certifies
+optimality.
 
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
 when its bound exceeds the best total found within the smallest term
@@ -22,9 +27,9 @@ budget the subtree could still fit. This costs some pruning power but
 leaves the solution pool holding the best model at every sparsity level,
 which the cross-validation pipeline consumes directly.
 
-All loss bookkeeping is integer (losses are multiples of 1/(c*N) where c
-is the common denominator of the class weights); rationals appear only at
-incumbent comparisons, so results are exact.
+All loss bookkeeping is in integer units (losses are multiples of 1/(c*N)
+where c is the common denominator of the class weights); rationals appear
+only at incumbent comparisons, so results are exact.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 
 from .common import as_fraction, frac_str
 from .data import AggregatedDataset
+from .loss import curve_plan, exact_steps, loss_curves, loss_units
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -178,107 +184,24 @@ def conflict_lower_bound(agg: AggregatedDataset, cfg: PenaltyConfig) -> Fraction
 def node_bound(partial, agg: AggregatedDataset, cfg: PenaltyConfig,
                lattice: LatticeSpec) -> Fraction:
     """Lower bound on the objective of every completion of a partial
-    assignment.
+    assignment: the bound the search prunes with.
 
     partial has length P+1: entry 0 is the intercept, entries 1..P the
     feature coefficients; None marks a free entry ranging over its lattice
-    interval. A pattern only counts as lost when its entire score interval
-    violates its margin; conflict pairs not decided that way add their
-    cheaper side; penalties cover the fixed coefficients.
+    interval. A fixed intercept may be any integer.
     """
-    p = agg.p
-    if len(partial) != p + 1:
-        raise ValueError(f"partial assignment must have length {p + 1}")
-    bounds = lattice.bounds_for(p)
-
-    lam0 = partial[0]
-    lo0, hi0 = ((-lattice.intercept_bound, lattice.intercept_bound)
-                if lam0 is None else (int(lam0), int(lam0)))
-    fixed = np.zeros(p, dtype=np.int64)
-    spread = np.zeros(p, dtype=np.int64)
-    pen = Fraction(0)
-    for j in range(p):
-        v = partial[j + 1]
-        if v is None:
-            spread[j] = bounds[j]
-        else:
-            fixed[j] = int(v)
-            if v != 0:
-                pen += cfg.c0 + cfg.epsilon * abs(int(v))
-
-    def ranges(patterns):
-        base = patterns.astype(np.int64) @ fixed
-        slack = patterns.astype(np.int64) @ spread
-        return base - slack + lo0, base + slack + hi0
-
-    n = agg.source_n
-    bound = pen
-    pos_hi = neg_lo = None
-    if agg.n_pos_patterns:
-        _, pos_hi = ranges(agg.pos_patterns)
-        forced = pos_hi <= 0
-        bound += cfg.w_plus * Fraction(int(agg.pos_counts[forced].sum()), n)
-    if agg.n_neg_patterns:
-        neg_lo, _ = ranges(agg.neg_patterns)
-        forced = neg_lo >= 1
-        bound += cfg.w_minus * Fraction(int(agg.neg_counts[forced].sum()), n)
-    for s, t in agg.conflict_pairs:
-        if pos_hi[s] <= 0 or neg_lo[t] >= 1:
-            continue  # one side already counted above
-        bound += min(cfg.w_plus * int(agg.pos_counts[s]),
-                     cfg.w_minus * int(agg.neg_counts[t])) / n
-    return bound
+    if len(partial) != agg.p + 1:
+        raise ValueError(f"partial assignment must have length {agg.p + 1}")
+    search = _Search(agg, cfg, lattice, SolveConfig(), None)
+    for j, v in enumerate(partial[1:]):
+        if v is not None:
+            search.apply(j, int(v))
+    return search.bound(partial[0])
 
 
 # ---------------------------------------------------------------------------
 # internal search machinery
 # ---------------------------------------------------------------------------
-
-class _CumCounter:
-    """Integer-exact cumulative unit counts over a bounded integer domain.
-
-    table() accumulates units by integer value; take() returns, for each
-    query integer, the summed units of stored values <= it. Unit sums stay
-    far below 2**53, so the float64 cumsum is exact.
-    """
-
-    def __init__(self, radius: int):
-        self.radius = radius
-        self.size = 2 * radius + 1
-
-    def table(self, values: np.ndarray, units: np.ndarray) -> np.ndarray:
-        hist = np.bincount(values + self.radius, weights=units, minlength=self.size)
-        return np.concatenate(([0.0], np.cumsum(hist)))
-
-    def take(self, table: np.ndarray, q: np.ndarray) -> np.ndarray:
-        idx = np.clip(q + self.radius + 1, 0, self.size)
-        return table[idx]
-
-
-def intercept_loss_profile(cum: _CumCounter, lam0_grid, pos_hi, pos_units,
-                           neg_lo, neg_units, pair_s=None, pair_t=None,
-                           pair_units=None) -> np.ndarray:
-    """Loss units per candidate intercept under the shared-intercept interval
-    relaxation: a positive pattern is charged when even its highest
-    achievable score misses the margin, a negative one when even its lowest
-    violates it, and surviving conflict pairs add their cheaper side. Exact
-    when the score intervals are degenerate (pos_hi == neg_lo == the true
-    base scores)."""
-    q = -lam0_grid
-    out = np.zeros(len(q))
-    if len(pos_hi):
-        out += cum.take(cum.table(pos_hi, pos_units), q)
-    if len(neg_lo):
-        tab = cum.table(neg_lo, neg_units)
-        out += float(neg_units.sum()) - cum.take(tab, q)
-    if pair_units is not None and len(pair_units):
-        total = float(pair_units.sum())
-        decided = cum.take(cum.table(pos_hi[pair_s], pair_units), q)
-        tab = cum.table(neg_lo[pair_t], pair_units)
-        decided += total - cum.take(tab, q)
-        out += total - decided
-    return out
-
 
 class _Search:
     """Mutable state shared across the branch-and-bound recursion."""
@@ -296,26 +219,26 @@ class _Search:
         cap = cfg.max_terms if scfg.term_cap is None else scfg.term_cap
         self.cap = min(cap, p)
 
-        # integer loss units: a positive row costs wp_units, a negative row
-        # wm_units; the weighted error is units / unit_den
-        den = int(np.lcm(cfg.w_plus.denominator, cfg.w_minus.denominator))
-        self.wp_units = int(cfg.w_plus * den)
-        self.wm_units = int(cfg.w_minus * den)
-        self.unit_den = den * agg.source_n
+        # rows are the distinct patterns, positives first, stored by column
+        units, self.unit_den = loss_units(agg, cfg)
+        n_pos = self.n_pos = agg.n_pos_patterns
+        self.cols = np.ascontiguousarray(
+            np.concatenate([agg.pos_patterns, agg.neg_patterns]).T, dtype=np.int64)
+        leaf_steps, self.start = exact_steps(units, n_pos)
+        # a conflict pair costs its cheaper side from the positive's step,
+        # where the positive stops being surely lost, to the negative's,
+        # where the negative becomes surely lost
+        s = agg.conflict_pairs[:, 0]
+        t = agg.conflict_pairs[:, 1] + n_pos
+        pair = np.minimum(units[s], units[t])
+        self.bound_steps = leaf_steps.copy()
+        self.bound_steps[s] += pair
+        self.bound_steps[t] -= pair
 
-        self.pos = agg.pos_patterns.astype(np.int64)
-        self.neg = agg.neg_patterns.astype(np.int64)
-        self.pos_units = agg.pos_counts * self.wp_units
-        self.neg_units = agg.neg_counts * self.wm_units
-        self.pair_s = agg.conflict_pairs[:, 0]
-        self.pair_t = agg.conflict_pairs[:, 1]
-        self.pair_units = np.minimum(self.pos_units[self.pair_s],
-                                     self.neg_units[self.pair_t]) \
-            if len(self.pair_s) else np.zeros(0, dtype=np.int64)
-
-        self.radius = int(self.bounds.sum())
-        self.cum = _CumCounter(self.radius)
-        self.lam0_grid = np.arange(-self.lam0_bound, self.lam0_bound + 1)
+        lo, width = -self.lam0_bound, 2 * self.lam0_bound + 1
+        self.leaf_plan = curve_plan(leaf_steps, self.start, None, 1, lo, width)
+        self.bound_plan = curve_plan(self.bound_steps, self.start, None, 1, lo, width)
+        self.lam0_grid = np.arange(lo, lo + width)
         # intercept tie-break: smallest magnitude, negative before positive
         self.lam0_order = np.argsort(np.abs(self.lam0_grid) * 2
                                      + (self.lam0_grid > 0).astype(np.int64),
@@ -324,10 +247,11 @@ class _Search:
         self.order = self._feature_order()
         self.values = [self._value_order(j) for j in range(p)]
 
-        self.base_pos = np.zeros(len(self.pos), dtype=np.int64)
-        self.base_neg = np.zeros(len(self.neg), dtype=np.int64)
-        self.slack_pos = self.pos @ self.bounds
-        self.slack_neg = self.neg @ self.bounds
+        # base: scores of the fixed coefficients; edge: the highest score a
+        # completion can give a positive row, the lowest a negative one
+        reach = self.bounds @ self.cols
+        self.base = np.zeros(len(units), dtype=np.int64)
+        self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
         self.coef = np.zeros(p, dtype=np.int64)
         self.n_nonzero = 0
         self.l1_fixed = 0
@@ -343,8 +267,9 @@ class _Search:
     def _class_signal(self, j):
         n_pos = int(self.agg.pos_counts.sum())
         prev = Fraction(n_pos, self.agg.source_n)
-        active_pos = int(self.agg.pos_counts[self.pos[:, j] == 1].sum())
-        active = active_pos + int(self.agg.neg_counts[self.neg[:, j] == 1].sum())
+        on = self.cols[j] == 1
+        active_pos = int(self.agg.pos_counts[on[:self.n_pos]].sum())
+        active = active_pos + int(self.agg.neg_counts[on[self.n_pos:]].sum())
         if active == 0:
             return None, prev
         return Fraction(active_pos, active), prev
@@ -368,37 +293,24 @@ class _Search:
 
     # -- incremental assignment ----------------------------------------------
 
-    def apply(self, j, v):
-        bj = int(self.bounds[j])
+    def _move(self, j, v, sign):
+        """Fix coefficient j to v (sign 1), or free it again (sign -1)."""
+        col, b, n_pos = self.cols[j], int(self.bounds[j]), self.n_pos
         if v:
-            self.base_pos += v * self.pos[:, j]
-            self.base_neg += v * self.neg[:, j]
-            self.n_nonzero += 1
-            self.l1_fixed += abs(v)
-            self.coef[j] = v
-        self.slack_pos -= bj * self.pos[:, j]
-        self.slack_neg -= bj * self.neg[:, j]
+            self.base += sign * v * col
+            self.n_nonzero += sign
+            self.l1_fixed += sign * abs(v)
+            self.coef[j] = v if sign > 0 else 0
+        self.edge[:n_pos] += sign * (v - b) * col[:n_pos]
+        self.edge[n_pos:] += sign * (v + b) * col[n_pos:]
+
+    def apply(self, j, v):
+        self._move(j, v, 1)
 
     def undo(self, j, v):
-        bj = int(self.bounds[j])
-        if v:
-            self.base_pos -= v * self.pos[:, j]
-            self.base_neg -= v * self.neg[:, j]
-            self.n_nonzero -= 1
-            self.l1_fixed -= abs(v)
-            self.coef[j] = 0
-        self.slack_pos += bj * self.pos[:, j]
-        self.slack_neg += bj * self.neg[:, j]
+        self._move(j, v, -1)
 
     # -- bounding and leaf evaluation -----------------------------------------
-
-    def _units_profile(self, pos_hi, neg_lo, with_pairs):
-        if with_pairs:
-            return intercept_loss_profile(
-                self.cum, self.lam0_grid, pos_hi, self.pos_units,
-                neg_lo, self.neg_units, self.pair_s, self.pair_t, self.pair_units)
-        return intercept_loss_profile(
-            self.cum, self.lam0_grid, pos_hi, self.pos_units, neg_lo, self.neg_units)
 
     def _penalty(self, l0, l1):
         key = (l0, l1)
@@ -408,19 +320,22 @@ class _Search:
             self._penalty_cache[key] = pen
         return pen
 
-    def bound(self) -> Fraction:
-        profile = self._units_profile(self.base_pos + self.slack_pos,
-                                      self.base_neg - self.slack_neg,
-                                      with_pairs=True)
-        units = int(profile.min()) if len(profile) else 0
-        return Fraction(units, self.unit_den) + self._penalty(self.n_nonzero, self.l1_fixed)
+    def bound(self, lam0=None) -> Fraction:
+        """Lower bound on every completion of the current node: the loss of
+        the edge scores, least over the intercept grid (or at the intercept
+        lam0), plus the penalties of the fixed coefficients."""
+        if lam0 is None:
+            units = loss_curves(self.bound_plan, self.edge).min()
+        else:
+            plan = curve_plan(self.bound_steps, self.start, None, 1, int(lam0), 1)
+            units = loss_curves(plan, self.edge)[0, 0]
+        return Fraction(int(units), self.unit_den) + self._penalty(self.n_nonzero, self.l1_fixed)
 
     def evaluate_leaf(self):
         """Exact objective of the current coefficients with the best
         intercept; unfixed coefficients are zero here."""
-        profile = self._units_profile(self.base_pos, self.base_neg, with_pairs=False)
-        ordered = self.lam0_order[np.argsort(profile[self.lam0_order], kind="stable")]
-        best_idx = int(ordered[0])
+        profile = loss_curves(self.leaf_plan, self.base)[0]
+        best_idx = self.lam0_order[np.argmin(profile[self.lam0_order])]
         units = int(profile[best_idx])
         lam0 = int(self.lam0_grid[best_idx])
 

@@ -108,3 +108,40 @@ def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bou
                 best_key = key
                 best = (lam0, tuple(dense))
     return best_key, best
+
+
+def pattern_relaxation(coefs, intercept, agg, cfg, lattice):
+    """Per-pattern interval relaxation of a node at a fixed intercept.
+
+    coefs has one entry per feature, None for a free coefficient. Each free
+    coefficient ranges over [-bound_j, bound_j] independently per pattern.
+    A pattern counts as lost when its whole score interval violates its
+    margin; a conflict pair not decided that way adds its cheaper side;
+    penalties cover the fixed coefficients.
+    """
+    bounds = [int(b) for b in lattice.bounds_for(len(coefs))]
+    n = agg.source_n
+
+    def score_range(row):
+        base, slack = intercept, 0
+        for x, c, b in zip(row, coefs, bounds):
+            if x and c is None:
+                slack += b
+            elif x:
+                base += c
+        return base - slack, base + slack
+
+    pos_hi = [score_range(row)[1] for row in agg.pos_patterns.tolist()]
+    neg_lo = [score_range(row)[0] for row in agg.neg_patterns.tolist()]
+    pos_counts, neg_counts = agg.pos_counts.tolist(), agg.neg_counts.tolist()
+    total = sum((cfg.c0 + cfg.epsilon * abs(c) for c in coefs if c), Fraction(0))
+    for hi, count in zip(pos_hi, pos_counts):
+        if hi <= 0:
+            total += cfg.w_plus * Fraction(count, n)
+    for lo, count in zip(neg_lo, neg_counts):
+        if lo >= 1:
+            total += cfg.w_minus * Fraction(count, n)
+    for s, t in agg.conflict_pairs.tolist():
+        if pos_hi[s] > 0 and neg_lo[t] < 1:
+            total += min(cfg.w_plus * pos_counts[s], cfg.w_minus * neg_counts[t]) / n
+    return total

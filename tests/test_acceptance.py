@@ -254,7 +254,7 @@ def test_06_polishing(oracle_suite):
         _, pool = solve(agg, cfg, lattice,
                         SolveConfig(time_limit=25, pool_size=30, node_limit=4000))
         assert any(m.l0 >= 6 for m, _ in pool.entries)
-        polish(pool.entries[0][0], agg, cfg, lattice)  # warm compiled kernels
+        polish(pool.entries[0][0], agg, cfg, lattice)  # warm up before timing
         for model, value in pool.entries:
             started = time.monotonic()
             out, out_value = polish(model, agg, cfg, lattice)

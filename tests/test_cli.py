@@ -36,6 +36,12 @@ class TestExitCodes:
         assert run("train", dataset_csv, "--w-plus", "3",
                    "--output", tmp_path / "m.json") == 1
 
+    def test_inexact_weight_is_one(self, dataset_csv, tmp_path, capsys):
+        # its denominator 10**15 is too large for exact loss sums
+        assert run("train", dataset_csv, "--w-plus", "1.000000000000001",
+                   "--output", tmp_path / "m.json") == 1
+        assert "largest allowed" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_report_manifest_and_sheet(self, dataset_csv, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
+from intscore.loss import curve_plan, loss_curves
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 from intscore.polish import ActiveSet, polish, project_active
 from intscore.solver import SolveConfig, brute_force_solve, solve
@@ -235,7 +236,7 @@ def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
 
 
 def test_segment_curves_count_every_offset():
-    # the curves behind the batched bounds and leaves, checked at every
+    # the loss-curve kernel behind every bound and leaf, checked at every
     # offset against a direct count, with scores well beyond both grid ends
     from intscore.polish import _RestrictedSearch
 
@@ -248,7 +249,7 @@ def test_segment_curves_count_every_offset():
         seg = s.cols[0] + 2 * s.cols[1]
         lo, width = int(rng.integers(-6, 2)), int(rng.integers(1, 9))
         s.base[:] = rng.integers(-12, 13, size=len(s.base))
-        curves = s._segment_curves(s._segments(seg, 4, lo, width))
+        curves = loss_curves(curve_plan(s.steps, s.start, seg, 4, lo, width), s.base, s.dtype)
         for q in range(width):
             score = s.base + lo + q
             lost = np.where(s.is_pos, score <= 0, score >= 1) * s.units
@@ -307,76 +308,3 @@ def test_optimum_beyond_halved_bounds():
     assert (out.intercept, tuple(out.coef_vector())) == (lam0, dense)
     assert value.weighted_error == 0
     assert max(abs(c) for c in dense) == 2
-
-
-def test_jit_and_numpy_bounds_agree():
-    # the accelerated kernels must reproduce the plain numpy relaxation exactly
-    from intscore.polish import njit
-    if njit is None:
-        pytest.skip("numba not installed")
-    from intscore.polish import _RestrictedSearch
-
-    rng = np.random.default_rng(13)
-    for seed in range(4):
-        ds, agg, cfg, lattice = random_instance(seed)
-        active = ActiveSet(tuple(range(ds.p)))
-        proj = project_active(agg, active)
-        bounds = lattice.bounds_for(ds.p)
-        s = _RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, [0] * ds.p)
-        for depth in range(ds.p):
-            for _ in range(3):
-                applied = []
-                for d in range(depth):
-                    j = s.order[d]
-                    v = int(rng.integers(-bounds[j], bounds[j] + 1))
-                    s._apply(j, v)
-                    applied.append((j, v))
-                jit_units = s._bound_units(depth)
-                grouping = s.groups[depth]
-                curves = s._curves(grouping)
-                profile = np.zeros(s.grid_len)
-                for sz, rows_idx in grouping["buckets"]:
-                    from intscore.polish import _sliding_min
-                    wm = _sliding_min(curves[rows_idx], 2 * sz + 1)
-                    profile += wm[:, grouping["pad"] - sz:
-                                  grouping["pad"] - sz + s.grid_len].sum(axis=0)
-                assert jit_units == int(profile.min())
-                for j, v in reversed(applied):
-                    s._undo(j, v)
-
-
-def test_jit_and_python_search_agree():
-    import sys
-
-    polish_mod = sys.modules["intscore.polish"]
-    if polish_mod.njit is None:
-        pytest.skip("numba not installed")
-    from intscore.polish import _RestrictedSearch
-
-    checked = 0
-    for seed in range(12):
-        ds, agg, cfg, lattice = random_instance(seed)
-        rng = np.random.default_rng(seed + 500)
-        bounds = lattice.bounds_for(ds.p)
-        coefs = [int(rng.integers(-bounds[j], bounds[j] + 1)) for j in range(ds.p)]
-        m = ScoringSystem.from_dense(int(rng.integers(-2, 3)), coefs, ds.feature_names)
-        if m.l0 == 0 or m.l0 > cfg.max_terms:
-            continue
-        active = ActiveSet.of(m)
-        proj = project_active(agg, active)
-        b = lattice.bounds_for(agg.p)[list(active.indices)]
-        seed_coefs = [dict(m.terms)[j] for j in active.indices]
-        fast = _RestrictedSearch(proj, cfg, b, lattice.intercept_bound, seed_coefs)
-        fast.seed(seed_coefs)
-        fast.run()
-        saved = polish_mod.njit
-        polish_mod.njit = None
-        try:
-            slow = _RestrictedSearch(proj, cfg, b, lattice.intercept_bound, seed_coefs)
-            slow.seed(seed_coefs)
-            slow._run_py(0, 0)
-        finally:
-            polish_mod.njit = saved
-        assert fast.best == slow.best
-        checked += 1
-    assert checked >= 5

@@ -4,8 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from intscore.data import BinaryDataset, FeatureSpec, aggregate
+from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
+from intscore.polish import polish
 from intscore.solver import (
     SolutionPool,
     SolveConfig,
@@ -16,6 +17,7 @@ from intscore.solver import (
 )
 
 from instances import a1a2_dataset, random_instance
+from oracles import pattern_relaxation
 
 
 def quick_cfg(pool=20, **kw):
@@ -64,6 +66,12 @@ class TestOracleAgreement:
             again = objective(model, agg, cfg)
             assert again.total == value.total
             assert again.weighted_error == value.weighted_error
+            # every intercept that ranks before it (smaller magnitude,
+            # negative first) loses more
+            for lam0 in range(-lattice.intercept_bound, lattice.intercept_bound + 1):
+                if (abs(lam0), lam0) < (abs(model.intercept), model.intercept):
+                    other = ScoringSystem(lam0, model.terms, model.term_names, ds.p)
+                    assert objective(other, agg, cfg).total > value.total
 
     def test_respects_term_cap(self):
         ds, agg, cfg, lattice = random_instance(7)
@@ -115,6 +123,30 @@ class TestConflictBound:
 
 
 class TestNodeBound:
+    def test_equals_pattern_relaxation(self):
+        # node_bound is the bound the search prunes with: at a fixed
+        # intercept (inside the grid or not) it is the per-pattern
+        # relaxation, with a free one its least value over the grid
+        rng = np.random.default_rng(41)
+        checked = conflicts = 0
+        for seed in range(12):
+            ds, agg, cfg, lattice = random_instance(seed)
+            conflicts += len(agg.conflict_pairs)
+            bounds = lattice.bounds_for(ds.p)
+            grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
+            for _ in range(8):
+                coefs = [int(rng.integers(-bounds[j], bounds[j] + 1))
+                         if rng.random() < 0.5 else None for j in range(ds.p)]
+                lam0 = int(rng.integers(-lattice.intercept_bound - 3,
+                                        lattice.intercept_bound + 4))
+                assert node_bound([lam0] + coefs, agg, cfg, lattice) == \
+                    pattern_relaxation(coefs, lam0, agg, cfg, lattice)
+                assert node_bound([None] + coefs, agg, cfg, lattice) == \
+                    min(pattern_relaxation(coefs, v, agg, cfg, lattice) for v in grid)
+                checked += 1
+        assert checked == 96
+        assert conflicts > 0
+
     def test_fully_fixed_equals_objective(self):
         ds, agg, cfg, lattice = random_instance(3)
         rng = np.random.default_rng(0)
@@ -164,6 +196,39 @@ class TestNodeBound:
                     if best is None or total < best:
                         best = total
             assert got <= best
+
+
+class TestExactUnits:
+    # loss units are summed in float64; a class weight whose denominator
+    # could push the sums to 2**53 must be refused rather than rounded
+    @staticmethod
+    def instance(w_plus):
+        ds = synth_generate([0.5, 0.4, 0.6, 0.3], [1.0, -0.8, 0.6, -0.4],
+                            n=3000, seed=8, bias=-0.1)
+        lattice = LatticeSpec(2, 4)
+        return ds, aggregate(ds), PenaltyConfig.auto(w_plus, ds.n, ds.p, lattice), lattice
+
+    @pytest.mark.parametrize("w_plus", [Fraction("1.000000000000001"),
+                                        1 + Fraction(1, (2 ** 53 - 1) // 6000 + 1),
+                                        1 + Fraction(1, 10 ** 21)])
+    def test_denominator_beyond_limit_rejected(self, w_plus):
+        ds, agg, cfg, lattice = self.instance(w_plus)
+        with pytest.raises(ValueError, match="denominator"):
+            solve(agg, cfg, lattice, quick_cfg())
+        model = ScoringSystem.from_dense(1, [1, -1, 1, 0], ds.feature_names)
+        with pytest.raises(ValueError, match="denominator"):
+            polish(model, agg, cfg, lattice)
+
+    def test_denominator_at_limit_is_exact(self):
+        ds, agg, cfg, lattice = self.instance(1 + Fraction(1, (2 ** 53 - 1) // 6000))
+        report, pool = solve(agg, cfg, lattice, quick_cfg())
+        _, want = brute_force_solve(agg, cfg, lattice)
+        assert report.status == "optimal"
+        assert report.best_objective == want.total
+        for model, value in pool.entries:
+            assert objective(model, agg, cfg).total == value.total
+        _, value = polish(report.best, agg, cfg, lattice)
+        assert value.total <= report.best_objective
 
 
 class TestPool:
