@@ -13,6 +13,13 @@ histogram of the step positions and one cumulative sum. Callers choose the
 scores (exact ones for a leaf, optimistic ones for a bound) and the step
 weights (a bound folds its conflict pairs into them).
 
+shifted_curves scores many sibling score vectors at once when they differ
+only by whole segments moving by fixed amounts, as when one coefficient
+takes each of its values: setting coefficient j to v moves exactly the rows
+with x_j = 1, by v. Moving a segment by d reads its curve d columns
+further on, so one kernel call on a grid widened by the spread of the moves
+gives every sibling's curve as a sum of shifted segment curves.
+
 All sums are taken in float64 and are exact: loss_units rejects a weight
 denominator for which the total units could reach 2**53.
 """
@@ -87,3 +94,24 @@ def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     curves = np.empty((n_seg, width), dtype=dtype)
     np.add(cum[:, :width], plan["offset"], out=curves, casting="unsafe")
     return curves
+
+
+def shifted_curves(steps, start, scores, seg, shifts, lo: int, width: int) -> np.ndarray:
+    """Loss curves of sibling score vectors that differ by segment moves.
+
+    Sibling c is scores with every row i moved by shifts[c, seg[i]]. Row c,
+    column q: the loss units of sibling c when every score is further moved
+    by lo + q. steps and start are as for curve_plan; shifts has one column
+    per segment and at least one row.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    n_seg = shifts.shape[1]
+    low = int(shifts.min())
+    plan = curve_plan(steps, start, seg, n_seg, lo + low, width + int(shifts.max()) - low)
+    curves = loss_curves(plan, scores)
+    # one segment at a time keeps the working set to two sibling-by-width arrays
+    cols = np.arange(width) - low
+    out = curves[0, shifts[:, :1] + cols]
+    for s in range(1, n_seg):
+        out += curves[s, shifts[:, s:s + 1] + cols]
+    return out

@@ -21,6 +21,19 @@ its rows is surely lost. The bound is monotone along any search path, so
 the proven lower bound never decreases and exhausting the tree certifies
 optimality.
 
+Children are scored as siblings, never one at a time. Setting the free
+coefficient j to v moves only the rows with x_j = 1: by v in base, and in
+edge by v - b_j for a positive row and v + b_j for a negative one (its
+reach b_j is replaced by v). Folded conflict-pair step weights stay with
+their rows and move with them. So one loss-curve pass over the rows split
+by x_j, on an intercept grid widened by the moves, gives the leaf or the
+bound of every value of j at once (loss.shifted_curves). The search scores
+all children of a node on its first visit and then walks them in value
+order: a leaf child is recorded, an inner child is pruned on its bound, and
+only a child the search descends into is applied to base and edge, so
+pruned and leaf children never touch the state. Greedy seeding scores every
+value of every free feature the same way, one pass per feature.
+
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
 when its bound exceeds the best total found within the smallest term
 budget the subtree could still fit. This costs some pruning power but
@@ -45,7 +58,7 @@ import numpy as np
 
 from .common import as_fraction, frac_str
 from .data import AggregatedDataset
-from .loss import curve_plan, exact_steps, loss_curves, loss_units
+from .loss import curve_plan, exact_steps, loss_curves, loss_units, shifted_curves
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -80,67 +93,75 @@ class SolutionPool:
     Eviction protects the sparsity frontier: the best entry at each term
     count survives even when denser models dominate the top of the pool,
     so downstream term-count tuning always has a candidate per level.
+    The frontier entries, those with fewer terms than every entry before
+    them, are tracked as entries come and go, so rejecting a candidate and
+    choosing a victim walk the frontier, not the pool.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("pool capacity must be >= 1")
         self.capacity = capacity
-        self._entries = []  # (total, key, ScoringSystem, ObjectiveValue)
+        self._entries = []  # (total, key, l0, ScoringSystem, ObjectiveValue)
         self._keys = set()
+        self._frontier = []  # frontier entries, in pool order
+        self._frontier_keys = set()
 
     def __len__(self):
         return len(self._entries)
 
-    def _frontier_flags(self):
-        flags = []
-        best_l0 = None
-        for _, _, model, _ in self._entries:
-            on = best_l0 is None or model.l0 < best_l0
-            flags.append(on)
-            if on:
-                best_l0 = model.l0
-        return flags
-
     def add(self, model: ScoringSystem, value: ObjectiveValue) -> bool:
-        key = model.key()
+        return self.offer(value.total, model.key(), model.l0, lambda: (model, value))
+
+    def offer(self, total: Fraction, key: tuple, l0: int, build: Callable) -> bool:
+        """add() for a candidate known by its total, model key and term
+        count; build() returns its (model, value) and is called only when
+        the pool keeps it."""
         if key in self._keys:
             return False
-        item = (value.total, key, model, value)
-        if len(self._entries) >= self.capacity:
-            beats_worst = item[:2] < self._entries[-1][:2]
-            at_level = self.best_with_at_most(model.l0)
-            improves_frontier = at_level is None or value.total < at_level[1].total
-            if not (beats_worst or improves_frontier):
-                return False
+        head = (total, key)
+        # the best entry with at most l0 terms is the first such frontier entry
+        at_level = next((e for e in self._frontier if e[2] <= l0), None)
+        if len(self._entries) >= self.capacity and at_level is not None \
+                and not total < at_level[0] and not head < self._entries[-1][:2]:
+            return False
+        model, value = build()
+        # the model's own key shares its terms, where the caller's is a copy
+        key = model.key()
+        item = (total, key, l0, model, value)
         insort(self._entries, item)
         self._keys.add(key)
+        if at_level is None or head < at_level[:2]:
+            # on the frontier: it displaces the later ones it has no fewer terms than
+            self._frontier = [e for e in self._frontier if e[:2] < head or e[2] < l0]
+            insort(self._frontier, item)
+            self._frontier_keys = {e[1] for e in self._frontier}
         if len(self._entries) > self.capacity:
-            flags = self._frontier_flags()
             victim = len(self._entries) - 1
-            for i in range(len(self._entries) - 1, -1, -1):
-                if not flags[i]:
-                    victim = i
-                    break
-            _, worst_key, _, _ = self._entries.pop(victim)
-            self._keys.discard(worst_key)
+            while victim >= 0 and self._entries[victim][1] in self._frontier_keys:
+                victim -= 1
+            # the last entry off the frontier, or the last one if all are on it
+            worst = self._entries.pop(victim)
+            self._keys.discard(worst[1])
+            if victim < 0:
+                self._frontier.pop()
+                self._frontier_keys.discard(worst[1])
         return True
 
     def best(self):
         if not self._entries:
             return None
-        _, _, model, value = self._entries[0]
-        return model, value
+        return self._entries[0][3:]
 
     @property
     def entries(self):
-        return [(model, value) for _, _, model, value in self._entries]
+        return [e[3:] for e in self._entries]
 
     def best_with_at_most(self, k: int):
         """Best entry using at most k terms, or None."""
-        for _, _, model, value in self._entries:
-            if model.l0 <= k:
-                return model, value
+        for e in self._frontier:
+            if e[2] <= k:
+                return e[3:]
         return None
 
 
@@ -225,20 +246,25 @@ class _Search:
         self.cols = np.ascontiguousarray(
             np.concatenate([agg.pos_patterns, agg.neg_patterns]).T, dtype=np.int64)
         leaf_steps, self.start = exact_steps(units, n_pos)
+        # float64, as curve_plan takes them, so no call converts them again
+        self.leaf_steps = leaf_steps.astype(np.float64)
         # a conflict pair costs its cheaper side from the positive's step,
         # where the positive stops being surely lost, to the negative's,
         # where the negative becomes surely lost
         s = agg.conflict_pairs[:, 0]
         t = agg.conflict_pairs[:, 1] + n_pos
         pair = np.minimum(units[s], units[t])
-        self.bound_steps = leaf_steps.copy()
+        self.bound_steps = self.leaf_steps.copy()
         self.bound_steps[s] += pair
         self.bound_steps[t] -= pair
 
         lo, width = -self.lam0_bound, 2 * self.lam0_bound + 1
-        self.leaf_plan = curve_plan(leaf_steps, self.start, None, 1, lo, width)
+        self.leaf_plan = curve_plan(self.leaf_steps, self.start, None, 1, lo, width)
         self.bound_plan = curve_plan(self.bound_steps, self.start, None, 1, lo, width)
         self.lam0_grid = np.arange(lo, lo + width)
+        # segment of a row with x_j = 1 when siblings on j are bounded: a
+        # positive's edge moves by v - b_j, a negative's by v + b_j
+        self.side = np.where(np.arange(len(units)) < n_pos, 1, 2)
         # intercept tie-break: smallest magnitude, negative before positive
         self.lam0_order = np.argsort(np.abs(self.lam0_grid) * 2
                                      + (self.lam0_grid > 0).astype(np.int64),
@@ -252,7 +278,7 @@ class _Search:
         reach = self.bounds @ self.cols
         self.base = np.zeros(len(units), dtype=np.int64)
         self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
-        self.coef = np.zeros(p, dtype=np.int64)
+        self.terms = ()  # the nonzero fixed coefficients as model terms
         self.n_nonzero = 0
         self.l1_fixed = 0
 
@@ -300,7 +326,8 @@ class _Search:
             self.base += sign * v * col
             self.n_nonzero += sign
             self.l1_fixed += sign * abs(v)
-            self.coef[j] = v if sign > 0 else 0
+            self.terms = self._with(j, v) if sign > 0 \
+                else tuple(t for t in self.terms if t[0] != j)
         self.edge[:n_pos] += sign * (v - b) * col[:n_pos]
         self.edge[n_pos:] += sign * (v + b) * col[n_pos:]
 
@@ -312,13 +339,18 @@ class _Search:
 
     # -- bounding and leaf evaluation -----------------------------------------
 
-    def _penalty(self, l0, l1):
+    def _with(self, j, v):
+        """The fixed terms with coefficient j set to v."""
+        return tuple(sorted(self.terms + ((j, v),))) if v else self.terms
+
+    def _total(self, units, l0, l1) -> Fraction:
+        """units of loss plus the penalties of l0 terms of magnitude sum l1."""
         key = (l0, l1)
         pen = self._penalty_cache.get(key)
         if pen is None:
             pen = self.cfg.c0 * l0 + self.cfg.epsilon * l1
             self._penalty_cache[key] = pen
-        return pen
+        return Fraction(units, self.unit_den) + pen
 
     def bound(self, lam0=None) -> Fraction:
         """Lower bound on every completion of the current node: the loss of
@@ -329,39 +361,101 @@ class _Search:
         else:
             plan = curve_plan(self.bound_steps, self.start, None, 1, int(lam0), 1)
             units = loss_curves(plan, self.edge)[0, 0]
-        return Fraction(int(units), self.unit_den) + self._penalty(self.n_nonzero, self.l1_fixed)
+        return self._total(int(units), self.n_nonzero, self.l1_fixed)
 
-    def evaluate_leaf(self):
-        """Exact objective of the current coefficients with the best
-        intercept; unfixed coefficients are zero here."""
-        profile = loss_curves(self.leaf_plan, self.base)[0]
-        best_idx = self.lam0_order[np.argmin(profile[self.lam0_order])]
-        units = int(profile[best_idx])
-        lam0 = int(self.lam0_grid[best_idx])
+    def _canonical(self, curves):
+        """(units, lam0) lists, one per intercept-grid curve: the least
+        loss, at the intercept ranked first among those reaching it."""
+        best = self.lam0_order[np.argmin(curves[:, self.lam0_order], axis=1)]
+        return curves[np.arange(len(curves)), best].tolist(), self.lam0_grid[best].tolist()
 
-        werr = Fraction(units, self.unit_den)
-        value = ObjectiveValue.build(werr, self.n_nonzero, self.l1_fixed, self.cfg)
-        model = ScoringSystem.from_dense(lam0, self.coef, self.names)
-        self.pool.add(model, value)
-        for k in range(self.n_nonzero, self.cap + 1):
-            if self.best_leq[k] is None or value.total < self.best_leq[k]:
-                self.best_leq[k] = value.total
-        return value.total
+    def leaf(self):
+        """(units, lam0): the loss of the current coefficients at their
+        canonical intercept; unfixed coefficients are zero here."""
+        units, lam0 = self._canonical(loss_curves(self.leaf_plan, self.base))
+        return units[0], lam0[0]
+
+    def child_leaves(self, j, vals):
+        """leaf() of every child that sets the free coefficient j to a
+        value in vals: the rows with x_j = 1 move by the value."""
+        shifts = np.zeros((len(vals), 2), dtype=np.int64)
+        shifts[:, 1] = vals
+        curves = shifted_curves(self.leaf_steps, self.start, self.base, self.cols[j], shifts,
+                                -self.lam0_bound, len(self.lam0_grid))
+        return self._canonical(curves)
+
+    def child_bounds(self, j, vals):
+        """bound() of every child that sets the free coefficient j to a
+        value in vals: with x_j = 1, positive edges move by v - b_j and
+        negative ones by v + b_j."""
+        b = int(self.bounds[j])
+        v = np.asarray(vals, dtype=np.int64)
+        shifts = np.stack([np.zeros_like(v), v - b, v + b], axis=1)
+        curves = shifted_curves(self.bound_steps, self.start, self.edge, self.cols[j] * self.side,
+                                shifts, -self.lam0_bound, len(self.lam0_grid))
+        return [self._total(units, self.n_nonzero + (c != 0), self.l1_fixed + abs(c))
+                for c, units in zip(vals, curves.min(axis=1).tolist())]
+
+    def children(self, depth):
+        """Every child of the current node at `depth`, scored at once
+        without touching the state: for each value of feature order[depth],
+        in value order, (True, units, lam0) for a leaf, (False, bound, None)
+        for an inner node, or None for a nonzero value past the term cap."""
+        j = self.order[depth]
+        vals = self.values[j]
+        kids = [None] * len(vals)
+        leaves, inner = [], []
+        for c, v in enumerate(vals):
+            l0 = self.n_nonzero + (v != 0)
+            if l0 <= self.cap:
+                (leaves if depth + 1 == self.p or l0 == self.cap else inner).append(c)
+        if leaves:
+            units, lam0 = self.child_leaves(j, [vals[c] for c in leaves])
+            for c, u, lam in zip(leaves, units, lam0):
+                kids[c] = (True, u, lam)
+        if inner:
+            for c, bound in zip(inner, self.child_bounds(j, [vals[c] for c in inner])):
+                kids[c] = (False, bound, None)
+        return kids
+
+    def record(self, j, v, units, lam0):
+        """Offer the leaf that adds coefficient j = v to the fixed ones (v
+        = 0 adds none), with intercept lam0 and loss units, to the pool and
+        to best_leq; return its total."""
+        terms = self._with(j, v)
+        l0, l1 = self.n_nonzero + (v != 0), self.l1_fixed + abs(v)
+        total = self._total(units, l0, l1)
+
+        def build():
+            names = tuple(self.names[k] for k, _ in terms)
+            werr = Fraction(units, self.unit_den)
+            return (ScoringSystem(lam0, terms, names, self.p),
+                    ObjectiveValue(werr, l0, l1, total))
+
+        self.pool.offer(total, (lam0,) + terms, l0, build)
+        # best_leq never increases with k, so the first budget not improved
+        # ends the update
+        for k in range(l0, self.cap + 1):
+            if self.best_leq[k] is not None and not total < self.best_leq[k]:
+                break
+            self.best_leq[k] = total
+        return total
 
     def greedy_seed(self, deadline):
         """Deterministic forward selection used to warm-start the incumbents:
-        at each sparsity step, try every single-coefficient extension of the
-        current support, keep the best, and record everything in the pool."""
+        at each sparsity step, score every single-coefficient extension of
+        the current support, keep the best, and record everything in the
+        pool."""
         chosen = []
         for _ in range(self.cap):
             best = None
+            fixed = dict(self.terms)
             for j in range(self.p):
-                if self.coef[j] != 0:
+                if j in fixed:
                     continue
-                for v in self.values[j][1:]:
-                    self.apply(j, v)
-                    total = self.evaluate_leaf()
-                    self.undo(j, v)
+                vals = self.values[j][1:]
+                for v, units, lam0 in zip(vals, *self.child_leaves(j, vals)):
+                    total = self.record(j, v, units, lam0)
                     if best is None or total < best[0]:
                         best = (total, j, v)
             if best is None or time.monotonic() > deadline:
@@ -399,12 +493,14 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     # seed with the best intercept-only model so an incumbent always exists
     # even under a zero node budget, then warm-start with greedy forward
     # selection (everything it touches lands in the pool)
-    search.evaluate_leaf()
+    search.record(0, 0, *search.leaf())
     search.greedy_seed(started + 0.4 * scfg.time_limit)
 
-    # frames[d] enumerates values for feature order[d]; "applied" is the
-    # value currently pushed onto the shared incremental state
-    frames = [{"bound": search.bound(), "next": 0, "applied": None}]
+    # frames[d] enumerates values for feature order[d]; "kids" holds all of
+    # its children, scored at once (search.children) on its first visit;
+    # "applied" is the value of the child being descended into, the only
+    # child ever pushed onto the shared incremental state
+    frames = [{"bound": search.bound(), "next": 0, "applied": None, "kids": None}]
     status = "optimal"
 
     def lower_bound():
@@ -447,17 +543,19 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         if frame["next"] >= len(vals):
             frames.pop()
             continue
+        if frame["kids"] is None:
+            frame["kids"] = search.children(depth)
 
         v = vals[frame["next"]]
+        kid = frame["kids"][frame["next"]]
         frame["next"] += 1
-        if v != 0 and search.n_nonzero >= search.cap:
+        if kid is None:
             continue
-        search.apply(j, v)
-        frame["applied"] = v
         search.nodes += 1
 
-        if depth + 1 == search.p or search.n_nonzero >= search.cap:
-            search.evaluate_leaf()
+        is_leaf, score, lam0 = kid
+        if is_leaf:
+            search.record(j, v, score, lam0)
             if search.incumbent_total != last_incumbent:
                 last_incumbent = search.incumbent_total
                 emit()
@@ -466,10 +564,11 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
                     break
             continue
 
-        child_bound = search.bound()
-        if child_bound > search.best_leq[search.n_nonzero]:
+        if score > search.best_leq[search.n_nonzero + (v != 0)]:
             continue
-        frames.append({"bound": child_bound, "next": 0, "applied": None})
+        search.apply(j, v)
+        frame["applied"] = v
+        frames.append({"bound": score, "next": 0, "applied": None, "kids": None})
 
     exhausted = not frames
     lb = search.incumbent_total if exhausted else lower_bound()

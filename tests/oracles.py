@@ -1,9 +1,12 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive: plain Python loops and Fractions,
-no shared code with the library's evaluation or search paths.
+no shared code with the library's evaluation or search paths. The one
+exception is per_leaf_greedy_seed, which drives the solver's own per-node
+primitives so that the batched seeding can be checked against them.
 """
 
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import product
 
@@ -93,19 +96,33 @@ def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bou
 
     Minimizes (loss, sum|coef|, coefficient tuple, (|intercept|, intercept))
     over all assignments to the support positions, everything else zero.
+    Each coefficient tuple's row scores are computed once; the rows each
+    intercept misclassifies are then counted by bisection on the sorted
+    scores of each class, in integers, and each key's loss is one Fraction.
     """
-    p = len(X[0])
+    p, n = len(X[0]), len(y)
+    w_plus, w_minus = Fraction(w_plus), Fraction(w_minus)
+    den = w_plus.denominator * w_minus.denominator
+    a, b = int(w_plus * den), int(w_minus * den)
+    pos_rows = [[int(row[j]) for j in support] for row, label in zip(X, y) if label == 1]
+    neg_rows = [[int(row[j]) for j in support] for row, label in zip(X, y) if label == -1]
     best_key = None
     best = None
     for coefs in product(*[range(-coef_bound, coef_bound + 1)] * len(support)):
-        dense = [0] * p
-        for j, c in zip(support, coefs):
-            dense[j] = c
+        pos = sorted(sum(c * x for c, x in zip(coefs, row)) for row in pos_rows)
+        neg = sorted(sum(c * x for c, x in zip(coefs, row)) for row in neg_rows)
+        l1 = sum(abs(c) for c in coefs)
         for lam0 in range(-intercept_bound, intercept_bound + 1):
-            loss = row_weighted_error(lam0, dense, X, y, w_plus, w_minus)
-            key = (loss, sum(abs(c) for c in coefs), tuple(coefs), (abs(lam0), lam0))
+            # positives are lost at score + lam0 <= 0, negatives at >= 1
+            pos_wrong = bisect_right(pos, -lam0)
+            neg_wrong = len(neg) - bisect_left(neg, 1 - lam0)
+            loss = Fraction(a * pos_wrong + b * neg_wrong, den * n)
+            key = (loss, l1, tuple(coefs), (abs(lam0), lam0))
             if best_key is None or key < best_key:
                 best_key = key
+                dense = [0] * p
+                for j, c in zip(support, coefs):
+                    dense[j] = c
                 best = (lam0, tuple(dense))
     return best_key, best
 
@@ -145,3 +162,88 @@ def pattern_relaxation(coefs, intercept, agg, cfg, lattice):
         if pos_hi[s] > 0 and neg_lo[t] < 1:
             total += min(cfg.w_plus * pos_counts[s], cfg.w_minus * neg_counts[t]) / n
     return total
+
+
+class ReferencePool:
+    """The solution pool as first written: every add walks the whole pool
+    for the best entry at its term level, and every eviction recomputes
+    the sparsity frontier from scratch."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._entries = []  # (total, key, model, value)
+        self._keys = set()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def _frontier_flags(self):
+        flags = []
+        best_l0 = None
+        for _, _, model, _ in self._entries:
+            on = best_l0 is None or model.l0 < best_l0
+            flags.append(on)
+            if on:
+                best_l0 = model.l0
+        return flags
+
+    def add(self, model, value):
+        key = model.key()
+        if key in self._keys:
+            return False
+        item = (value.total, key, model, value)
+        if len(self._entries) >= self.capacity:
+            beats_worst = item[:2] < self._entries[-1][:2]
+            at_level = self.best_with_at_most(model.l0)
+            improves_frontier = at_level is None or value.total < at_level[1].total
+            if not (beats_worst or improves_frontier):
+                return False
+        insort(self._entries, item)
+        self._keys.add(key)
+        if len(self._entries) > self.capacity:
+            flags = self._frontier_flags()
+            victim = len(self._entries) - 1
+            for i in range(len(self._entries) - 1, -1, -1):
+                if not flags[i]:
+                    victim = i
+                    break
+            _, worst_key, _, _ = self._entries.pop(victim)
+            self._keys.discard(worst_key)
+        return True
+
+    @property
+    def entries(self):
+        return [(model, value) for _, _, model, value in self._entries]
+
+    def best_with_at_most(self, k):
+        for _, _, model, value in self._entries:
+            if model.l0 <= k:
+                return model, value
+        return None
+
+
+def per_leaf_greedy_seed(search):
+    """The solver's greedy forward selection scoring one extension at a
+    time: fix the coefficient, evaluate the node's own leaf, record it and
+    free the coefficient again. Runs on a solver search state, whose
+    batched greedy_seed must leave the same pool and incumbents."""
+    chosen = []
+    for _ in range(search.cap):
+        best = None
+        fixed = dict(search.terms)
+        for j in range(search.p):
+            if j in fixed:
+                continue
+            for v in search.values[j][1:]:
+                search.apply(j, v)
+                total = search.record(j, 0, *search.leaf())
+                search.undo(j, v)
+                if best is None or total < best[0]:
+                    best = (total, j, v)
+        if best is None:
+            break
+        _, j, v = best
+        search.apply(j, v)
+        chosen.append((j, v))
+    for j, v in reversed(chosen):
+        search.undo(j, v)

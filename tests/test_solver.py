@@ -4,12 +4,15 @@ from itertools import product
 import numpy as np
 import pytest
 
+from intscore.common import frac_str
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
+from intscore.loss import exact_steps, loss_units, shifted_curves
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
 from intscore.polish import polish
 from intscore.solver import (
     SolutionPool,
     SolveConfig,
+    _Search,
     brute_force_solve,
     conflict_lower_bound,
     node_bound,
@@ -17,7 +20,7 @@ from intscore.solver import (
 )
 
 from instances import a1a2_dataset, random_instance
-from oracles import pattern_relaxation
+from oracles import ReferencePool, pattern_relaxation, per_leaf_greedy_seed
 
 
 def quick_cfg(pool=20, **kw):
@@ -266,6 +269,26 @@ class TestPool:
         model, _ = pool.best_with_at_most(2)
         assert model.l0 == 2
 
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 500])
+    def test_matches_reference_pool(self, capacity):
+        # seeded add sequences with repeated keys, equal totals and every
+        # term count from 0 to 4; both pools must agree after every add
+        rng = np.random.default_rng(capacity)
+        n_adds = 3 * capacity + 300
+        for _ in range(3):
+            pool, ref = SolutionPool(capacity), ReferencePool(capacity)
+            for _ in range(n_adds):
+                coefs = rng.integers(-1, 2, size=4) * (rng.random(4) < rng.random())
+                model = ScoringSystem.from_dense(int(rng.integers(-3, 4)), coefs, list("abcd"))
+                total = Fraction(int(rng.integers(0, 40)), 8)
+                value = ObjectiveValue(total, model.l0, model.l1, total)
+                assert pool.add(model, value) == ref.add(model, value)
+                assert len(pool) == len(ref)
+                assert [(m.key(), v) for m, v in pool.entries] == \
+                    [(m.key(), v) for m, v in ref.entries]
+                for k in range(5):
+                    assert pool.best_with_at_most(k) == ref.best_with_at_most(k)
+
 
 class TestAnytimeBehavior:
     def test_telemetry_bound_below_incumbent_and_monotone(self):
@@ -422,3 +445,165 @@ def test_single_class_dataset():
     assert report.status == "optimal"
     assert objective(report.best, agg, cfg).weighted_error == 0
     assert report.best.l0 == 0  # the intercept alone suffices
+
+
+def _uneven_instances():
+    """A 7-feature instance with conflict pairs and uneven per-feature
+    bounds, under every term cap from 0 to 7."""
+    ds = synth_generate([0.3, 0.6, 0.5, 0.4, 0.7, 0.5, 0.35],
+                        [0.9, -0.7, 0.5, -0.4, 0.3, -0.6, 0.2], n=500, seed=3, bias=0.1)
+    agg = aggregate(ds)
+    assert len(agg.conflict_pairs)
+    lattice = LatticeSpec((3, 1, 4, 2, 5, 2, 3), 6)
+    cfg = PenaltyConfig.auto(Fraction(7, 5), ds.n, ds.p, lattice, max_terms=7)
+    return [(agg, cfg, lattice, cap) for cap in range(8)]
+
+
+class TestSiblingBatching:
+    def test_shifted_curves_count_every_offset(self):
+        # every sibling's curve against a direct count at every offset, with
+        # moves of either sign on every segment
+        rng = np.random.default_rng(41)
+        for seed in range(6):
+            _, agg, cfg, _ = random_instance(seed)
+            units, _ = loss_units(agg, cfg)
+            is_pos = np.arange(len(units)) < agg.n_pos_patterns
+            steps, start = exact_steps(units, agg.n_pos_patterns)
+            scores = rng.integers(-6, 7, size=len(units))
+            seg = rng.integers(0, 3, size=len(units))
+            shifts = rng.integers(-4, 5, size=(5, 3))
+            lo, width = int(rng.integers(-5, 2)), int(rng.integers(1, 8))
+            curves = shifted_curves(steps, start, scores, seg, shifts, lo, width)
+            for c in range(len(shifts)):
+                for q in range(width):
+                    score = scores + shifts[c, seg] + lo + q
+                    lost = np.where(is_pos, score <= 0, score >= 1) * units
+                    assert curves[c, q] == lost.sum()
+
+    def test_children_match_per_node_code(self, monkeypatch):
+        # at every frame of the search, each child scored in the batch must
+        # equal the child's own leaf or bound, reached by fixing its value
+        batched = _Search.children
+        seen = {"leaf": 0, "bound": 0, "skipped": 0}
+
+        def checked(search, depth):
+            kids = batched(search, depth)
+            j = search.order[depth]
+            for v, kid in zip(search.values[j], kids):
+                l0 = search.n_nonzero + (v != 0)
+                if l0 > search.cap:
+                    assert kid is None
+                    seen["skipped"] += 1
+                    continue
+                is_leaf, score, lam0 = kid
+                assert is_leaf == (depth + 1 == search.p or l0 == search.cap)
+                search.apply(j, v)
+                if is_leaf:
+                    assert (score, lam0) == search.leaf()
+                    seen["leaf"] += 1
+                else:
+                    assert lam0 is None and score == search.bound()
+                    seen["bound"] += 1
+                search.undo(j, v)
+            return kids
+
+        monkeypatch.setattr(_Search, "children", checked)
+        for seed in range(12):
+            _, agg, cfg, lattice = random_instance(seed)
+            solve(agg, cfg, lattice, quick_cfg())
+        for agg, cfg, lattice, cap in _uneven_instances():
+            solve(agg, cfg, lattice, quick_cfg(node_limit=2000, term_cap=cap))
+        # values past the cap occur only at the root of a cap-0 search
+        assert seen["leaf"] > 1000 and seen["bound"] > 1000 and seen["skipped"] > 0
+
+    def test_greedy_seed_matches_per_leaf_seed(self):
+        instances = [random_instance(seed)[1:] + (None,) for seed in range(12)]
+        for agg, cfg, lattice, cap in instances + _uneven_instances():
+            scfg = quick_cfg(term_cap=cap)
+            searches = [_Search(agg, cfg, lattice, scfg, None) for _ in range(2)]
+            for search in searches:
+                search.record(0, 0, *search.leaf())
+            searches[0].greedy_seed(float("inf"))
+            per_leaf_greedy_seed(searches[1])
+            batched, per_leaf = searches
+            assert batched.best_leq == per_leaf.best_leq
+            assert [(m.key(), v) for m, v in batched.pool.entries] == \
+                [(m.key(), v) for m, v in per_leaf.pool.entries]
+            assert not batched.base.any() and batched.terms == ()
+
+
+# Outputs of a node-limited solve, recorded with the solver that scored one
+# child at a time (commit e60a35b). Any change to node order, value order,
+# intercept tie-breaks or pool eviction shows up here.
+PINNED_POOL = [
+    ((-1, (1, 1), (4, -1), (8, -1), (9, 1)), '10963/34000'),
+    ((-2, (1, 1), (4, -1), (8, -1), (9, 2)), '1096301/3400000'),
+    ((-1, (1, 1), (4, -1), (8, -2), (9, 1)), '1096301/3400000'),
+    ((-2, (1, 1), (4, -1), (8, -2), (9, 2)), '548151/1700000'),
+    ((-1, (1, 1), (5, 1), (6, -1), (8, -1)), '54849/170000'),
+    ((-1, (1, 1), (5, 1), (6, -2), (8, -1)), '1096981/3400000'),
+    ((-1, (1, 1), (5, 1), (6, -1), (8, -2)), '1096981/3400000'),
+    ((-1, (1, 1), (5, 1), (6, -2), (8, -2)), '548491/1700000'),
+    ((-1, (1, 1), (3, -1), (5, 1), (8, -1)), '54917/170000'),
+    ((-1, (1, 1), (3, -2), (5, 1), (8, -1)), '1098341/3400000'),
+    ((-1, (1, 1), (3, -1), (5, 1), (8, -2)), '1098341/3400000'),
+    ((-1, (1, 1), (3, -2), (5, 1), (8, -2)), '549171/1700000'),
+    ((-1, (3, -1), (4, 1), (5, 1), (8, -1)), '55257/170000'),
+    ((-1, (3, -2), (4, 1), (5, 1), (8, -1)), '1105141/3400000'),
+    ((-1, (3, -1), (4, 1), (5, 1), (8, -2)), '1105141/3400000'),
+    ((-1, (3, -2), (4, 1), (5, 1), (8, -2)), '552571/1700000'),
+    ((-1, (1, 1), (4, -1), (5, 1), (8, -1)), '2213/6800'),
+    ((-1, (1, 1), (4, -1), (5, 1), (8, -2)), '1106501/3400000'),
+    ((-2, (1, 1), (4, 1), (5, 1), (6, -1)), '55359/170000'),
+    ((-2, (1, 1), (5, 1), (8, -1), (9, 1)), '55359/170000'),
+    ((0, (0, -1), (3, -1), (5, 1), (8, -1)), '55359/170000'),
+    ((-3, (1, 1), (5, 1), (8, -1), (9, 2)), '1107181/3400000'),
+    ((-2, (1, 1), (4, 1), (5, 1), (6, -2)), '1107181/3400000'),
+    ((-2, (1, 1), (5, 1), (8, -2), (9, 1)), '1107181/3400000'),
+    ((0, (0, -2), (3, -1), (5, 1), (8, -1)), '1107181/3400000'),
+    ((0, (0, -1), (3, -2), (5, 1), (8, -1)), '1107181/3400000'),
+    ((0, (0, -1), (3, -1), (5, 1), (8, -2)), '1107181/3400000'),
+    ((-3, (1, 1), (5, 1), (8, -2), (9, 2)), '553591/1700000'),
+    ((-1, (1, 1), (8, -1), (9, 1)), '222109/680000'),
+    ((0,), '41/125'),
+]
+PINNED_TELEMETRY = [
+    (0, '41/125', '123/500'),
+    (211, '11099/34000', '123/500'),
+    (1024, '11099/34000', '123/500'),
+    (2048, '11099/34000', '123/500'),
+    (3072, '11099/34000', '123/500'),
+    (4096, '11099/34000', '123/500'),
+    (5120, '11099/34000', '123/500'),
+    (5972, '55427/170000', '123/500'),
+    (6144, '55427/170000', '123/500'),
+    (6697, '10963/34000', '123/500'),
+    (7168, '10963/34000', '123/500'),
+    (8192, '10963/34000', '123/500'),
+    (9216, '10963/34000', '123/500'),
+    (10240, '10963/34000', '123/500'),
+    (11264, '10963/34000', '123/500'),
+    (12288, '10963/34000', '123/500'),
+    (13312, '10963/34000', '123/500'),
+    (14336, '10963/34000', '123/500'),
+    (15000, '10963/34000', '123/500'),
+]
+
+
+def test_pinned_node_limited_solve():
+    rng = np.random.default_rng(1)
+    ds = synth_generate(rng.uniform(0.1, 0.8, 10), rng.normal(0, 0.8, 10), 2000,
+                        seed=1, bias=-0.2)
+    agg = aggregate(ds)
+    assert len(agg.conflict_pairs)
+    lattice = LatticeSpec((2, 1, 2, 2, 1, 2, 2, 1, 2, 2), 10)
+    cfg = PenaltyConfig.auto(Fraction(4, 5), ds.n, ds.p, lattice, max_terms=4)
+    telemetry = []
+    report, pool = solve(agg, cfg, lattice,
+                         SolveConfig(time_limit=60, pool_size=30, node_limit=15000),
+                         telemetry=telemetry.append)
+    assert (report.nodes_explored, report.status) == (15000, "node_limit")
+    assert (report.best_objective, report.lower_bound) == \
+        (Fraction(10963, 34000), Fraction(123, 500))
+    assert [(m.key(), frac_str(v.total)) for m, v in pool.entries] == PINNED_POOL
+    assert [(r["nodes"], r["incumbent"], r["bound"]) for r in telemetry] == PINNED_TELEMETRY
