@@ -5,8 +5,7 @@ replay. Every file-producing command also writes a run manifest capturing
 the argv, configuration, input hashes and seed, so deterministic runs can
 be reproduced bit for bit.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver limit reached
-with no feasible solution.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .evaluation import (
 )
 from .manifest import RunManifest, TOOL_VERSION
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, trivial_model
-from .mps import export_mps
+from .mps import VARIANTS, export_mps
 from .polish import ActiveSet
 from .rules import mine_rules, rules_csv
 from .sheet import format_sheet
@@ -140,8 +139,7 @@ def build_parser() -> _Parser:
     _lattice_flags(p)
     p.add_argument("--w-plus", default="1")
     p.add_argument("--max-terms", type=int, default=8)
-    p.add_argument("--variant", default="aggregated",
-                   choices=("general", "aggregated", "polish"))
+    p.add_argument("--variant", default="aggregated", choices=VARIANTS)
     p.add_argument("--active", help="comma-separated feature names (polish variant)")
     p.add_argument("--output", required=True)
 

@@ -246,23 +246,35 @@ class AggregatedDataset:
 def aggregate(dataset: BinaryDataset) -> AggregatedDataset:
     """Collapse repeated rows into distinct patterns per class and find
     the patterns that occur with both labels."""
-    pos = dataset.X[dataset.y == 1]
-    neg = dataset.X[dataset.y == -1]
+    ones = np.ones(dataset.n, dtype=np.int64)
+    pos, neg = dataset.y == 1, dataset.y == -1
+    return aggregate_counts(dataset.X[pos], ones[pos], dataset.X[neg], ones[neg], dataset.n)
 
-    def distinct(rows):
-        if rows.shape[0] == 0:
-            return np.empty((0, dataset.p), dtype=np.uint8), np.empty(0, dtype=np.int64)
-        pats, counts = np.unique(rows, axis=0, return_counts=True)
-        return pats.astype(np.uint8), counts.astype(np.int64)
 
-    pos_p, pos_c = distinct(pos)
-    neg_p, neg_c = distinct(neg)
+def aggregate_counts(pos_rows, pos_counts, neg_rows, neg_counts,
+                     source_n: int) -> AggregatedDataset:
+    """Aggregate 0/1 rows that carry multiplicities: the distinct patterns
+    of each class in lexicographic order with their summed counts, and the
+    patterns that occur with both labels."""
 
+    def distinct(rows, counts):
+        width = rows.shape[1]
+        if len(rows) == 0:
+            return np.empty((0, width), dtype=np.uint8), np.empty(0, dtype=np.int64)
+        if width == 0:
+            return np.zeros((1, 0), dtype=np.uint8), np.array([counts.sum()], dtype=np.int64)
+        # bit-packed 0/1 rows sort in the same lexicographic order, and faster
+        packed, inverse = np.unique(np.packbits(rows, axis=1), axis=0, return_inverse=True)
+        summed = np.bincount(inverse.ravel(), weights=counts, minlength=len(packed))
+        return np.unpackbits(packed, axis=1, count=width), summed.astype(np.int64)
+
+    pos_p, pos_c = distinct(pos_rows, pos_counts)
+    neg_p, neg_c = distinct(neg_rows, neg_counts)
     neg_index = {r.tobytes(): t for t, r in enumerate(neg_p)}
     pairs = [(s, neg_index[r.tobytes()])
              for s, r in enumerate(pos_p) if r.tobytes() in neg_index]
     pairs_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return AggregatedDataset(pos_p, pos_c, neg_p, neg_c, pairs_arr, dataset.n)
+    return AggregatedDataset(pos_p, pos_c, neg_p, neg_c, pairs_arr, source_n)
 
 
 def expand(agg: AggregatedDataset, features=None) -> BinaryDataset:

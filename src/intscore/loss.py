@@ -60,6 +60,12 @@ def exact_steps(units, n_pos: int):
     return np.where(is_pos, -units, units), np.where(is_pos, units, 0)
 
 
+def intercept_order(grid: np.ndarray) -> np.ndarray:
+    """Positions of an intercept grid in tie-break order: the smallest
+    magnitude first, a negative intercept before a positive one."""
+    return np.argsort(np.abs(grid) * 2 + (grid > 0), kind="stable")
+
+
 def curve_plan(steps, start, seg, n_seg: int, lo: int, width: int) -> dict:
     """What loss_curves needs that does not depend on the scores.
 

@@ -30,18 +30,13 @@ class LatticeSpec:
     """Finite coefficient set: |coef_j| <= coef bound, |intercept| <= intercept_bound.
 
     coef_bound may be a single int applied to every feature or a per-feature
-    sequence. margin is kept at 1 for binary-feature data.
+    sequence.
     """
 
     coef_bound: object = 10
     intercept_bound: int = 100
-    margin: Fraction = Fraction(1)
 
     def __post_init__(self):
-        m = as_fraction(self.margin)
-        if not (0 < m <= 1):
-            raise ValueError("margin must lie in (0, 1]")
-        object.__setattr__(self, "margin", m)
         if isinstance(self.coef_bound, (int, np.integer)):
             if self.coef_bound < 1:
                 raise ValueError("coefficient bound must be >= 1")
@@ -67,14 +62,14 @@ class LatticeSpec:
 
     def to_json(self) -> dict:
         cb = self.coef_bound if isinstance(self.coef_bound, int) else list(self.coef_bound)
-        return {"coef_bound": cb, "intercept_bound": self.intercept_bound,
-                "margin": frac_str(self.margin)}
+        return {"coef_bound": cb, "intercept_bound": self.intercept_bound}
 
     @staticmethod
     def from_json(doc: dict) -> "LatticeSpec":
+        """Inverse of to_json; a "margin" key written by older versions is ignored."""
         cb = doc["coef_bound"]
         cb = cb if isinstance(cb, int) else tuple(cb)
-        return LatticeSpec(cb, doc["intercept_bound"], as_fraction(doc["margin"]))
+        return LatticeSpec(cb, doc["intercept_bound"])
 
 
 def derive_c0_bound(w_plus, w_minus, n: int, p: int) -> Fraction:
@@ -339,17 +334,19 @@ def objective(model: ScoringSystem, agg: AggregatedDataset,
     return ObjectiveValue.build(werr, model.l0, model.l1, cfg)
 
 
-def big_m_loss(pattern, label: int, lattice: LatticeSpec) -> int:
+def big_m_loss(pattern, label, lattice: LatticeSpec):
     """Tightest loss-activation constant for one pattern in the aggregated
     formulation: margin + intercept bound + sum of bounds over active
-    features, where the margin is 1 for positives and 0 for negatives."""
+    features, where the margin is 1 for positives and 0 for negatives.
+
+    Given an (n, p) matrix of patterns, and a label or a vector of n labels,
+    returns the n constants as an array."""
     pattern = np.asarray(pattern)
     if pattern.max(initial=0) > 1 or pattern.min(initial=0) < 0:
         raise ValueError("pattern must be 0/1")
-    bounds = lattice.bounds_for(len(pattern))
-    active = int(bounds[pattern == 1].sum())
-    base = lattice.intercept_bound + active
-    return base + 1 if label == 1 else base
+    bounds = lattice.bounds_for(pattern.shape[-1])
+    big_m = lattice.intercept_bound + (pattern == 1) @ bounds + (np.asarray(label) == 1)
+    return int(big_m) if pattern.ndim == 1 else big_m
 
 
 def trivial_model(p: int, positive: bool) -> ScoringSystem:

@@ -14,17 +14,28 @@ ZSnnnnnn / ZTnnnnnn binary loss indicators, Annnnnnn binary feature-use
 indicators, Bnnnnnnn coefficient magnitudes and Fnnnnnnn per-feature
 penalties (continuous). All names stay within 8 characters and numeric
 fields within 12, per the fixed layout.
+
+MPS lists the matrix column by column, so each column is written straight
+from the pattern arrays. One loss-row table serves all three variants, and
+only _loss_rows tells them apart. LAM00000 enters every loss row and LAMj
+the rows with x_j = 1, then its four penalty-link rows. A loss row's
+coefficient field (+1 on positives, -1 on negatives) is formatted once and
+shared by all of those columns. Each Z column holds its cost, its own row's
+big-M and its conflict row, if any; each feature then gets its F, A and B
+columns. A column's lines are joined as soon as it is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .common import frac_float
 from .data import AggregatedDataset
 from .model import LatticeSpec, PenaltyConfig, big_m_loss
+from .polish import project_active
 
 VARIANTS = ("general", "aggregated", "polish")
 
@@ -44,81 +55,64 @@ def _num(x) -> str:
     return format(float(x), ".5e")
 
 
-class _Builder:
-    def __init__(self, name: str):
-        self.name = name
-        self.rows = []      # (sense, row_name)
-        self.cols = {}      # col -> list of (row, value)
-        self.col_order = []
-        self.integer = set()
-        self.binary = set()
-        self.bounds = {}    # col -> (lo, up)
-        self.rhs = {}
+def _field(name: str, value) -> str:
+    """One (row name, value) pair of a COLUMNS or RHS line."""
+    return f"{name:<8}  {_num(value):<12}"
 
-    def row(self, sense, name):
-        self.rows.append((sense, name))
 
-    def put(self, col, row, value):
-        if col not in self.cols:
-            self.cols[col] = []
-            self.col_order.append(col)
-        self.cols[col].append((row, value))
+def _lines(lead: str, fields) -> str:
+    """The lines of one column (or of the RHS vector), two fields a line."""
+    head = f"    {lead:<8}  "
+    return "\n".join((head + "   ".join(fields[i:i + 2])).rstrip()
+                     for i in range(0, len(fields), 2))
 
-    def emit(self) -> str:
-        out = [f"NAME          {self.name}"]
-        out.append("ROWS")
-        out.append(" N  COST")
-        for sense, name in self.rows:
-            out.append(f" {sense}  {name}")
-        out.append("COLUMNS")
 
-        def col_lines(col):
-            entries = self.cols[col]
-            for i in range(0, len(entries), 2):
-                chunk = entries[i:i + 2]
-                line = f"    {col:<8}  {chunk[0][0]:<8}  {_num(chunk[0][1]):<12}"
-                if len(chunk) == 2:
-                    line += f"   {chunk[1][0]:<8}  {_num(chunk[1][1]):<12}"
-                out.append(line.rstrip())
+class _LossRows(NamedTuple):
+    """The loss rows of one variant, positives first."""
 
-        marker = 0
-        in_int = False
-        for col in self.col_order:
-            want_int = col in self.integer
-            if want_int and not in_int:
-                out.append(f"    MARKER{marker:<4}              'MARKER'                 'INTORG'")
-                marker += 1
-                in_int = True
-            elif not want_int and in_int:
-                out.append(f"    MARKER{marker:<4}              'MARKER'                 'INTEND'")
-                marker += 1
-                in_int = False
-            col_lines(col)
-        if in_int:
-            out.append(f"    MARKER{marker:<4}              'MARKER'                 'INTEND'")
+    cols: list           # the exported coefficient columns (0-based features)
+    pats: np.ndarray     # full-width patterns, zero off cols
+    counts: np.ndarray   # rows each loss row stands for
+    labels: np.ndarray   # +1 / -1
+    rhs: np.ndarray      # the margin each row's score must reach, 1 or 0
+    big_m: np.ndarray
+    names: list
+    z_names: list
+    pairs: np.ndarray    # conflict pairs as (loss row, loss row)
 
-        out.append("RHS")
-        items = [(r, v) for r, v in self.rhs.items() if v != 0]
-        for i in range(0, len(items), 2):
-            chunk = items[i:i + 2]
-            line = f"    RHS       {chunk[0][0]:<8}  {_num(chunk[0][1]):<12}"
-            if len(chunk) == 2:
-                line += f"   {chunk[1][0]:<8}  {_num(chunk[1][1]):<12}"
-            out.append(line.rstrip())
 
-        out.append("BOUNDS")
-        for col in self.col_order:
-            if col in self.binary:
-                out.append(f" BV BND       {col:<8}")
-                continue
-            if col in self.bounds:
-                lo, up = self.bounds[col]
-                if lo is not None:
-                    out.append(f" LO BND       {col:<8}  {_num(lo)}")
-                if up is not None:
-                    out.append(f" UP BND       {col:<8}  {_num(up)}")
-        out.append("ENDATA")
-        return "\n".join(out) + "\n"
+def _loss_rows(agg: AggregatedDataset, lattice: LatticeSpec, variant: str,
+               active_set) -> _LossRows:
+    """The loss-row table of a variant: the one place the variants differ."""
+    if variant == "polish":
+        cols = list(active_set.indices)
+        data = project_active(agg, active_set)
+    else:
+        cols = list(range(agg.p))
+        data = agg
+    n_pos, n_neg = data.n_pos_patterns, data.n_neg_patterns
+    pats = np.zeros((n_pos + n_neg, agg.p), dtype=np.uint8)
+    pats[:, cols] = np.concatenate([data.pos_patterns, data.neg_patterns])
+    counts = np.concatenate([data.pos_counts, data.neg_counts])
+    labels = np.repeat([1, -1], [n_pos, n_neg])
+    if variant == "general":
+        pats, labels = np.repeat(pats, counts, axis=0), np.repeat(labels, counts)
+        counts = np.ones(len(labels), dtype=np.int64)
+        numbers = np.arange(1, len(labels) + 1)
+        tags = {1: "LS", -1: "LS"}
+        margin_labels = np.ones_like(labels)  # symmetric margin 1
+        pairs = np.empty((0, 2), dtype=np.int64)
+    else:
+        numbers = np.concatenate([np.arange(1, n_pos + 1), np.arange(1, n_neg + 1)])
+        tags = {1: "LP", -1: "LN"}
+        margin_labels = labels
+        pairs = data.conflict_pairs + [0, n_pos]
+    rows = list(zip(labels.tolist(), numbers.tolist()))
+    return _LossRows(cols, pats, counts, labels, (margin_labels == 1).astype(np.int64),
+                     big_m_loss(pats, margin_labels, lattice),
+                     [f"{tags[label]}{i:06d}" for label, i in rows],
+                     [f"{'ZS' if label == 1 else 'ZT'}{i:06d}" for label, i in rows],
+                     pairs)
 
 
 def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
@@ -129,125 +123,70 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     if variant == "polish" and active_set is None:
         raise ValueError("the polish variant requires an active set")
 
-    p = agg.p
-    n = agg.source_n
-    bounds = lattice.bounds_for(p)
-    b = _Builder(f"SCORE{variant[:3].upper()}")
+    loss = _loss_rows(agg, lattice, variant, active_set)
+    bounds = lattice.bounds_for(agg.p)
+    labels, counts = loss.labels.tolist(), loss.counts.tolist()
+    cf_names = [f"CF{c:06d}" for c in range(1, len(loss.pairs) + 1)]
+    conflict = {}  # loss row -> its conflict row
+    for name, (s, u) in zip(cf_names, loss.pairs.tolist()):
+        conflict[s] = conflict[u] = name
+    # the PE, L0U, L0L, L1U and L1L rows of each penalized feature
+    links = {} if variant == "polish" else {
+        j: (f"PE{j + 1:06d}", f"L0U{j + 1:05d}", f"L0L{j + 1:05d}",
+            f"L1U{j + 1:05d}", f"L1L{j + 1:05d}") for j in loss.cols}
 
-    if variant == "polish":
-        active = sorted(int(j) for j in active_set.indices)
-    else:
-        active = list(range(p))
-    lam_cols = {j: f"LAM{j + 1:05d}" for j in active}
-    lam0 = "LAM00000"
-    with_penalties = variant != "polish"
+    out = [f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]
+    out += [f" G  {name}" for name in loss.names]
+    out += [f" E  {name}" for name in cf_names]
+    if links:
+        out.append(" L  CAP")
+    for pe, l0u, l0l, l1u, l1l in links.values():
+        out += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
 
-    for j in [0] + [j + 1 for j in active]:
-        b.integer.add(f"LAM{j:05d}")
-    b.bounds[lam0] = (-lattice.intercept_bound, lattice.intercept_bound)
-    for j in active:
-        b.bounds[lam_cols[j]] = (-int(bounds[j]), int(bounds[j]))
+    out += ["COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]
+    row_fields = [_field(name, label) for name, label in zip(loss.names, labels)]
+    out.append(_lines("LAM00000", row_fields))
+    lams = [("LAM00000", lattice.intercept_bound)]  # the columns written, with bounds
+    for j in loss.cols:
+        fields = [row_fields[i] for i in np.flatnonzero(loss.pats[:, j]).tolist()]
+        if j in links:
+            fields += [_field(row, 1) for row in links[j][1:]]
+        if fields:  # a column without entries cannot be written
+            lams.append((f"LAM{j + 1:05d}", int(bounds[j])))
+            out.append(_lines(lams[-1][0], fields))
+    out.append("    MARKER1                 'MARKER'                 'INTEND'")
 
-    def lam_entries(pattern, col_rows, sign):
-        """Spread the score term sign*(lam0 + sum_j lam_j x_j) over a row."""
-        b.put(lam0, col_rows, float(sign))
-        for j in active:
-            if pattern[j]:
-                b.put(lam_cols[j], col_rows, float(sign))
+    costs = {(label, count): _field("COST", weight * Fraction(count, agg.source_n))
+             for label, weight in ((1, cfg.w_plus), (-1, cfg.w_minus))
+             for count in set(counts)}
+    for i, (z, name, big_m) in enumerate(zip(loss.z_names, loss.names, loss.big_m.tolist())):
+        fields = [costs[labels[i], counts[i]], _field(name, big_m)]
+        if i in conflict:
+            fields.append(_field(conflict[i], 1))
+        out.append(_lines(z, fields))
+    for j, (pe, l0u, l0l, l1u, l1l) in links.items():
+        b = int(bounds[j])
+        out += [_lines(f"F{j + 1:07d}", [_field("COST", 1), _field(pe, 1)]),
+                _lines(f"A{j + 1:07d}", [_field(pe, -cfg.c0), _field(l0u, -b),
+                                         _field(l0l, b), _field("CAP", 1)]),
+                _lines(f"B{j + 1:07d}", [_field(pe, -cfg.epsilon), _field(l1u, -1),
+                                         _field(l1l, 1)])]
 
-    # loss structure
-    if variant == "general":
-        rows = []
-        for pats, counts, label in ((agg.pos_patterns, agg.pos_counts, 1),
-                                    (agg.neg_patterns, agg.neg_counts, -1)):
-            for pattern, count in zip(pats, counts):
-                for _ in range(int(count)):
-                    rows.append((pattern, label))
-        for i, (pattern, label) in enumerate(rows):
-            row = f"LS{i + 1:06d}"
-            b.row("G", row)
-            zcol = f"ZS{i + 1:06d}" if label == 1 else f"ZT{i + 1:06d}"
-            weight = cfg.w_plus if label == 1 else cfg.w_minus
-            b.put(zcol, "COST", frac_float(weight / n))
-            # symmetric margin 1: big-M z + y*(score) >= 1
-            big_m = big_m_loss(pattern, 1, lattice)
-            b.put(zcol, row, float(big_m))
-            lam_entries(pattern, row, label)
-            b.rhs[row] = 1
-            b.binary.add(zcol)
-    else:
-        if variant == "polish":
-            from .polish import project_active
-            data = project_active(agg, active_set)
-        else:
-            data = agg
-        proj_pattern = {}
-        for s, (pattern, count) in enumerate(zip(data.pos_patterns, data.pos_counts)):
-            row = f"LP{s + 1:06d}"
-            zcol = f"ZS{s + 1:06d}"
-            b.row("G", row)
-            b.put(zcol, "COST", frac_float(cfg.w_plus * Fraction(int(count), n)))
-            full = pattern if variant != "polish" else _expand(pattern, active, p)
-            b.put(zcol, row, float(big_m_loss(full, 1, lattice)))
-            lam_entries(full, row, 1)
-            b.rhs[row] = 1
-            b.binary.add(zcol)
-        for t, (pattern, count) in enumerate(zip(data.neg_patterns, data.neg_counts)):
-            row = f"LN{t + 1:06d}"
-            zcol = f"ZT{t + 1:06d}"
-            b.row("G", row)
-            b.put(zcol, "COST", frac_float(cfg.w_minus * Fraction(int(count), n)))
-            full = pattern if variant != "polish" else _expand(pattern, active, p)
-            b.put(zcol, row, float(big_m_loss(full, -1, lattice)))
-            lam_entries(full, row, -1)
-            b.rhs[row] = 0
-            b.binary.add(zcol)
-        for c, (s, t) in enumerate(data.conflict_pairs):
-            row = f"CF{c + 1:06d}"
-            b.row("E", row)
-            b.put(f"ZS{int(s) + 1:06d}", row, 1)
-            b.put(f"ZT{int(t) + 1:06d}", row, 1)
-            b.rhs[row] = 1
+    rhs = [_field(name, 1) for name, r in zip(loss.names, loss.rhs.tolist()) if r]
+    rhs += [_field(name, 1) for name in cf_names]
+    if links:
+        rhs.append(_field("CAP", cfg.max_terms))
+    out.append("RHS")
+    if rhs:
+        out.append(_lines("RHS", rhs))
 
-    # penalty structure and the term cap
-    if with_penalties:
-        b.row("L", "CAP")
-        b.rhs["CAP"] = cfg.max_terms
-        for j in active:
-            acol, bcol, fcol = f"A{j + 1:07d}", f"B{j + 1:07d}", f"F{j + 1:07d}"
-            b.binary.add(acol)
-            b.put(fcol, "COST", 1)
-            pen = f"PE{j + 1:06d}"
-            b.row("E", pen)
-            b.put(fcol, pen, 1)
-            b.put(acol, pen, -frac_float(cfg.c0))
-            b.put(bcol, pen, -frac_float(cfg.epsilon))
-            b.rhs[pen] = 0
-
-            up_row, lo_row = f"L0U{j + 1:05d}", f"L0L{j + 1:05d}"
-            b.row("L", up_row)
-            b.put(lam_cols[j], up_row, 1)
-            b.put(acol, up_row, -int(bounds[j]))
-            b.row("G", lo_row)
-            b.put(lam_cols[j], lo_row, 1)
-            b.put(acol, lo_row, int(bounds[j]))
-
-            up1, lo1 = f"L1U{j + 1:05d}", f"L1L{j + 1:05d}"
-            b.row("L", up1)
-            b.put(lam_cols[j], up1, 1)
-            b.put(bcol, up1, -1)
-            b.row("G", lo1)
-            b.put(lam_cols[j], lo1, 1)
-            b.put(bcol, lo1, 1)
-
-            b.put(acol, "CAP", 1)
-            b.bounds[bcol] = (None, int(bounds[j]))
-
-    return b.emit()
-
-
-def _expand(pattern, active, p):
-    full = np.zeros(p, dtype=np.uint8)
-    for pos, j in enumerate(active):
-        full[j] = pattern[pos]
-    return full
+    out.append("BOUNDS")
+    for name, bound in lams:
+        out += [f" LO BND       {name:<8}  {_num(-bound)}",
+                f" UP BND       {name:<8}  {_num(bound)}"]
+    out += [f" BV BND       {z:<8}" for z in loss.z_names]
+    for j in links:
+        out += [f" BV BND       A{j + 1:07d}",
+                f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}"]
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AggregatedDataset
-from .loss import curve_plan, exact_steps, loss_curves, loss_units
+from .data import AggregatedDataset, aggregate_counts
+from .loss import curve_plan, exact_steps, intercept_order, loss_curves, loss_units
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 
@@ -73,28 +73,8 @@ def project_active(agg: AggregatedDataset, active: ActiveSet) -> AggregatedDatas
     so their weighted loss is preserved exactly.
     """
     cols = list(active.indices)
-
-    def collapse(patterns, counts):
-        proj = patterns[:, cols] if len(patterns) else patterns.reshape(0, len(cols))
-        if len(proj) == 0:
-            return (np.empty((0, len(cols)), dtype=np.uint8),
-                    np.empty(0, dtype=np.int64))
-        if proj.shape[1] == 0:
-            return (np.zeros((1, 0), dtype=np.uint8),
-                    np.array([counts.sum()], dtype=np.int64))
-        uniq, inverse = np.unique(proj, axis=0, return_inverse=True)
-        summed = np.bincount(inverse.ravel(), weights=counts,
-                             minlength=len(uniq)).astype(np.int64)
-        return uniq.astype(np.uint8), summed
-
-    pos_p, pos_c = collapse(agg.pos_patterns, agg.pos_counts)
-    neg_p, neg_c = collapse(agg.neg_patterns, agg.neg_counts)
-    neg_index = {row.tobytes(): t for t, row in enumerate(neg_p)}
-    pairs = [(s, neg_index[row.tobytes()])
-             for s, row in enumerate(pos_p) if row.tobytes() in neg_index]
-    return AggregatedDataset(pos_p, pos_c, neg_p, neg_c,
-                             np.array(pairs, dtype=np.int64).reshape(-1, 2),
-                             agg.source_n)
+    return aggregate_counts(agg.pos_patterns[:, cols], agg.pos_counts,
+                            agg.neg_patterns[:, cols], agg.neg_counts, agg.source_n)
 
 
 def _sliding_min(rows: np.ndarray, w: int) -> np.ndarray:
@@ -162,9 +142,7 @@ class _RestrictedSearch:
         self.l0b = int(min(intercept_bound, total_span + 1))
         self.grid_len = 2 * self.l0b + 1
         self.lam0_grid = np.arange(-self.l0b, self.l0b + 1)
-        self.lam0_pref = np.argsort(np.abs(self.lam0_grid) * 2
-                                    + (self.lam0_grid > 0).astype(np.int64),
-                                    kind="stable")
+        self.lam0_pref = intercept_order(self.lam0_grid)
 
         self.base = np.zeros(len(self.pats), dtype=np.int64)
         self.coef = np.zeros(self.k, dtype=np.int64)

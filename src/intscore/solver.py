@@ -58,7 +58,8 @@ import numpy as np
 
 from .common import as_fraction, frac_str
 from .data import AggregatedDataset
-from .loss import curve_plan, exact_steps, loss_curves, loss_units, shifted_curves
+from .loss import (curve_plan, exact_steps, intercept_order, loss_curves, loss_units,
+                   shifted_curves)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -265,10 +266,7 @@ class _Search:
         # segment of a row with x_j = 1 when siblings on j are bounded: a
         # positive's edge moves by v - b_j, a negative's by v + b_j
         self.side = np.where(np.arange(len(units)) < n_pos, 1, 2)
-        # intercept tie-break: smallest magnitude, negative before positive
-        self.lam0_order = np.argsort(np.abs(self.lam0_grid) * 2
-                                     + (self.lam0_grid > 0).astype(np.int64),
-                                     kind="stable")
+        self.lam0_order = intercept_order(self.lam0_grid)
 
         self.order = self._feature_order()
         self.values = [self._value_order(j) for j in range(p)]

@@ -215,13 +215,14 @@ class TestLatticeSpec:
         assert lat.max_l1(8) == 80
         assert lat.intercept_bound == 100
 
-    def test_bad_margin(self):
-        with pytest.raises(ValueError):
-            LatticeSpec(10, 100, margin=Fraction(3, 2))
-
     def test_json_round_trip(self):
-        lat = LatticeSpec((1, 2, 3), 9, Fraction(1, 2))
+        lat = LatticeSpec((1, 2, 3), 9)
         assert LatticeSpec.from_json(lat.to_json()) == lat
+
+    def test_json_ignores_old_margin_key(self):
+        doc = {"coef_bound": 5, "intercept_bound": 9, "margin": "1/2"}
+        assert LatticeSpec.from_json(doc) == LatticeSpec(5, 9)
+        assert "margin" not in LatticeSpec(5, 9).to_json()
 
 
 def test_trivial_models():

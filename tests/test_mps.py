@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from intscore.data import BinaryDataset, FeatureSpec, aggregate
-from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
+from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, big_m_loss, objective
 from intscore.mps import export_mps
 from intscore.polish import ActiveSet
 from intscore.solver import SolveConfig, solve
@@ -123,3 +124,119 @@ class TestRoundTrip:
         obj, values, status = solve_mps(text)
         assert status == 0
         assert math.isclose(obj, float(value.weighted_error), rel_tol=1e-6, abs_tol=1e-7)
+
+
+def _instance(case):
+    if case == "conflict":
+        ds = conflict_fixture()
+        lattice = LatticeSpec(2, 2)
+        return aggregate(ds), PenaltyConfig.auto(1, ds.n, ds.p, lattice), lattice
+    _, agg, cfg, lattice = random_instance(case)
+    return agg, cfg, lattice
+
+
+def _loss_rows(agg, variant, active):
+    """(row, Z column, label, full-width pattern, count) of every loss row the
+    variant must write, and its conflict pairs as (row, row) indices, built
+    straight from the patterns."""
+    classes = [(1, list(zip(agg.pos_patterns, agg.pos_counts.tolist()))),
+               (-1, list(zip(agg.neg_patterns, agg.neg_counts.tolist())))]
+    if variant == "polish":
+        for label, members in classes:
+            merged = {}
+            for pattern, count in members:
+                key = tuple(int(pattern[j]) for j in active)
+                merged[key] = merged.get(key, 0) + count
+            members[:] = []
+            for key in sorted(merged):
+                full = np.zeros(agg.p, dtype=np.uint8)
+                full[list(active)] = key
+                members.append((full, merged[key]))
+    if variant == "general":
+        rows = [(label, pattern) for label, members in classes
+                for pattern, count in members for _ in range(count)]
+        return [(f"LS{i:06d}", f"{'ZS' if label == 1 else 'ZT'}{i:06d}", label, pattern, 1)
+                for i, (label, pattern) in enumerate(rows, 1)], []
+    table = []
+    for label, members in classes:
+        row_tag, z_tag = ("LP", "ZS") if label == 1 else ("LN", "ZT")
+        table += [(f"{row_tag}{i:06d}", f"{z_tag}{i:06d}", label, pattern, count)
+                  for i, (pattern, count) in enumerate(members, 1)]
+    where = {}
+    for i, (_, _, label, pattern, _) in enumerate(table):
+        where.setdefault(pattern.tobytes(), {})[label] = i
+    pairs = [(both[1], both[-1]) for both in where.values() if len(both) == 2]
+    return table, sorted(pairs)
+
+
+def _close(parsed, exact):
+    """Equal to within the rounding of a 12-character value field."""
+    return abs(parsed - float(exact)) <= 1e-5 * abs(float(exact))
+
+
+@pytest.mark.parametrize("variant", ["general", "aggregated", "polish"])
+@pytest.mark.parametrize("case", list(range(12)) + ["conflict"])
+def test_every_entry_matches_the_patterns(case, variant):
+    agg, cfg, lattice = _instance(case)
+    p, n = agg.p, agg.source_n
+    bounds = lattice.bounds_for(p)
+    active = tuple(range(0, p, 2)) if variant == "polish" else tuple(range(p))
+    text = export_mps(agg, cfg, lattice, variant,
+                      ActiveSet(active) if variant == "polish" else None)
+    doc = parse_mps(text)
+    matrix = {row: {} for row in doc["row_order"]}
+    cost = {}
+    for col, entries in doc["cols"].items():
+        for row, value in entries:
+            target = cost if row == doc["objective_row"] else matrix[row]
+            assert col not in target
+            target[col] = value
+    lam = {j: f"LAM{j + 1:05d}" for j in range(p)}
+
+    table, pairs = _loss_rows(agg, variant, active)
+    margin_label = {1: 1, -1: 1 if variant == "general" else -1}
+    for row, z, label, pattern, count in table:
+        expected = {"LAM00000": label}
+        expected.update({lam[j]: label for j in active if pattern[j]})
+        expected[z] = big_m_loss(pattern, margin_label[label], lattice)
+        assert matrix[row] == expected, row
+        assert doc["rows"][row] == "G"
+        assert doc["rhs"].get(row, 0) == (1 if margin_label[label] == 1 else 0)
+        weight = cfg.w_plus if label == 1 else cfg.w_minus
+        assert _close(cost[z], weight * Fraction(count, n)), z
+        assert doc["bounds"][z] == [0.0, 1.0] and z in doc["integer"]
+    for c, (s, t) in enumerate(pairs, 1):
+        row = f"CF{c:06d}"
+        assert matrix[row] == {table[s][1]: 1, table[t][1]: 1}
+        assert doc["rows"][row] == "E" and doc["rhs"][row] == 1
+
+    cols_with_entries = {col for entries in matrix.values() for col in entries}
+    assert doc["bounds"]["LAM00000"] == [-lattice.intercept_bound, lattice.intercept_bound]
+    for j in active:
+        if lam[j] in cols_with_entries:
+            assert doc["bounds"][lam[j]] == [-bounds[j], bounds[j]]
+            assert lam[j] in doc["integer"]
+    penalty = {}  # row -> (sense, entries), exact once the PE rows are checked
+    if variant != "polish":
+        penalty["CAP"] = ("L", {f"A{j + 1:07d}": 1 for j in range(p)})
+        assert doc["rhs"]["CAP"] == cfg.max_terms
+        for j in range(p):
+            a, b, f, bj = f"A{j + 1:07d}", f"B{j + 1:07d}", f"F{j + 1:07d}", int(bounds[j])
+            pe = f"PE{j + 1:06d}"
+            assert matrix[pe].keys() == {f, a, b}
+            assert _close(-matrix[pe][a], cfg.c0) and _close(-matrix[pe][b], cfg.epsilon)
+            assert doc["rhs"].get(pe, 0) == 0
+            penalty[pe] = ("E", {f: 1, a: matrix[pe][a], b: matrix[pe][b]})
+            penalty[f"L0U{j + 1:05d}"] = ("L", {lam[j]: 1, a: -bj})
+            penalty[f"L0L{j + 1:05d}"] = ("G", {lam[j]: 1, a: bj})
+            penalty[f"L1U{j + 1:05d}"] = ("L", {lam[j]: 1, b: -1})
+            penalty[f"L1L{j + 1:05d}"] = ("G", {lam[j]: 1, b: 1})
+            assert cost[f] == 1
+            assert a in doc["integer"] and doc["bounds"][b] == [0.0, bj]
+    for row, (sense, entries) in penalty.items():
+        assert matrix[row] == entries and doc["rows"][row] == sense, row
+    loss_rows = {row for row, *_ in table}
+    conflict_rows = {f"CF{c:06d}" for c in range(1, len(pairs) + 1)}
+    assert set(doc["row_order"]) == loss_rows | conflict_rows | set(penalty)
+    assert set(cost) == {z for _, z, *_ in table} | {f"F{j + 1:07d}" for j in range(p)
+                                                     if variant != "polish"}
