@@ -12,6 +12,7 @@ exists there.
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,6 +30,8 @@ from .model import (
 )
 from .polish import polish
 from .solver import SolveConfig, solve
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,7 @@ def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
                           val_tpr[chosen_k] / nf, val_fpr[chosen_k] / nf,
                           val_err[chosen_k] / nf)
     except Exception as exc:  # a failed grid point is recorded, not fatal
+        logger.exception("sweep point w+=%s failed", frac_str(w_plus))
         return SweepPoint(w_plus, "failed", None, None, None, None, None, None,
                           error=f"{type(exc).__name__}: {exc}")
 

@@ -18,7 +18,10 @@ only by whole segments moving by fixed amounts, as when one coefficient
 takes each of its values: setting coefficient j to v moves exactly the rows
 with x_j = 1, by v. Moving a segment by d reads its curve d columns
 further on, so one kernel call on a grid widened by the spread of the moves
-gives every sibling's curve as a sum of shifted segment curves.
+gives every sibling's curve as a sum of shifted segment curves. The widened
+grid depends only on the segments and on the range of the moves, not on
+the scores, so shift_plan builds it once for every value a coefficient can
+take, and each shifted_curves call reads the siblings it is asked for.
 
 All sums are taken in float64 and are exact: loss_units rejects a weight
 denominator for which the total units could reach 2**53.
@@ -93,7 +96,9 @@ def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     above it to a spill column that is dropped."""
     width, n_seg = plan["width"], plan["n_seg"]
     col = (1 - plan["lo"]) - scores
-    np.clip(col, 0, width, out=col)
+    # two ufuncs: np.clip's Python wrapper costs more than the clipping
+    np.maximum(col, 0, out=col)
+    np.minimum(col, width, out=col)
     col += plan["seg_col"]
     hist = np.bincount(col, weights=plan["steps"], minlength=n_seg * (width + 1))
     cum = np.cumsum(hist).reshape(n_seg, width + 1)
@@ -102,22 +107,31 @@ def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     return curves
 
 
-def shifted_curves(steps, start, scores, seg, shifts, lo: int, width: int) -> np.ndarray:
+def shift_plan(steps, start, seg, n_seg: int, lo: int, width: int,
+               low: int, high: int) -> dict:
+    """What shifted_curves needs that does not depend on the scores or on
+    which siblings are read: a curve_plan widened so that every segment
+    move in low .. high stays on the grid. steps, start, seg and n_seg are
+    as for curve_plan; the siblings' curves cover offsets lo .. lo + width
+    - 1."""
+    plan = curve_plan(steps, start, seg, n_seg, lo + low, width + high - low)
+    plan["cols"] = np.arange(width) - low
+    return plan
+
+
+def shifted_curves(plan: dict, scores: np.ndarray, shifts) -> np.ndarray:
     """Loss curves of sibling score vectors that differ by segment moves.
 
-    Sibling c is scores with every row i moved by shifts[c, seg[i]]. Row c,
-    column q: the loss units of sibling c when every score is further moved
-    by lo + q. steps and start are as for curve_plan; shifts has one column
-    per segment and at least one row.
+    Sibling c is scores with every row i moved by shifts[c, seg[i]], seg as
+    given to shift_plan. Row c, column q: the loss units of sibling c when
+    every score is further moved by lo + q. shifts has one column per
+    segment, at least one row, and every entry in the plan's low .. high.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
-    n_seg = shifts.shape[1]
-    low = int(shifts.min())
-    plan = curve_plan(steps, start, seg, n_seg, lo + low, width + int(shifts.max()) - low)
     curves = loss_curves(plan, scores)
     # one segment at a time keeps the working set to two sibling-by-width arrays
-    cols = np.arange(width) - low
+    cols = plan["cols"]
     out = curves[0, shifts[:, :1] + cols]
-    for s in range(1, n_seg):
+    for s in range(1, plan["n_seg"]):
         out += curves[s, shifts[:, s:s + 1] + cols]
     return out

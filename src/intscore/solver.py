@@ -27,7 +27,9 @@ edge by v - b_j for a positive row and v + b_j for a negative one (its
 reach b_j is replaced by v). Folded conflict-pair step weights stay with
 their rows and move with them. So one loss-curve pass over the rows split
 by x_j, on an intercept grid widened by the moves, gives the leaf or the
-bound of every value of j at once (loss.shifted_curves). The search scores
+bound of every value of j at once (loss.shifted_curves). That grid depends
+only on j, so its plan is built once per feature for leaves and once for
+bounds, over every value of j, and reused by every node. The search scores
 all children of a node on its first visit and then walks them in value
 order: a leaf child is recorded, an inner child is pruned on its bound, and
 only a child the search descends into is applied to base and edge, so
@@ -40,14 +42,19 @@ budget the subtree could still fit. This costs some pruning power but
 leaves the solution pool holding the best model at every sparsity level,
 which the cross-validation pipeline consumes directly.
 
-All loss bookkeeping is in integer units (losses are multiples of 1/(c*N)
-where c is the common denominator of the class weights); rationals appear
-only at incumbent comparisons, so results are exact.
+All bookkeeping is in integers, so results are exact. Losses are whole
+units of 1/(c*N), c being the common denominator of the class weights, and
+every objective total is one Python int over the common denominator of the
+loss units, c0 and epsilon. Totals stay Python ints: that denominator can
+pass 2**64 when c0 or epsilon is set by hand. Totals, incumbents, bounds
+and the pool's order are compared as ints; rationals are built only when
+the pool keeps an entry and for the report and its telemetry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -59,7 +66,7 @@ import numpy as np
 from .common import as_fraction, frac_str
 from .data import AggregatedDataset
 from .loss import (curve_plan, exact_steps, intercept_order, loss_curves, loss_units,
-                   shifted_curves)
+                   shift_plan, shifted_curves)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -114,10 +121,12 @@ class SolutionPool:
     def add(self, model: ScoringSystem, value: ObjectiveValue) -> bool:
         return self.offer(value.total, model.key(), model.l0, lambda: (model, value))
 
-    def offer(self, total: Fraction, key: tuple, l0: int, build: Callable) -> bool:
+    def offer(self, total, key: tuple, l0: int, build: Callable) -> bool:
         """add() for a candidate known by its total, model key and term
         count; build() returns its (model, value) and is called only when
-        the pool keeps it."""
+        the pool keeps it. total orders the pool: the objective value, or
+        (as the solver passes it) that value times one common denominator,
+        an int. One pool takes one kind of total."""
         if key in self._keys:
             return False
         head = (total, key)
@@ -218,7 +227,7 @@ def node_bound(partial, agg: AggregatedDataset, cfg: PenaltyConfig,
     for j, v in enumerate(partial[1:]):
         if v is not None:
             search.apply(j, int(v))
-    return search.bound(partial[0])
+    return search.fraction(search.bound(partial[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +252,12 @@ class _Search:
 
         # rows are the distinct patterns, positives first, stored by column
         units, self.unit_den = loss_units(agg, cfg)
+        # a total is an int over den: unit_scale per loss unit, c0_units per
+        # term and eps_units per unit of coefficient magnitude
+        self.den = math.lcm(self.unit_den, cfg.c0.denominator, cfg.epsilon.denominator)
+        self.unit_scale = self.den // self.unit_den
+        self.c0_units = cfg.c0.numerator * (self.den // cfg.c0.denominator)
+        self.eps_units = cfg.epsilon.numerator * (self.den // cfg.epsilon.denominator)
         n_pos = self.n_pos = agg.n_pos_patterns
         self.cols = np.ascontiguousarray(
             np.concatenate([agg.pos_patterns, agg.neg_patterns]).T, dtype=np.int64)
@@ -270,6 +285,10 @@ class _Search:
 
         self.order = self._feature_order()
         self.values = [self._value_order(j) for j in range(p)]
+        # the penalty a value of feature j adds to its node's total
+        self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
+                           for vals in self.values]
+        self.shift_plans = {}  # (j, bound): see _shift_plan
 
         # base: scores of the fixed coefficients; edge: the highest score a
         # completion can give a positive row, the lowest a negative one
@@ -284,7 +303,6 @@ class _Search:
         # best total found within each term budget 0..cap (at most k terms)
         self.best_leq = [None] * (self.cap + 1)
         self.nodes = 0
-        self._penalty_cache = {}
 
     # -- branching order ----------------------------------------------------
 
@@ -341,19 +359,20 @@ class _Search:
         """The fixed terms with coefficient j set to v."""
         return tuple(sorted(self.terms + ((j, v),))) if v else self.terms
 
-    def _total(self, units, l0, l1) -> Fraction:
-        """units of loss plus the penalties of l0 terms of magnitude sum l1."""
-        key = (l0, l1)
-        pen = self._penalty_cache.get(key)
-        if pen is None:
-            pen = self.cfg.c0 * l0 + self.cfg.epsilon * l1
-            self._penalty_cache[key] = pen
-        return Fraction(units, self.unit_den) + pen
+    def _total(self, units, l0, l1) -> int:
+        """units of loss plus the penalties of l0 terms of magnitude sum l1,
+        as a total over den."""
+        return units * self.unit_scale + self.c0_units * l0 + self.eps_units * l1
 
-    def bound(self, lam0=None) -> Fraction:
+    def fraction(self, total) -> Fraction:
+        """The objective value of a total."""
+        return Fraction(total, self.den)
+
+    def bound(self, lam0=None) -> int:
         """Lower bound on every completion of the current node: the loss of
         the edge scores, least over the intercept grid (or at the intercept
-        lam0), plus the penalties of the fixed coefficients."""
+        lam0), plus the penalties of the fixed coefficients, as a total
+        over den."""
         if lam0 is None:
             units = loss_curves(self.bound_plan, self.edge).min()
         else:
@@ -373,26 +392,41 @@ class _Search:
         units, lam0 = self._canonical(loss_curves(self.leaf_plan, self.base))
         return units[0], lam0[0]
 
-    def child_leaves(self, j, vals):
-        """leaf() of every child that sets the free coefficient j to a
-        value in vals: the rows with x_j = 1 move by the value."""
-        shifts = np.zeros((len(vals), 2), dtype=np.int64)
-        shifts[:, 1] = vals
-        curves = shifted_curves(self.leaf_steps, self.start, self.base, self.cols[j], shifts,
-                                -self.lam0_bound, len(self.lam0_grid))
-        return self._canonical(curves)
+    def _shift_plan(self, j, bound):
+        """(plan, shifts) for scoring children on feature j, built on first
+        use: the loss.shift_plan of every value of j, and row c of shifts
+        the segment moves of values[j][c]. For leaves the rows with x_j = 1
+        move by v. For bounds, with x_j = 1, positive edges move by v - b_j
+        and negative ones by v + b_j."""
+        cached = self.shift_plans.get((j, bound))
+        if cached is None:
+            b = int(self.bounds[j])
+            v = np.array(self.values[j], dtype=np.int64)
+            lo, width = -self.lam0_bound, len(self.lam0_grid)
+            if bound:
+                plan = shift_plan(self.bound_steps, self.start, self.cols[j] * self.side, 3,
+                                  lo, width, -2 * b, 2 * b)
+                shifts = np.stack([np.zeros_like(v), v - b, v + b], axis=1)
+            else:
+                plan = shift_plan(self.leaf_steps, self.start, self.cols[j], 2, lo, width, -b, b)
+                shifts = np.stack([np.zeros_like(v), v], axis=1)
+            cached = self.shift_plans[(j, bound)] = (plan, shifts)
+        return cached
 
-    def child_bounds(self, j, vals):
-        """bound() of every child that sets the free coefficient j to a
-        value in vals: with x_j = 1, positive edges move by v - b_j and
-        negative ones by v + b_j."""
-        b = int(self.bounds[j])
-        v = np.asarray(vals, dtype=np.int64)
-        shifts = np.stack([np.zeros_like(v), v - b, v + b], axis=1)
-        curves = shifted_curves(self.bound_steps, self.start, self.edge, self.cols[j] * self.side,
-                                shifts, -self.lam0_bound, len(self.lam0_grid))
-        return [self._total(units, self.n_nonzero + (c != 0), self.l1_fixed + abs(c))
-                for c, units in zip(vals, curves.min(axis=1).tolist())]
+    def child_leaves(self, j, at):
+        """leaf() of every child that sets the free coefficient j to
+        values[j][c], for each position c in at."""
+        plan, shifts = self._shift_plan(j, False)
+        return self._canonical(shifted_curves(plan, self.base, shifts[at]))
+
+    def child_bounds(self, j, at):
+        """bound() of every child that sets the free coefficient j to
+        values[j][c], for each position c in at."""
+        plan, shifts = self._shift_plan(j, True)
+        curves = shifted_curves(plan, self.edge, shifts[at])
+        fixed, cost = self._total(0, self.n_nonzero, self.l1_fixed), self.value_cost[j]
+        return [units * self.unit_scale + fixed + cost[c]
+                for c, units in zip(at, curves.min(axis=1).tolist())]
 
     def children(self, depth):
         """Every child of the current node at `depth`, scored at once
@@ -408,11 +442,11 @@ class _Search:
             if l0 <= self.cap:
                 (leaves if depth + 1 == self.p or l0 == self.cap else inner).append(c)
         if leaves:
-            units, lam0 = self.child_leaves(j, [vals[c] for c in leaves])
+            units, lam0 = self.child_leaves(j, leaves)
             for c, u, lam in zip(leaves, units, lam0):
                 kids[c] = (True, u, lam)
         if inner:
-            for c, bound in zip(inner, self.child_bounds(j, [vals[c] for c in inner])):
+            for c, bound in zip(inner, self.child_bounds(j, inner)):
                 kids[c] = (False, bound, None)
         return kids
 
@@ -428,7 +462,7 @@ class _Search:
             names = tuple(self.names[k] for k, _ in terms)
             werr = Fraction(units, self.unit_den)
             return (ScoringSystem(lam0, terms, names, self.p),
-                    ObjectiveValue(werr, l0, l1, total))
+                    ObjectiveValue(werr, l0, l1, self.fraction(total)))
 
         self.pool.offer(total, (lam0,) + terms, l0, build)
         # best_leq never increases with k, so the first budget not improved
@@ -451,11 +485,12 @@ class _Search:
             for j in range(self.p):
                 if j in fixed:
                     continue
-                vals = self.values[j][1:]
-                for v, units, lam0 in zip(vals, *self.child_leaves(j, vals)):
-                    total = self.record(j, v, units, lam0)
+                vals = self.values[j]
+                at = list(range(1, len(vals)))
+                for c, units, lam0 in zip(at, *self.child_leaves(j, at)):
+                    total = self.record(j, vals[c], units, lam0)
                     if best is None or total < best[0]:
-                        best = (total, j, v)
+                        best = (total, j, vals[c])
             if best is None or time.monotonic() > deadline:
                 break
             _, j, v = best
@@ -512,8 +547,8 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         if telemetry is not None:
             telemetry({"time": time.monotonic() - started,
                        "nodes": search.nodes,
-                       "incumbent": frac_str(search.incumbent_total),
-                       "bound": frac_str(lower_bound())})
+                       "incumbent": frac_str(search.fraction(search.incumbent_total)),
+                       "bound": frac_str(search.fraction(lower_bound()))})
 
     emit()
     last_emit = 0
@@ -557,8 +592,9 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
             if search.incumbent_total != last_incumbent:
                 last_incumbent = search.incumbent_total
                 emit()
-                if scfg.gap_tolerance > 0 and \
-                        relative_gap(last_incumbent, lower_bound()) <= scfg.gap_tolerance:
+                if scfg.gap_tolerance > 0 and relative_gap(
+                        search.fraction(last_incumbent),
+                        search.fraction(lower_bound())) <= scfg.gap_tolerance:
                     break
             continue
 
@@ -569,7 +605,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         frames.append({"bound": score, "next": 0, "applied": None, "kids": None})
 
     exhausted = not frames
-    lb = search.incumbent_total if exhausted else lower_bound()
+    lb = search.fraction(search.incumbent_total if exhausted else lower_bound())
 
     best_model, best_value = search.pool.best()
     gap = relative_gap(best_value.total, lb)

@@ -123,7 +123,7 @@ class TestSweep:
                     for p in result.points if p.model is not None]
         assert {0, 1} in supports
 
-    def test_failed_point_recorded(self):
+    def test_failed_point_recorded(self, caplog):
         ds, _ = planted_dataset(n=60)
         folds = make_folds(ds, seed=1)
         # corrupt one fold so its validation split is empty
@@ -134,6 +134,12 @@ class TestSweep:
                        self.scfg(), max_terms=2)
         assert result.points[0].status == "failed"
         assert result.points[0].error
+        # the traceback is logged, not only the one-line error text
+        failed = [r for r in caplog.records if r.name == "intscore.evaluation"]
+        assert len(failed) == 1 and failed[0].levelname == "ERROR"
+        assert failed[0].exc_info is not None
+        assert "w+=1 failed" in failed[0].getMessage()
+        assert "Traceback" in caplog.text
 
     def test_presets(self):
         assert len(PRESET_GRIDS["balanced"]) == 19

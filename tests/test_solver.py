@@ -6,7 +6,7 @@ import pytest
 
 from intscore.common import frac_str
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
-from intscore.loss import exact_steps, loss_units, shifted_curves
+from intscore.loss import exact_steps, loss_units, shift_plan, shifted_curves
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
 from intscore.polish import polish
 from intscore.solver import (
@@ -233,6 +233,47 @@ class TestExactUnits:
         _, value = polish(report.best, agg, cfg, lattice)
         assert value.total <= report.best_objective
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_penalty_denominators_beyond_int64(self, seed, monkeypatch):
+        # the solver keeps totals as ints over lcm(unit_den, c0's and
+        # epsilon's denominators); here that denominator is past 2**84, so
+        # totals held in int64 would wrap or refuse to convert. Every child
+        # bound the search prunes with is checked against the Fraction
+        # oracle too, since a wrong bound need not change the optimum.
+        _, agg, cfg, lattice = random_instance(seed)
+        cfg = PenaltyConfig(1, 1, Fraction(1, 3 * 10 ** 22), Fraction(1, 7 * 10 ** 24),
+                            cfg.max_terms)
+        assert cfg.c0.denominator > 2 ** 64 and cfg.epsilon.denominator > 2 ** 64
+        batched = _Search.children
+        grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
+        checked = []
+
+        def checked_children(search, depth):
+            kids = batched(search, depth)
+            coefs = [None] * search.p
+            for j in search.order[:depth]:
+                coefs[j] = 0
+            for j, v in search.terms:
+                coefs[j] = v
+            j = search.order[depth]
+            for v, kid in zip(search.values[j], kids):
+                if kid is not None and not kid[0]:
+                    coefs[j] = v
+                    assert search.fraction(kid[1]) == \
+                        min(pattern_relaxation(coefs, lam0, agg, cfg, lattice) for lam0 in grid)
+                    checked.append(v)
+            return kids
+
+        monkeypatch.setattr(_Search, "children", checked_children)
+        report, pool = solve(agg, cfg, lattice, quick_cfg())
+        _, want = brute_force_solve(agg, cfg, lattice)
+        assert report.status == "optimal"
+        assert report.best_objective == want.total
+        assert report.lower_bound == want.total
+        for model, value in pool.entries:
+            assert objective(model, agg, cfg).total == value.total
+        assert checked
+
 
 class TestPool:
     def make(self, totals):
@@ -272,17 +313,26 @@ class TestPool:
     @pytest.mark.parametrize("capacity", [1, 2, 3, 500])
     def test_matches_reference_pool(self, capacity):
         # seeded add sequences with repeated keys, equal totals and every
-        # term count from 0 to 4; both pools must agree after every add
+        # term count from 0 to 4; both pools must agree after every add.
+        # The solver offers its candidates by integer totals over a common
+        # denominator, so the pool is driven that way too, against the
+        # reference fed the equal Fractions.
         rng = np.random.default_rng(capacity)
         n_adds = 3 * capacity + 300
-        for _ in range(3):
+        den = 8
+        for by_units in (False, False, False, True, True):
             pool, ref = SolutionPool(capacity), ReferencePool(capacity)
             for _ in range(n_adds):
                 coefs = rng.integers(-1, 2, size=4) * (rng.random(4) < rng.random())
                 model = ScoringSystem.from_dense(int(rng.integers(-3, 4)), coefs, list("abcd"))
-                total = Fraction(int(rng.integers(0, 40)), 8)
+                units = int(rng.integers(0, 40))
+                total = Fraction(units, den)
                 value = ObjectiveValue(total, model.l0, model.l1, total)
-                assert pool.add(model, value) == ref.add(model, value)
+                if by_units:
+                    added = pool.offer(units, model.key(), model.l0, lambda: (model, value))
+                else:
+                    added = pool.add(model, value)
+                assert added == ref.add(model, value)
                 assert len(pool) == len(ref)
                 assert [(m.key(), v) for m, v in pool.entries] == \
                     [(m.key(), v) for m, v in ref.entries]
@@ -462,7 +512,8 @@ def _uneven_instances():
 class TestSiblingBatching:
     def test_shifted_curves_count_every_offset(self):
         # every sibling's curve against a direct count at every offset, with
-        # moves of either sign on every segment
+        # moves of either sign on every segment, read from plans whose move
+        # range is exactly the moves' or wider
         rng = np.random.default_rng(41)
         for seed in range(6):
             _, agg, cfg, _ = random_instance(seed)
@@ -473,7 +524,10 @@ class TestSiblingBatching:
             seg = rng.integers(0, 3, size=len(units))
             shifts = rng.integers(-4, 5, size=(5, 3))
             lo, width = int(rng.integers(-5, 2)), int(rng.integers(1, 8))
-            curves = shifted_curves(steps, start, scores, seg, shifts, lo, width)
+            low = int(shifts.min()) - int(rng.integers(0, 3)) * (seed % 2)
+            high = int(shifts.max()) + int(rng.integers(0, 3)) * (seed % 2)
+            plan = shift_plan(steps, start, seg, 3, lo, width, low, high)
+            curves = shifted_curves(plan, scores, shifts)
             for c in range(len(shifts)):
                 for q in range(width):
                     score = scores + shifts[c, seg] + lo + q
