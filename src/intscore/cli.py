@@ -114,8 +114,8 @@ def build_parser() -> _Parser:
                    help="preset name (balanced|imbalanced|extreme) or comma list")
     p.add_argument("--folds-seed", type=int, default=0)
     p.add_argument("--test-ratio", default="1/3")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("INTSCORE_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=os.environ.get("INTSCORE_JOBS", "1"),
+                   help="worker processes (default: $INTSCORE_JOBS, else 1)")
     p.add_argument("--plot", action="store_true", help="also write an SVG scatter")
     p.add_argument("--outdir", required=True)
 
@@ -162,10 +162,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args):
-    """Config file entries override parsed flags (key = value per line)."""
+def _apply_config_file(parser, args):
+    """Config file entries override parsed flags (key = value per line).
+    Each value is converted with the type its option declares in the
+    subcommand; a store_true option takes true/false."""
     if not getattr(args, "config", None):
         return args
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[args.cmd]._actions}
     path = Path(args.config)
     if not path.exists():
         raise UsageError(f"config file {path} not found")
@@ -176,20 +180,21 @@ def _apply_config_file(args):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
+        if isinstance(action, argparse._StoreTrueAction):
             value = value.lower() in ("1", "true", "yes")
-        else:
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    continue
-        setattr(args, dest, value)
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: {key} takes a value of type "
+                                 f"{action.type.__name__}, got {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{path}:{lineno}: {key} must be one of "
+                             f"{', '.join(map(str, action.choices))}, got {value!r}")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -521,7 +526,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args)
+        args = _apply_config_file(parser, args)
         return _COMMANDS[args.cmd](args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

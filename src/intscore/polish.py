@@ -28,9 +28,14 @@ from one kernel call over an offset grid widened by the bound of j; the
 window minima and the intercept profile then run on all 2b+1 children
 together, and give each child exactly the bound the per-node computation
 gives it. The last two coefficients are not bounded: every value pair is
-scored at once from four such curves. Before the full search, a search
-with every bound halved supplies the incumbent; the result does not depend
-on it.
+scored at once from four such curves.
+
+The result is the least key over the support's whole lattice, so it does
+not depend on the incumbent a search starts from. On three or more terms
+a search with every bound halved runs first: it is cheap, usually ends near
+the optimum, and its incumbent and value order let the full search prune
+more. On one or two terms the search is a single leaf batch that prunes
+nothing, so it runs alone and without an incumbent.
 """
 
 from __future__ import annotations
@@ -115,11 +120,14 @@ class _RestrictedSearch:
     coefficient tuple in position order), with the intercept canonicalized
     to smallest magnitude (negative first) among loss minimizers, so the
     result is independent of branching and value orders, and of the
-    incumbent the search starts from.
+    incumbent the search starts from. On three or more terms run() prunes
+    against an incumbent, which seed() sets, and tries values nearest
+    seed_coefs first; on fewer it is one leaf batch.
 
     Expanding a node at depth d bounds all of its children at once
-    (_child_bounds); a node at depth k - 2 scores all its leaves at once
-    (_offer). _bound_units is the per-node bound they reproduce.
+    (_child_bounds), with the grouping of depth d + 1; a node at depth
+    k - 2 scores all its leaves at once (_offer). _bound_units is the
+    per-node bound they reproduce.
     """
 
     def __init__(self, proj: AggregatedDataset, cfg: PenaltyConfig,
@@ -159,9 +167,10 @@ class _RestrictedSearch:
 
         # per-depth grouping by free-feature mask: membership, window sizes,
         # bucket row sets, and the loss-curve offset grid never change;
-        # groups are numbered by window size so each bucket is a range
-        self.groups = []
-        for d in range(self.k):
+        # groups are numbered by window size so each bucket is a range.
+        # Only the children of depths 0..k-3 are bounded, at depths 1..k-2.
+        self.groups = {}
+        for d in range(1, self.k - 1):
             free = self.order[d:]
             weights = 1 << np.arange(len(free), dtype=np.int64)
             masks = self.pats[:, free] @ weights
@@ -172,7 +181,7 @@ class _RestrictedSearch:
             inverse, half = np.argsort(by_half)[inverse.ravel()], half[by_half]
             pad = int(half.max()) if len(half) else 0
             buckets = [(int(s), np.flatnonzero(half == s)) for s in np.unique(half)]
-            self.groups.append({
+            self.groups[d] = {
                 "inverse": np.ascontiguousarray(inverse, dtype=np.int64),
                 "half": np.ascontiguousarray(half, dtype=np.int64),
                 "n_groups": len(gid),
@@ -180,7 +189,7 @@ class _RestrictedSearch:
                 "pad": pad,
                 "t_lo": -(self.l0b + pad),
                 "t_len": 2 * (self.l0b + pad) + 1,
-            })
+            }
         self.child_plans = [self._child_plan(d) for d in range(self.k - 2)]
         self.leaf_plans = {}
 
@@ -338,28 +347,12 @@ class _RestrictedSearch:
             self.coef[j] = 0
 
     def seed(self, coefs):
-        """Record the input coefficients, then coordinate-descend them to a
-        local optimum; both end up as incumbents before the tree search."""
+        """Make the coefficients coefs, one per position, the incumbent."""
         for j, v in enumerate(coefs):
             self._apply(j, int(v))
         self._offer((), int(np.abs(self.coef).sum()))
-        current = list(int(v) for v in coefs)
-        improved = True
-        while improved:
-            improved = False
-            for j in range(self.k):
-                self._undo(j, current[j])
-                units = self._leaf_profiles((j,)).min(axis=-1)
-                absv = self.leaf_plans[(j,)]["absv"]
-                l1 = np.where(units == units.min(), absv, np.iinfo(np.int64).max)
-                v = int(np.argmin(l1)) - int(self.bounds[j])
-                self._apply(j, v)
-                if v != current[j]:
-                    current[j] = v
-                    improved = True
-        self._offer((), int(np.abs(self.coef).sum()))
-        for j in range(self.k - 1, -1, -1):
-            self._undo(j, current[j])
+        for j, v in enumerate(coefs):
+            self._undo(j, int(v))
 
     def run(self, depth=0, l1_fixed=0):
         if self.k - depth <= 2:
@@ -392,20 +385,23 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
 
     proj = project_active(agg, active)
     bounds = lattice.bounds_for(agg.p)[list(active.indices)]
-    seed = [dict(model.terms)[j] for j in active.indices]
-    # The search over coefficients capped at half their bounds is cheap and
-    # usually ends near the optimum. From its incumbent, trying the values
-    # nearest it first, the full search prunes more. Any incumbent leaves
-    # the result unchanged: it is the least key over the whole lattice.
+    start = [dict(model.terms)[j] for j in active.indices]
+    # On three or more terms, the search over coefficients capped at half
+    # their bounds is cheap and usually ends near the optimum; from its
+    # incumbent, trying the values nearest it first, the full search prunes
+    # more. On one or two terms the search is one leaf batch, which reads
+    # no incumbent. Either way the result is the least key over the whole
+    # lattice, whatever the incumbent.
     half = (bounds + 1) // 2
-    search = _RestrictedSearch(proj, cfg, half, lattice.intercept_bound, seed)
-    search.seed(seed)
+    if len(active) > 2 and (half < bounds).any():
+        warm = _RestrictedSearch(proj, cfg, half, lattice.intercept_bound, start)
+        warm.seed(start)
+        warm.run()
+        start = warm.best[2]
+    search = _RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, start)
+    if len(active) > 2:
+        search.seed(start)
     search.run()
-    if (half < bounds).any():
-        warm = search.best
-        search = _RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, warm[2])
-        search.best = warm
-        search.run()
 
     units, _, coefs, lam0 = search.best
     names = dict(zip((j for j, _ in model.terms), model.term_names))

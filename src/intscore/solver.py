@@ -63,7 +63,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import as_fraction, frac_str
+from .common import frac_str
 from .data import AggregatedDataset
 from .loss import (curve_plan, exact_steps, intercept_order, loss_curves, loss_units,
                    shift_plan, shifted_curves)
@@ -79,20 +79,17 @@ _TINY = Fraction(1, 10**12)
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Search limits. gap_tolerance 0 demands a proof of optimality."""
+    """Search limits. The term cap is PenaltyConfig.max_terms."""
 
     time_limit: float = 60.0
     pool_size: int = 500
-    gap_tolerance: Fraction = Fraction(0)
     node_limit: Optional[int] = None
-    term_cap: Optional[int] = None  # default: PenaltyConfig.max_terms
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        object.__setattr__(self, "gap_tolerance", as_fraction(self.gap_tolerance))
 
 
 class SolutionPool:
@@ -247,8 +244,7 @@ class _Search:
         self.p = p
         self.bounds = lattice.bounds_for(p)
         self.lam0_bound = lattice.intercept_bound
-        cap = cfg.max_terms if scfg.term_cap is None else scfg.term_cap
-        self.cap = min(cap, p)
+        self.cap = min(cfg.max_terms, p)
 
         # rows are the distinct patterns, positives first, stored by column
         units, self.unit_den = loss_units(agg, cfg)
@@ -431,16 +427,16 @@ class _Search:
     def children(self, depth):
         """Every child of the current node at `depth`, scored at once
         without touching the state: for each value of feature order[depth],
-        in value order, (True, units, lam0) for a leaf, (False, bound, None)
-        for an inner node, or None for a nonzero value past the term cap."""
+        in value order, (True, units, lam0) for a leaf or (False, bound,
+        None) for an inner node. A node is expanded only below the term
+        cap, so every child fits under it."""
         j = self.order[depth]
         vals = self.values[j]
         kids = [None] * len(vals)
         leaves, inner = [], []
         for c, v in enumerate(vals):
             l0 = self.n_nonzero + (v != 0)
-            if l0 <= self.cap:
-                (leaves if depth + 1 == self.p or l0 == self.cap else inner).append(c)
+            (leaves if depth + 1 == self.p or l0 == self.cap else inner).append(c)
         if leaves:
             units, lam0 = self.child_leaves(j, leaves)
             for c, u, lam in zip(leaves, units, lam0):
@@ -515,8 +511,6 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     """
     if agg.source_n < 1:
         raise ValueError("dataset is empty")
-    if scfg.term_cap is not None and scfg.term_cap < 0:
-        raise ValueError(f"infeasible term cap {scfg.term_cap}")
     cfg.validate_for(agg.source_n, agg.p, lattice)
 
     search = _Search(agg, cfg, lattice, scfg, feature_names)
@@ -582,8 +576,6 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         v = vals[frame["next"]]
         kid = frame["kids"][frame["next"]]
         frame["next"] += 1
-        if kid is None:
-            continue
         search.nodes += 1
 
         is_leaf, score, lam0 = kid
@@ -592,10 +584,6 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
             if search.incumbent_total != last_incumbent:
                 last_incumbent = search.incumbent_total
                 emit()
-                if scfg.gap_tolerance > 0 and relative_gap(
-                        search.fraction(last_incumbent),
-                        search.fraction(lower_bound())) <= scfg.gap_tolerance:
-                    break
             continue
 
         if score > search.best_leq[search.n_nonzero + (v != 0)]:
@@ -609,7 +597,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
 
     best_model, best_value = search.pool.best()
     gap = relative_gap(best_value.total, lb)
-    if gap <= scfg.gap_tolerance:
+    if gap == 0:
         status = "optimal"
     report = SolveReport(
         best=best_model,

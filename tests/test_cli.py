@@ -219,6 +219,31 @@ class TestOtherCommands:
         model = ScoringSystem.from_json(out.read_text())
         assert model.l0 <= 1
 
+    @pytest.mark.parametrize("line, cmd, code", [
+        ("positive = 1", "train", 0),  # declares no type: stays the string "1"
+        ("grid = 1", "sweep", 0),
+        ("node-limit = many", "train", 1),  # declares int
+    ])
+    def test_config_values_take_declared_types(self, dataset_csv, tmp_path, capsys,
+                                               line, cmd, code):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        out = ("--output", tmp_path / "m.json") if cmd == "train" \
+            else ("--outdir", tmp_path / "sweep")
+        assert run("--config", cfgfile, cmd, dataset_csv, "--coef-bound", "2",
+                   "--intercept-bound", "4", "--max-terms", "2", "--pool", "10",
+                   "--node-limit", "500", *out) == code
+
+
+def test_bad_jobs_environment(dataset_csv, tmp_path, capsys, monkeypatch):
+    # INTSCORE_JOBS is the default of sweep's --jobs, so only sweep reads it
+    monkeypatch.setenv("INTSCORE_JOBS", "two")
+    model = tmp_path / "m.json"
+    model.write_text(ScoringSystem.from_dense(0, [1, 0, 0], ["x1", "x2", "x3"]).to_json())
+    assert run("print", model) == 0
+    assert run("sweep", dataset_csv, "--outdir", tmp_path / "o") == 1
+    assert "--jobs" in capsys.readouterr().err
+
 
 def test_encode_wide_table(tmp_path, capsys):
     # 25 raw columns expand to 48 indicator columns: 13 binary passthroughs,

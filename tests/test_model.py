@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,8 @@ class TestParameterBounds:
         bad = PenaltyConfig(1, 1, Fraction(1, 100), Fraction(1, 10**6))
         with pytest.raises(ValueError):
             bad.validate_for(100, 5, lat)  # c0 above min(W)/NP
+        with pytest.raises(ValueError):
+            replace(cfg, max_terms=0)
 
     def test_weights_must_sum_to_two(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,51 @@ class TestPolish:
         assert value.total <= objective(m, agg, cfg).total
 
 
+def _eight_term_instance():
+    ds = synth_generate([0.5] * 10, [0.8, -0.6, 0.5, -0.4, 0.7, -0.3, 0.2, 0.4, 0, 0],
+                        n=2000, seed=21, bias=-0.2)
+    lattice = LatticeSpec(10, 100)
+    return ds, aggregate(ds), PenaltyConfig.auto(1, ds.n, ds.p, lattice), lattice
+
+
+def test_result_depends_only_on_support():
+    # polish returns the least key over the support's lattice, so models
+    # that share a support and differ only in coefficients and intercept
+    # polish alike: coefficients at +-bound (outside the halved lattice of
+    # the warm start), random ones, and ones far from the optimum
+    rng = np.random.default_rng(37)
+    cases = []
+    for seed in range(12):
+        ds, agg, cfg, lattice = random_instance(seed)
+        bounds = lattice.bounds_for(ds.p)
+        for size in range(1, ds.p + 1):
+            support = sorted(rng.choice(ds.p, size=size, replace=False).tolist())
+            b = bounds[support]
+            signs = rng.choice([-1, 1], size=(3, size))
+            coefs = [b, -b, signs[0] * b,
+                     signs[1] * rng.integers(1, b + 1), signs[2] * np.maximum(b // 2, 1)]
+            cases.append((ds, agg, cfg, lattice, support, coefs))
+    ds, agg, cfg, lattice = _eight_term_instance()
+    support = list(range(8))
+    fitted = np.array([5, -4, 3, -2, 4, -2, 1, 2])
+    cases.append((ds, agg, cfg, lattice, support,
+                  [fitted, -fitted, np.full(8, 10), np.where(fitted > 0, -10, 10)]))
+
+    for ds, agg, cfg, lattice, support, coefs in cases:
+        intercepts = rng.integers(-lattice.intercept_bound, lattice.intercept_bound + 1,
+                                  size=len(coefs))
+        intercepts[0] = lattice.intercept_bound
+        results = set()
+        for lam0, sub in zip(intercepts.tolist(), coefs):
+            dense = np.zeros(ds.p, dtype=np.int64)
+            dense[support] = sub
+            out, value = polish(ScoringSystem.from_dense(lam0, dense, ds.feature_names),
+                                agg, cfg, lattice)
+            results.add((out.intercept, out.terms, value))
+        assert len(results) == 1
+    assert len(cases) > 30
+
+
 @pytest.mark.parametrize("chunk_elements", [None, 1])
 def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
     # the search prunes with the bounds of all siblings computed at once,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -78,7 +79,7 @@ class TestOracleAgreement:
 
     def test_respects_term_cap(self):
         ds, agg, cfg, lattice = random_instance(7)
-        report, pool = solve(agg, cfg, lattice, quick_cfg(term_cap=1))
+        report, pool = solve(agg, replace(cfg, max_terms=1), lattice, quick_cfg())
         for model, _ in pool.entries:
             assert model.l0 <= 1
 
@@ -393,11 +394,6 @@ class TestEndpointsAndErrors:
         assert model.l0 == 0 and model.intercept == 1
         assert value.weighted_error == 0
 
-    def test_negative_term_cap_rejected(self):
-        ds, agg, cfg, lattice = random_instance(2)
-        with pytest.raises(ValueError):
-            solve(agg, cfg, lattice, quick_cfg(term_cap=-1))
-
     def test_invalid_penalties_rejected(self):
         ds, agg, _, lattice = random_instance(2)
         bad = PenaltyConfig(1, 1, Fraction(1, 2), Fraction(1, 10**9))
@@ -499,14 +495,14 @@ def test_single_class_dataset():
 
 def _uneven_instances():
     """A 7-feature instance with conflict pairs and uneven per-feature
-    bounds, under every term cap from 0 to 7."""
+    bounds, under every term cap from 1 to 7."""
     ds = synth_generate([0.3, 0.6, 0.5, 0.4, 0.7, 0.5, 0.35],
                         [0.9, -0.7, 0.5, -0.4, 0.3, -0.6, 0.2], n=500, seed=3, bias=0.1)
     agg = aggregate(ds)
     assert len(agg.conflict_pairs)
     lattice = LatticeSpec((3, 1, 4, 2, 5, 2, 3), 6)
     cfg = PenaltyConfig.auto(Fraction(7, 5), ds.n, ds.p, lattice, max_terms=7)
-    return [(agg, cfg, lattice, cap) for cap in range(8)]
+    return [(agg, replace(cfg, max_terms=cap), lattice) for cap in range(1, 8)]
 
 
 class TestSiblingBatching:
@@ -538,17 +534,13 @@ class TestSiblingBatching:
         # at every frame of the search, each child scored in the batch must
         # equal the child's own leaf or bound, reached by fixing its value
         batched = _Search.children
-        seen = {"leaf": 0, "bound": 0, "skipped": 0}
+        seen = {"leaf": 0, "bound": 0}
 
         def checked(search, depth):
             kids = batched(search, depth)
             j = search.order[depth]
             for v, kid in zip(search.values[j], kids):
                 l0 = search.n_nonzero + (v != 0)
-                if l0 > search.cap:
-                    assert kid is None
-                    seen["skipped"] += 1
-                    continue
                 is_leaf, score, lam0 = kid
                 assert is_leaf == (depth + 1 == search.p or l0 == search.cap)
                 search.apply(j, v)
@@ -565,16 +557,14 @@ class TestSiblingBatching:
         for seed in range(12):
             _, agg, cfg, lattice = random_instance(seed)
             solve(agg, cfg, lattice, quick_cfg())
-        for agg, cfg, lattice, cap in _uneven_instances():
-            solve(agg, cfg, lattice, quick_cfg(node_limit=2000, term_cap=cap))
-        # values past the cap occur only at the root of a cap-0 search
-        assert seen["leaf"] > 1000 and seen["bound"] > 1000 and seen["skipped"] > 0
+        for agg, cfg, lattice in _uneven_instances():
+            solve(agg, cfg, lattice, quick_cfg(node_limit=2000))
+        assert seen["leaf"] > 1000 and seen["bound"] > 1000
 
     def test_greedy_seed_matches_per_leaf_seed(self):
-        instances = [random_instance(seed)[1:] + (None,) for seed in range(12)]
-        for agg, cfg, lattice, cap in instances + _uneven_instances():
-            scfg = quick_cfg(term_cap=cap)
-            searches = [_Search(agg, cfg, lattice, scfg, None) for _ in range(2)]
+        instances = [random_instance(seed)[1:] for seed in range(12)]
+        for agg, cfg, lattice in instances + _uneven_instances():
+            searches = [_Search(agg, cfg, lattice, quick_cfg(), None) for _ in range(2)]
             for search in searches:
                 search.record(0, 0, *search.leaf())
             searches[0].greedy_seed(float("inf"))
