@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -255,26 +256,40 @@ def aggregate_counts(pos_rows, pos_counts, neg_rows, neg_counts,
                      source_n: int) -> AggregatedDataset:
     """Aggregate 0/1 rows that carry multiplicities: the distinct patterns
     of each class in lexicographic order with their summed counts, and the
-    patterns that occur with both labels."""
+    patterns that occur with both labels.
+
+    Rows are bit-packed into big-endian 64-bit words, which sort in the
+    rows' lexicographic order."""
+    width = pos_rows.shape[1]
 
     def distinct(rows, counts):
-        width = rows.shape[1]
-        if len(rows) == 0:
-            return np.empty((0, width), dtype=np.uint8), np.empty(0, dtype=np.int64)
-        if width == 0:
-            return np.zeros((1, 0), dtype=np.uint8), np.array([counts.sum()], dtype=np.int64)
-        # bit-packed 0/1 rows sort in the same lexicographic order, and faster
-        packed, inverse = np.unique(np.packbits(rows, axis=1), axis=0, return_inverse=True)
-        summed = np.bincount(inverse.ravel(), weights=counts, minlength=len(packed))
-        return np.unpackbits(packed, axis=1, count=width), summed.astype(np.int64)
+        # 8 columns to a byte, zero-padded to whole 64-bit words, at least one
+        packed = np.zeros((len(rows), 8 * max(1, -(-width // 64))), dtype=np.uint8)
+        packed[:, :-(-width // 8)] = np.packbits(rows, axis=1)
+        keys = packed.view(">u8").astype(np.uint64)
+        order, new = _sorted_keys(keys)
+        first = order[new]
+        summed = np.add.reduceat(np.asarray(counts, dtype=np.int64)[order], np.flatnonzero(new))
+        return np.unpackbits(packed[first], axis=1, count=width), summed, keys[first]
 
-    pos_p, pos_c = distinct(pos_rows, pos_counts)
-    neg_p, neg_c = distinct(neg_rows, neg_counts)
-    neg_index = {r.tobytes(): t for t, r in enumerate(neg_p)}
-    pairs = [(s, neg_index[r.tobytes()])
-             for s, r in enumerate(pos_p) if r.tobytes() in neg_index]
-    pairs_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return AggregatedDataset(pos_p, pos_c, neg_p, neg_c, pairs_arr, source_n)
+    pos_p, pos_c, pos_k = distinct(pos_rows, pos_counts)
+    neg_p, neg_c, neg_k = distinct(neg_rows, neg_counts)
+    # the sort is stable, so a pattern of both classes is two equal keys,
+    # the positive one first
+    order, new = _sorted_keys(np.concatenate([pos_k, neg_k]))
+    twin = np.flatnonzero(~new)
+    pairs = np.stack([order[twin - 1], order[twin] - len(pos_k)], axis=1)
+    return AggregatedDataset(pos_p, pos_c, neg_p, neg_c, pairs, source_n)
+
+
+def _sorted_keys(keys: np.ndarray):
+    """The stable order that sorts the rows of keys lexicographically, and
+    whether each row in that order differs from the one before it."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, new
 
 
 def expand(agg: AggregatedDataset, features=None) -> BinaryDataset:
@@ -296,11 +311,55 @@ def expand(agg: AggregatedDataset, features=None) -> BinaryDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# rows checked at a time: the reader holds one block of cell lists, not the file
+_CSV_BLOCK = 4096
+
+
+def _first(flags: np.ndarray, default: int) -> int:
+    """Index of the first true flag, or default."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if len(hits) else default
+
+
+def _binary_rows(path, feat_names, label_idx: int, rows: list, line: int):
+    """The 0/1 matrix and the label cells of rows read by csv.reader, the
+    first of them from line `line`, or the DataError of the first bad row.
+
+    Each row is checked in C (pop the label, join the feature cells, look
+    for an empty cell), then every feature character in one numpy pass."""
+    p = len(feat_names)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    n = _first(lengths != p + 1, len(rows))
+    rows = rows[:n]  # the rows before the first wrong cell count
+    labels = list(map(list.pop, rows, repeat(label_idx)))
+    # a row of p one-character cells joins to p characters and has no empty
+    # cell; '' and '10' also join to two
+    joined = list(map("".join, rows))
+    odd = (np.fromiter(map(len, joined), dtype=np.int64, count=n) != p) \
+        | np.fromiter(map(list.__contains__, rows, repeat("")), dtype=bool, count=n)
+    m = _first(odd, n)
+    X = np.frombuffer("".join(joined[:m]).encode("ascii", "replace"), dtype=np.uint8) - 48
+    bad = _first(X > 1, m * p) // p
+    if bad < n:
+        k, cell = next((k, c) for k, c in enumerate(rows[bad]) if c not in ("0", "1"))
+        raise DataError(
+            f"{path}:{line + bad}: column {feat_names[k]!r} has non-binary cell {cell!r}")
+    if n < len(lengths):
+        raise DataError(f"{path}:{line + n}: expected {p + 1} cells, got {lengths[n]}")
+    return X.reshape(n, p), labels
+
+
 def load_csv(path, label_column: str, positive_token: str) -> BinaryDataset:
     """Read a header-ed CSV of 0/1 cells plus one label column.
 
     Labels equal to positive_token map to +1; the single other observed
     token maps to -1.
+
+    csv.reader is the only tokenizer, so quoting, line endings and encoding
+    errors are its own. Its rows are checked a block at a time with array
+    operations. The error raised is the first in file order: the lowest
+    line, on it a wrong cell count before a bad cell, and the leftmost bad
+    column; label errors come only after every row passes.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -317,22 +376,22 @@ def load_csv(path, label_column: str, positive_token: str) -> BinaryDataset:
         if not feat_names:
             raise DataError(f"{path}: no feature columns")
 
-        rows, labels = [], []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-            vals = []
-            for j, cell in enumerate(cells):
-                if j == label_idx:
-                    labels.append(cell)
-                    continue
-                if cell not in ("0", "1"):
-                    raise DataError(
-                        f"{path}:{lineno}: column {header[j]!r} has non-binary cell {cell!r}")
-                vals.append(int(cell))
-            rows.append(vals)
+        blocks, labels = [], []
+        while True:
+            rows, failure = [], None
+            try:
+                rows.extend(islice(reader, _CSV_BLOCK))
+            except (csv.Error, UnicodeDecodeError, OSError) as exc:
+                failure = exc  # raised after the rows read before it are checked
+            X, block_labels = _binary_rows(path, feat_names, label_idx, rows, 2 + len(labels))
+            blocks.append(X)
+            labels += block_labels
+            if failure is not None:
+                raise failure
+            if len(rows) < _CSV_BLOCK:
+                break
 
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
     tokens = set(labels)
     if positive_token not in tokens:
@@ -341,10 +400,9 @@ def load_csv(path, label_column: str, positive_token: str) -> BinaryDataset:
     if len(others) > 1:
         raise DataError(f"{path}: more than two label tokens: {sorted(tokens)}")
 
-    X = np.array(rows, dtype=np.uint8)
-    y = np.array([1 if t == positive_token else -1 for t in labels], dtype=np.int8)
-    features = tuple(FeatureSpec(n) for n in feat_names)
-    return BinaryDataset(features, X, y)
+    positive = np.fromiter(map(positive_token.__eq__, labels), dtype=bool, count=len(labels))
+    features = tuple(FeatureSpec(name) for name in feat_names)
+    return BinaryDataset(features, np.concatenate(blocks), np.where(positive, 1, -1))
 
 
 def write_csv(dataset: BinaryDataset, path, label_column: str = "y",

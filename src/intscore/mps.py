@@ -13,16 +13,21 @@ Variables: LAMnnnnn integer coefficients (LAM00000 is the intercept),
 ZSnnnnnn / ZTnnnnnn binary loss indicators, Annnnnnn binary feature-use
 indicators, Bnnnnnnn coefficient magnitudes and Fnnnnnnn per-feature
 penalties (continuous). All names stay within 8 characters and numeric
-fields within 12, per the fixed layout.
+fields within 12, per the fixed layout; a longer name raises ValueError.
 
 MPS lists the matrix column by column, so each column is written straight
 from the pattern arrays. One loss-row table serves all three variants, and
 only _loss_rows tells them apart. LAM00000 enters every loss row and LAMj
-the rows with x_j = 1, then its four penalty-link rows. A loss row's
-coefficient field (+1 on positives, -1 on negatives) is formatted once and
-shared by all of those columns. Each Z column holds its cost, its own row's
-big-M and its conflict row, if any; each feature then gets its F, A and B
-columns. A column's lines are joined as soon as it is built.
+the rows with x_j = 1, then its four penalty-link rows. Each Z column holds
+its cost, its own row's big-M and its conflict row, if any; each feature
+then gets its F, A and B columns.
+
+The text is built as fixed-width byte records, not string by string. A
+(name, value) field is a 22-byte row of a field table; each loss row's
+(name, +1 or -1) field is formatted once and gathered into every LAM
+column that holds it, and each distinct cost and big-M value is formatted
+once. A column's lines are laid out two fields to a line and cut after
+their last value, so no line ends in blanks.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .polish import project_active
 VARIANTS = ("general", "aggregated", "polish")
 
 
+_SP, _NL = ord(" "), ord("\n")
+
+
 def _num(x) -> str:
     """Shortest representation that fits the 12-character value field."""
     if isinstance(x, Fraction):
@@ -47,24 +55,81 @@ def _num(x) -> str:
     if x == int(x) and abs(x) < 1e11:
         return str(int(x))
     text = repr(float(x))
-    if len(text) <= 12:
-        return text
-    text = format(float(x), ".6e")
-    if len(text) <= 12:
-        return text
-    return format(float(x), ".5e")
+    for digits in (6, 5, 4):  # 4 digits fit even a negative 3-digit exponent
+        if len(text) <= 12:
+            break
+        text = format(float(x), f".{digits}e")
+    return text
 
 
-def _field(name: str, value) -> str:
-    """One (row name, value) pair of a COLUMNS or RHS line."""
-    return f"{name:<8}  {_num(value):<12}"
+def _names(strings) -> np.ndarray:
+    """Names of at most 8 characters, left-justified, as the rows of an
+    (m, 8) uint8 table."""
+    if max(map(len, strings), default=0) > 8:
+        raise ValueError("an MPS name is longer than 8 characters")
+    table = np.array(strings, dtype="S8").view(np.uint8).reshape(len(strings), 8)
+    table[table == 0] = _SP
+    return table
 
 
-def _lines(lead: str, fields) -> str:
-    """The lines of one column (or of the RHS vector), two fields a line."""
-    head = f"    {lead:<8}  "
-    return "\n".join((head + "   ".join(fields[i:i + 2])).rstrip()
-                     for i in range(0, len(fields), 2))
+def _fields(names: np.ndarray, texts, which=None) -> np.ndarray:
+    """Fields `{name:<8}  {text}` as the rows of an (m, 22) uint8 table, the
+    i-th with name names[i] and value texts[which[i]] (texts[i] without
+    which). NUL bytes pad each value to 12 characters; a row of NULs, the
+    blank field, follows the last, so index -1 reads it."""
+    values = np.array(texts, dtype="S12").view(np.uint8).reshape(len(texts), 12)
+    if which is not None:
+        values = values[which]
+    table = np.zeros((len(values) + 1, 22), dtype=np.uint8)
+    table[:-1, :8] = names
+    table[:-1, 8:10] = _SP
+    table[:-1, 10:] = values
+    return table
+
+
+def _lines(leads, table, left, right) -> bytes:
+    """COLUMNS or RHS lines `    {lead:<8}  {left}   {right}`, each ending
+    after its last value: leads are 8-byte names, one per line or one for
+    all, and left and right index fields of table, right -1 for none."""
+    # every line is laid out 61 bytes wide, and the NULs that pad its last
+    # value (and a missing right field) are then dropped; a left field that
+    # a right one follows is padded with blanks instead
+    pad = np.where(right >= 0, _SP, 0).astype(np.uint8)[:, None]
+    buf = np.empty((len(left), 62), dtype=np.uint8)
+    buf[:, :4] = buf[:, 12:14] = _SP
+    buf[:, 4:12] = leads
+    np.maximum(table[left], pad, out=buf[:, 14:36])
+    buf[:, 36:39] = pad
+    buf[:, 39:61] = table[right]
+    buf[:, 61] = _NL
+    return buf.tobytes().translate(None, b"\0")
+
+
+def _column(lead: str, table, idx) -> bytes:
+    """The lines of one column (or of the RHS vector): the fields of table
+    at idx, two to a line."""
+    idx = np.append(idx, -1) if len(idx) % 2 else np.asarray(idx)
+    return _lines(_names([lead]), table, idx[0::2], idx[1::2])
+
+
+def _short_column(lead: str, fields) -> bytes:
+    """A column given as a few (row name, value) pairs."""
+    names, values = zip(*fields)
+    return _column(lead, _fields(_names(names), [_num(v) for v in values]),
+                   np.arange(len(fields)))
+
+
+def _records(prefix: str, names: np.ndarray) -> bytes:
+    """One line `{prefix}{name}` for each 8-byte name."""
+    buf = np.full((len(names), len(prefix) + 9), _NL, dtype=np.uint8)
+    buf[:, :len(prefix)] = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    buf[:, len(prefix):-1] = names
+    return buf.tobytes()
+
+
+def _plain(lines) -> bytes:
+    """Lines of text written as they are."""
+    return "".join(f"{line}\n" for line in lines).encode("ascii")
 
 
 class _LossRows(NamedTuple):
@@ -124,69 +189,79 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         raise ValueError("the polish variant requires an active set")
 
     loss = _loss_rows(agg, lattice, variant, active_set)
-    bounds = lattice.bounds_for(agg.p)
-    labels, counts = loss.labels.tolist(), loss.counts.tolist()
+    n, bounds = len(loss.labels), lattice.bounds_for(agg.p)
+    rows = _names(loss.names)
     cf_names = [f"CF{c:06d}" for c in range(1, len(loss.pairs) + 1)]
-    conflict = {}  # loss row -> its conflict row
-    for name, (s, u) in zip(cf_names, loss.pairs.tolist()):
-        conflict[s] = conflict[u] = name
     # the PE, L0U, L0L, L1U and L1L rows of each penalized feature
     links = {} if variant == "polish" else {
         j: (f"PE{j + 1:06d}", f"L0U{j + 1:05d}", f"L0L{j + 1:05d}",
             f"L1U{j + 1:05d}", f"L1L{j + 1:05d}") for j in loss.cols}
 
-    out = [f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]
-    out += [f" G  {name}" for name in loss.names]
-    out += [f" E  {name}" for name in cf_names]
+    out = [_plain([f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]),
+           _records(" G  ", rows)]
+    head = [f" E  {name}" for name in cf_names]
     if links:
-        out.append(" L  CAP")
+        head.append(" L  CAP")
     for pe, l0u, l0l, l1u, l1l in links.values():
-        out += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
+        head += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
+    out.append(_plain(head + [
+        "COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]))
 
-    out += ["COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]
-    row_fields = [_field(name, label) for name, label in zip(loss.names, labels)]
-    out.append(_lines("LAM00000", row_fields))
+    # every loss row's coefficient field (+1 on positives, -1 on negatives),
+    # then the four link-row fields (1) of each penalized feature
+    link_rows = [row for j in loss.cols if j in links for row in links[j][1:]]
+    which = np.zeros(n + len(link_rows), dtype=np.intp)
+    which[:n] = loss.labels < 0  # the value "1" or "-1"
+    table = _fields(np.vstack([rows, _names(link_rows)]), ["1", "-1"], which)
+    out.append(_column("LAM00000", table, np.arange(n)))
     lams = [("LAM00000", lattice.intercept_bound)]  # the columns written, with bounds
-    for j in loss.cols:
-        fields = [row_fields[i] for i in np.flatnonzero(loss.pats[:, j]).tolist()]
+    for k, j in enumerate(loss.cols):
+        idx = np.flatnonzero(loss.pats[:, j])
         if j in links:
-            fields += [_field(row, 1) for row in links[j][1:]]
-        if fields:  # a column without entries cannot be written
+            idx = np.append(idx, n + 4 * k + np.arange(4))
+        if len(idx):  # a column without entries cannot be written
             lams.append((f"LAM{j + 1:05d}", int(bounds[j])))
-            out.append(_lines(lams[-1][0], fields))
-    out.append("    MARKER1                 'MARKER'                 'INTEND'")
+            out.append(_column(lams[-1][0], table, idx))
+    out.append(_plain(["    MARKER1                 'MARKER'                 'INTEND'"]))
 
-    costs = {(label, count): _field("COST", weight * Fraction(count, agg.source_n))
-             for label, weight in ((1, cfg.w_plus), (-1, cfg.w_minus))
-             for count in set(counts)}
-    for i, (z, name, big_m) in enumerate(zip(loss.z_names, loss.names, loss.big_m.tolist())):
-        fields = [costs[labels[i], counts[i]], _field(name, big_m)]
-        if i in conflict:
-            fields.append(_field(conflict[i], 1))
-        out.append(_lines(z, fields))
+    # Z column i: its cost and its loss row's big-M on one line, then its
+    # conflict row, if any, on a second; costs depend on (label, count) only
+    cost_keys, cost_of = np.unique(loss.labels * loss.counts, return_inverse=True)
+    big_ms, big_m_of = np.unique(loss.big_m, return_inverse=True)
+    texts = [_num((cfg.w_plus if key > 0 else cfg.w_minus) * Fraction(abs(key), agg.source_n))
+             for key in cost_keys.tolist()] + [_num(m) for m in big_ms.tolist()] + ["1"]
+    conflict = np.full(n, -1)
+    conflict[loss.pairs[:, 0]] = conflict[loss.pairs[:, 1]] = np.arange(len(loss.pairs))
+    table = _fields(
+        np.vstack([np.broadcast_to(_names(["COST"]), (n, 8)), rows, _names(cf_names)]),
+        texts, np.concatenate([cost_of.ravel(), len(cost_keys) + big_m_of.ravel(),
+                               np.full(len(cf_names), len(texts) - 1)]))
+    i, has_cf = np.arange(n), conflict >= 0
+    keep = np.stack([np.ones(n, dtype=bool), has_cf], axis=1)
+    left = np.stack([i, 2 * n + conflict], axis=1)[keep]
+    right = np.stack([n + i, np.full(n, -1)], axis=1)[keep]
+    zs = _names(loss.z_names)
+    out.append(_lines(zs[np.repeat(i, 1 + has_cf)], table, left, right))
     for j, (pe, l0u, l0l, l1u, l1l) in links.items():
         b = int(bounds[j])
-        out += [_lines(f"F{j + 1:07d}", [_field("COST", 1), _field(pe, 1)]),
-                _lines(f"A{j + 1:07d}", [_field(pe, -cfg.c0), _field(l0u, -b),
-                                         _field(l0l, b), _field("CAP", 1)]),
-                _lines(f"B{j + 1:07d}", [_field(pe, -cfg.epsilon), _field(l1u, -1),
-                                         _field(l1l, 1)])]
+        out += [_short_column(f"F{j + 1:07d}", [("COST", 1), (pe, 1)]),
+                _short_column(f"A{j + 1:07d}", [(pe, -cfg.c0), (l0u, -b),
+                                                (l0l, b), ("CAP", 1)]),
+                _short_column(f"B{j + 1:07d}", [(pe, -cfg.epsilon), (l1u, -1), (l1l, 1)])]
 
-    rhs = [_field(name, 1) for name, r in zip(loss.names, loss.rhs.tolist()) if r]
-    rhs += [_field(name, 1) for name in cf_names]
-    if links:
-        rhs.append(_field("CAP", cfg.max_terms))
-    out.append("RHS")
-    if rhs:
-        out.append(_lines("RHS", rhs))
+    cap = ["CAP"] if links else []
+    rhs_names = np.vstack([rows[loss.rhs == 1], _names(cf_names + cap)])
+    which = np.zeros(len(rhs_names), dtype=np.intp)
+    which[len(which) - len(cap):] = 1  # CAP's right-hand side is max_terms, every other 1
+    out.append(_plain(["RHS"]))
+    if len(which):
+        out.append(_column("RHS", _fields(rhs_names, ["1", _num(cfg.max_terms)], which),
+                           np.arange(len(which))))
 
-    out.append("BOUNDS")
-    for name, bound in lams:
-        out += [f" LO BND       {name:<8}  {_num(-bound)}",
-                f" UP BND       {name:<8}  {_num(bound)}"]
-    out += [f" BV BND       {z:<8}" for z in loss.z_names]
-    for j in links:
-        out += [f" BV BND       A{j + 1:07d}",
-                f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}"]
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out.append(_plain(["BOUNDS"] + [line for name, bound in lams for line in (
+        f" LO BND       {name:<8}  {_num(-bound)}", f" UP BND       {name:<8}  {_num(bound)}")]))
+    out.append(_records(" BV BND       ", zs))
+    out.append(_plain([line for j in links for line in (
+        f" BV BND       A{j + 1:07d}", f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}")]
+        + ["ENDATA"]))
+    return b"".join(out).decode("ascii")

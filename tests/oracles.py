@@ -3,12 +3,21 @@
 Everything here is deliberately naive: plain Python loops and Fractions,
 no shared code with the library's evaluation or search paths. The one
 exception is per_leaf_greedy_seed, which drives the solver's own per-node
-primitives so that the batched seeding can be checked against them.
+primitives so that the batched seeding can be checked against them. The
+readers and writers at the end are earlier, cell-by-cell versions of the
+library's CSV reader and MPS writer, kept to pin their exact output.
 """
 
+import csv
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+from intscore.common import frac_float
+from intscore.data import BinaryDataset, DataError, FeatureSpec
+from intscore.mps import VARIANTS, _loss_rows
 
 
 def row_weighted_error(intercept, coefs, X, y, w_plus, w_minus):
@@ -247,3 +256,153 @@ def per_leaf_greedy_seed(search):
         chosen.append((j, v))
     for j, v in reversed(chosen):
         search.undo(j, v)
+
+
+def reference_load_csv(path, label_column, positive_token):
+    """The cell-by-cell CSV reader that data.load_csv must match: the same
+    dataset, or the same exception type and message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        if label_column not in header:
+            raise DataError(f"{path}: label column {label_column!r} not found")
+        label_idx = header.index(label_column)
+        feat_names = [h for h in header if h != label_column]
+        if not feat_names:
+            raise DataError(f"{path}: no feature columns")
+
+        rows, labels = [], []
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            vals = []
+            for j, cell in enumerate(cells):
+                if j == label_idx:
+                    labels.append(cell)
+                    continue
+                if cell not in ("0", "1"):
+                    raise DataError(
+                        f"{path}:{lineno}: column {header[j]!r} has non-binary cell {cell!r}")
+                vals.append(int(cell))
+            rows.append(vals)
+
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    tokens = set(labels)
+    if positive_token not in tokens:
+        raise DataError(f"{path}: positive token {positive_token!r} never occurs")
+    others = tokens - {positive_token}
+    if len(others) > 1:
+        raise DataError(f"{path}: more than two label tokens: {sorted(tokens)}")
+
+    X = np.array(rows, dtype=np.uint8)
+    y = np.array([1 if t == positive_token else -1 for t in labels], dtype=np.int8)
+    features = tuple(FeatureSpec(n) for n in feat_names)
+    return BinaryDataset(features, X, y)
+
+
+def _reference_num(x) -> str:
+    if isinstance(x, Fraction):
+        x = frac_float(x)
+    if x == int(x) and abs(x) < 1e11:
+        return str(int(x))
+    text = repr(float(x))
+    if len(text) <= 12:
+        return text
+    text = format(float(x), ".6e")
+    if len(text) <= 12:
+        return text
+    return format(float(x), ".5e")
+
+
+def _reference_field(name, value):
+    return f"{name:<8}  {_reference_num(value):<12}"
+
+
+def _reference_lines(lead, fields):
+    head = f"    {lead:<8}  "
+    return "\n".join((head + "   ".join(fields[i:i + 2])).rstrip()
+                     for i in range(0, len(fields), 2))
+
+
+def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=None):
+    """The string-formatting MPS writer that mps.export_mps must match byte
+    for byte. It shares only the loss-row table (mps._loss_rows)."""
+    _num, _field, _lines = _reference_num, _reference_field, _reference_lines
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if variant == "polish" and active_set is None:
+        raise ValueError("the polish variant requires an active set")
+
+    loss = _loss_rows(agg, lattice, variant, active_set)
+    bounds = lattice.bounds_for(agg.p)
+    labels, counts = loss.labels.tolist(), loss.counts.tolist()
+    cf_names = [f"CF{c:06d}" for c in range(1, len(loss.pairs) + 1)]
+    conflict = {}  # loss row -> its conflict row
+    for name, (s, u) in zip(cf_names, loss.pairs.tolist()):
+        conflict[s] = conflict[u] = name
+    # the PE, L0U, L0L, L1U and L1L rows of each penalized feature
+    links = {} if variant == "polish" else {
+        j: (f"PE{j + 1:06d}", f"L0U{j + 1:05d}", f"L0L{j + 1:05d}",
+            f"L1U{j + 1:05d}", f"L1L{j + 1:05d}") for j in loss.cols}
+
+    out = [f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]
+    out += [f" G  {name}" for name in loss.names]
+    out += [f" E  {name}" for name in cf_names]
+    if links:
+        out.append(" L  CAP")
+    for pe, l0u, l0l, l1u, l1l in links.values():
+        out += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
+
+    out += ["COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]
+    row_fields = [_field(name, label) for name, label in zip(loss.names, labels)]
+    out.append(_lines("LAM00000", row_fields))
+    lams = [("LAM00000", lattice.intercept_bound)]  # the columns written, with bounds
+    for j in loss.cols:
+        fields = [row_fields[i] for i in np.flatnonzero(loss.pats[:, j]).tolist()]
+        if j in links:
+            fields += [_field(row, 1) for row in links[j][1:]]
+        if fields:  # a column without entries cannot be written
+            lams.append((f"LAM{j + 1:05d}", int(bounds[j])))
+            out.append(_lines(lams[-1][0], fields))
+    out.append("    MARKER1                 'MARKER'                 'INTEND'")
+
+    costs = {(label, count): _field("COST", weight * Fraction(count, agg.source_n))
+             for label, weight in ((1, cfg.w_plus), (-1, cfg.w_minus))
+             for count in set(counts)}
+    for i, (z, name, big_m) in enumerate(zip(loss.z_names, loss.names, loss.big_m.tolist())):
+        fields = [costs[labels[i], counts[i]], _field(name, big_m)]
+        if i in conflict:
+            fields.append(_field(conflict[i], 1))
+        out.append(_lines(z, fields))
+    for j, (pe, l0u, l0l, l1u, l1l) in links.items():
+        b = int(bounds[j])
+        out += [_lines(f"F{j + 1:07d}", [_field("COST", 1), _field(pe, 1)]),
+                _lines(f"A{j + 1:07d}", [_field(pe, -cfg.c0), _field(l0u, -b),
+                                         _field(l0l, b), _field("CAP", 1)]),
+                _lines(f"B{j + 1:07d}", [_field(pe, -cfg.epsilon), _field(l1u, -1),
+                                         _field(l1l, 1)])]
+
+    rhs = [_field(name, 1) for name, r in zip(loss.names, loss.rhs.tolist()) if r]
+    rhs += [_field(name, 1) for name in cf_names]
+    if links:
+        rhs.append(_field("CAP", cfg.max_terms))
+    out.append("RHS")
+    if rhs:
+        out.append(_lines("RHS", rhs))
+
+    out.append("BOUNDS")
+    for name, bound in lams:
+        out += [f" LO BND       {name:<8}  {_num(-bound)}",
+                f" UP BND       {name:<8}  {_num(bound)}"]
+    out += [f" BV BND       {z:<8}" for z in loss.z_names]
+    for j in links:
+        out += [f" BV BND       A{j + 1:07d}",
+                f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}"]
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"

@@ -1,10 +1,15 @@
+import csv
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intscore import data
 from intscore.data import (
     BandRule,
     BinaryDataset,
@@ -13,6 +18,7 @@ from intscore.data import (
     FoldAssignment,
     ThresholdRule,
     aggregate,
+    aggregate_counts,
     binarize_continuous,
     conditional_probabilities,
     expand,
@@ -22,7 +28,7 @@ from intscore.data import (
     write_csv,
 )
 
-from oracles import row_weighted_error
+from oracles import reference_load_csv, row_weighted_error
 
 # 48 criminal-history style column names (ascii comparators), used to check
 # that a realistically named wide file loads cleanly.
@@ -118,6 +124,85 @@ class TestLoadCsv:
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
 
+    def _write(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode("utf-8"))
+        return f
+
+    def _error(self, tmp_path, text):
+        f = self._write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            load_csv(f, "y", "1")
+        return str(err.value).replace(str(f), "F")
+
+    @pytest.mark.parametrize("text", ["f1,f2,y\n1,0,1\n0,1,0\n",
+                                      "f1,f2,y\r\n1,0,1\r\n0,1,0\r\n",
+                                      "f1,f2,y\n1,0,1\n0,1,0"])
+    def test_line_endings(self, tmp_path, text):
+        ds = load_csv(self._write(tmp_path, text), "y", "1")
+        assert ds.X.tolist() == [[1, 0], [0, 1]] and ds.y.tolist() == [1, -1]
+        assert ds.X.dtype == np.uint8 and ds.y.dtype == np.int8
+
+    @pytest.mark.parametrize("text, message", [
+        ("f1,f2,y\n1,0,1\n\n0,1,0\n", "F:3: expected 3 cells, got 0"),
+        ("f1,f2,y\n1,0,1\n0,1\n", "F:3: expected 3 cells, got 2"),
+        ("f1,f2,y\n1,0,1\n0,1,0,1\n", "F:3: expected 3 cells, got 4"),
+        ("f1,f2,y\n1,x,1\n0,1\n", "F:2: column 'f2' has non-binary cell 'x'"),
+        ("f1,f2,y\n1,0\n0,x,1\n", "F:2: expected 3 cells, got 2"),
+        ("f1,f2,y\n1,0,1\nx,1\n", "F:3: expected 3 cells, got 2"),
+        ("f1,f2,y\n1,0,1\n2,3,0\n", "F:3: column 'f1' has non-binary cell '2'"),
+        ("f1,f2,y\n1,,1\n10,0,0\n", "F:2: column 'f2' has non-binary cell ''"),
+        ("f1,f2,y\n1,0,1\n10,,0\n", "F:3: column 'f1' has non-binary cell '10'"),
+        ("y,f1,f2\n1,1,0\n0,0,\u00e9\n", "F:3: column 'f2' has non-binary cell '\u00e9'"),
+        ('f1,y\n1,"a\nb"\n2,0\n', "F:3: column 'f1' has non-binary cell '2'"),
+        ("f1,y\n", "F: no data rows"),
+        ("", "F: empty file"),
+        ("f1,y\n1,1\n0,b\n1,c\n", "F: more than two label tokens: ['1', 'b', 'c']"),
+        ("f1,y\n1,0\n0,0\n", "F: positive token '1' never occurs"),
+    ])
+    def test_first_error_in_file_order(self, tmp_path, text, message):
+        assert self._error(tmp_path, text) == message
+
+    def test_reader_error_after_a_bad_line(self, tmp_path):
+        # csv.reader fails on line 3, after line 2's bad cell
+        huge = "1," + "x" * 200_000 + "\n"
+        assert self._error(tmp_path, "f1,y\n2,1\n" + huge) == \
+            "F:2: column 'f1' has non-binary cell '2'"
+        with pytest.raises(csv.Error):
+            load_csv(self._write(tmp_path, "f1,y\n1,1\n" + huge), "y", "1")
+
+    def test_quoted_cells(self, tmp_path):
+        ds = load_csv(self._write(tmp_path, 'f1,f2,y\n"0",1,"a,b"\n1,"1",c\n'), "y", "a,b")
+        assert ds.X.tolist() == [[0, 1], [1, 1]] and ds.y.tolist() == [1, -1]
+
+    @pytest.mark.parametrize("text, y", [("f1,y\n1,a\n0,b\n1,a\n", [1, -1, 1]),
+                                         ("f1,y\n1,a\n0,a\n", [1, 1])])
+    def test_one_or_two_label_tokens(self, tmp_path, text, y):
+        ds = load_csv(self._write(tmp_path, text), "y", "a")
+        assert ds.y.tolist() == y
+
+
+def _csv_outcome(reader, path, positive):
+    try:
+        ds = reader(path, "y", positive)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return ds.feature_names, ds.X.dtype, ds.X.tolist(), ds.y.dtype, ds.y.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["f1,f2,y\n", "y,f1\n", "f1,y,f2\n", ""]),
+       st.text(alphabet='01,"a\n\r', max_size=40),
+       st.sampled_from(["1", "0", "a"]),
+       st.sampled_from([1, 2, 3, 4096]))
+def test_load_csv_matches_reference(header, body, positive, block):
+    # small blocks put block boundaries between the rows of these texts
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_CSV_BLOCK", block):
+        path = Path(tmp) / "d.csv"
+        path.write_bytes((header + body).encode("utf-8"))
+        assert _csv_outcome(load_csv, path, positive) == \
+            _csv_outcome(reference_load_csv, path, positive)
+
 
 class TestBinarize:
     def test_age_bands(self):
@@ -195,6 +280,42 @@ class TestAggregate:
             want = row_weighted_error(lam0, coefs.tolist(), X.tolist(), y.tolist(),
                                       cfg.w_plus, cfg.w_minus)
             assert got == want
+
+
+def _unique_reference(pos_rows, pos_counts, neg_rows, neg_counts):
+    """aggregate_counts by np.unique(axis=0) on the rows and a dict of
+    patterns for the conflict pairs."""
+    def distinct(rows, counts):
+        if len(rows) == 0:
+            return np.empty((0, rows.shape[1]), dtype=np.uint8), np.empty(0, dtype=np.int64)
+        pats, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return pats, np.bincount(inverse.ravel(), weights=counts,
+                                 minlength=len(pats)).astype(np.int64)
+
+    pos_p, pos_c = distinct(pos_rows, pos_counts)
+    neg_p, neg_c = distinct(neg_rows, neg_counts)
+    where = {tuple(r): t for t, r in enumerate(neg_p.tolist())}
+    pairs = [(s, where[tuple(r)]) for s, r in enumerate(pos_p.tolist()) if tuple(r) in where]
+    return pos_p, pos_c, neg_p, neg_c, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 48, 64, 65, 130])
+@pytest.mark.parametrize("sizes", [(40, 30), (25, 0), (0, 25), (1, 1)])
+def test_aggregate_counts_matches_unique(width, sizes):
+    rng = np.random.default_rng(width * 100 + sum(sizes))
+    # rows drawn from a small pool, so patterns repeat and occur in both classes
+    pool = (rng.random((12, width)) < 0.5).astype(np.uint8)
+    pool[1, :] = 1
+    rows = [pool[rng.integers(0, len(pool), size)] for size in sizes]
+    counts = [rng.integers(1, 5, size) for size in sizes]
+    agg = aggregate_counts(rows[0], counts[0], rows[1], counts[1], int(sum(map(sum, counts))))
+    want = _unique_reference(rows[0], counts[0], rows[1], counts[1])
+    got = (agg.pos_patterns, agg.pos_counts, agg.neg_patterns, agg.neg_counts,
+           agg.conflict_pairs)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    if sizes == (40, 30):
+        assert len(agg.conflict_pairs) > 0
 
 
 @settings(max_examples=30, deadline=None)

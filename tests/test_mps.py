@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intscore.data import BinaryDataset, FeatureSpec, aggregate
+from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, big_m_loss, objective
-from intscore.mps import export_mps
+from intscore.mps import VARIANTS, _names, _num, export_mps
 from intscore.polish import ActiveSet
 from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
 from mps_reader import parse_mps, solve_mps
+from oracles import reference_export_mps
 
 
 def conflict_fixture():
@@ -79,6 +80,17 @@ class TestStructure:
             assert c in doc["integer"]
             lo, up = doc["bounds"][c]
             assert lo == -up and up >= 1
+
+    @pytest.mark.parametrize("x", [-1e-100, -1.2345678e-300, 1e300, -1e300, 1e11 + 0.5,
+                                   -123456789012.5, Fraction(-1, 3 ** 250), Fraction(2, 3)])
+    def test_values_fit_the_field(self, x):
+        text = _num(x)
+        assert len(text) <= 12 and float(text) == pytest.approx(float(x), rel=1e-4)
+
+    def test_long_names_rejected(self):
+        assert _names(["ZS999999"]).tobytes() == b"ZS999999"
+        with pytest.raises(ValueError):
+            _names(["ZS1000000"])
 
 
 class TestRoundTrip:
@@ -240,3 +252,33 @@ def test_every_entry_matches_the_patterns(case, variant):
     assert set(doc["row_order"]) == loss_rows | conflict_rows | set(penalty)
     assert set(cost) == {z for _, z, *_ in table} | {f"F{j + 1:07d}" for j in range(p)
                                                      if variant != "polish"}
+
+
+def _active_sets(variant, p):
+    if variant != "polish":
+        return [None]
+    return [ActiveSet(()), ActiveSet(tuple(range(0, p, 2))), ActiveSet(tuple(range(p)))]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("case", list(range(12)) + ["conflict"])
+def test_text_matches_reference(case, variant):
+    # byte for byte, spacing included, which parse_mps cannot see
+    agg, cfg, lattice = _instance(case)
+    for active in _active_sets(variant, agg.p):
+        assert export_mps(agg, cfg, lattice, variant, active) == \
+            reference_export_mps(agg, cfg, lattice, variant, active)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_wide_text_matches_reference(variant):
+    rng = np.random.default_rng(4)
+    ds = synth_generate(rng.uniform(0.05, 0.9, 20), rng.normal(0, 0.6, 20), 2_000, seed=9)
+    agg = aggregate(ds)
+    entries = np.concatenate([agg.pos_patterns, agg.neg_patterns]).sum(axis=0) % 2
+    assert set(entries.tolist()) == {0, 1}  # columns end on a full and on a half line
+    lattice = LatticeSpec(10, 100)
+    cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, 8)
+    for active in _active_sets(variant, agg.p):
+        assert export_mps(agg, cfg, lattice, variant, active) == \
+            reference_export_mps(agg, cfg, lattice, variant, active)

@@ -353,3 +353,31 @@ def test_optimum_beyond_halved_bounds():
     assert (out.intercept, tuple(out.coef_vector())) == (lam0, dense)
     assert value.weighted_error == 0
     assert max(abs(c) for c in dense) == 2
+
+
+def test_ties_on_loss_and_l1_are_not_pruned():
+    # x0 and x1 are one column, so (lam0, -1, 0, 0) and (lam0, 0, -1, 0) both
+    # classify every row and tie on (loss, l1); the least key is the first.
+    # Seeded with the second, the search must still enter the x0 = -1
+    # subtree, whose bound equals the incumbent's key on (loss, l1).
+    from intscore.polish import _RestrictedSearch
+
+    rows = [(0, 0, 0)] * 3 + [(0, 0, 1)] + [(1, 1, 0)] * 3 + [(1, 1, 1)]
+    X = np.array(rows, dtype=np.uint8)
+    y = np.where(X[:, 0] == 0, 1, -1).astype(np.int8)
+    ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(3)), X, y)
+    agg = aggregate(ds)
+    lattice = LatticeSpec(2, 4)
+    cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice)
+    bounds = lattice.bounds_for(ds.p)
+    key, (lam0, dense) = restricted_optimum(X.tolist(), y.tolist(), cfg.w_plus, cfg.w_minus,
+                                            [0, 1, 2], 2, 4)
+    assert dense == (-1, 0, 0) and key[:2] == (0, 1)
+
+    s = _RestrictedSearch(project_active(agg, ActiveSet((0, 1, 2))), cfg, bounds,
+                          lattice.intercept_bound, [0, -1, 0])
+    assert s.order[0] == 0
+    s.seed([0, -1, 0])
+    assert s.best[:3] == (0, 1, (0, -1, 0))
+    s.run()
+    assert s.best == (0, 1, dense, lam0)
