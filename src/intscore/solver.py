@@ -47,12 +47,15 @@ units of 1/(c*N), c being the common denominator of the class weights, and
 every objective total is one Python int over the common denominator of the
 loss units, c0 and epsilon. Totals stay Python ints: that denominator can
 pass 2**64 when c0 or epsilon is set by hand. Totals, incumbents, bounds
-and the pool's order are compared as ints; rationals are built only when
-the pool keeps an entry and for the report and its telemetry.
+and the pool's order are compared as ints. Rationals and models are built
+only for the pool entries a caller reads, and for the report and its
+telemetry. A leaf the pool would turn away on its total alone is dropped
+before its terms and key are made.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -101,14 +104,19 @@ class SolutionPool:
     The frontier entries, those with fewer terms than every entry before
     them, are tracked as entries come and go, so rejecting a candidate and
     choosing a victim walk the frontier, not the pool.
+
+    An entry is held as (total, key, l0, build) and its (model, value) is
+    built the first time a caller reads it, once; an entry evicted unread
+    is never built.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("pool capacity must be >= 1")
         self.capacity = capacity
-        self._entries = []  # (total, key, l0, ScoringSystem, ObjectiveValue)
+        self._entries = []  # (total, key, l0, build)
         self._keys = set()
+        self._built = {}  # key -> (ScoringSystem, ObjectiveValue) of entries read
         self._frontier = []  # frontier entries, in pool order
         self._frontier_keys = set()
 
@@ -118,24 +126,37 @@ class SolutionPool:
     def add(self, model: ScoringSystem, value: ObjectiveValue) -> bool:
         return self.offer(value.total, model.key(), model.l0, lambda: (model, value))
 
+    def _at_level(self, l0):
+        """The best entry with at most l0 terms: the first such frontier
+        entry, or None."""
+        return next((e for e in self._frontier if e[2] <= l0), None)
+
+    def rejects(self, total, l0: int) -> bool:
+        """True when offer() would surely turn away any candidate with this
+        total and term count, whatever its key: the pool is full, the last
+        entry's total is below it, and an entry with at most l0 terms has
+        a total no larger."""
+        if len(self._entries) < self.capacity or not total > self._entries[-1][0]:
+            return False
+        at_level = self._at_level(l0)
+        return at_level is not None and not total < at_level[0]
+
     def offer(self, total, key: tuple, l0: int, build: Callable) -> bool:
         """add() for a candidate known by its total, model key and term
-        count; build() returns its (model, value) and is called only when
-        the pool keeps it. total orders the pool: the objective value, or
-        (as the solver passes it) that value times one common denominator,
-        an int. One pool takes one kind of total."""
-        if key in self._keys:
+        count. build() returns its (model, value). It is stored, not
+        called: it runs when a caller first reads the entry, which may be
+        long after offer returns, so it must bind the values it builds
+        from, not variables that change later. total orders the pool: the
+        objective value, or (as the solver passes it) that value times one
+        common denominator, an int. One pool takes one kind of total."""
+        if key in self._keys or self.rejects(total, l0):
             return False
         head = (total, key)
-        # the best entry with at most l0 terms is the first such frontier entry
-        at_level = next((e for e in self._frontier if e[2] <= l0), None)
+        at_level = self._at_level(l0)
         if len(self._entries) >= self.capacity and at_level is not None \
                 and not total < at_level[0] and not head < self._entries[-1][:2]:
             return False
-        model, value = build()
-        # the model's own key shares its terms, where the caller's is a copy
-        key = model.key()
-        item = (total, key, l0, model, value)
+        item = (total, key, l0, build)
         insort(self._entries, item)
         self._keys.add(key)
         if at_level is None or head < at_level[:2]:
@@ -150,25 +171,33 @@ class SolutionPool:
             # the last entry off the frontier, or the last one if all are on it
             worst = self._entries.pop(victim)
             self._keys.discard(worst[1])
+            self._built.pop(worst[1], None)
             if victim < 0:
                 self._frontier.pop()
                 self._frontier_keys.discard(worst[1])
         return True
 
+    def _read(self, entry):
+        """The (model, value) of a pool entry, built on its first read."""
+        got = self._built.get(entry[1])
+        if got is None:
+            got = self._built[entry[1]] = entry[3]()
+        return got
+
     def best(self):
         if not self._entries:
             return None
-        return self._entries[0][3:]
+        return self._read(self._entries[0])
 
     @property
     def entries(self):
-        return [e[3:] for e in self._entries]
+        return [self._read(e) for e in self._entries]
 
     def best_with_at_most(self, k: int):
         """Best entry using at most k terms, or None."""
         for e in self._frontier:
             if e[2] <= k:
-                return e[3:]
+                return self._read(e)
         return None
 
 
@@ -231,6 +260,13 @@ def node_bound(partial, agg: AggregatedDataset, cfg: PenaltyConfig,
 # internal search machinery
 # ---------------------------------------------------------------------------
 
+def _build_entry(names, p, unit_den, den, terms, lam0, units, l0, l1, total):
+    """(model, value) of a leaf the search recorded. It takes plain values,
+    not the search, so a pool entry left unbuilt holds no search state."""
+    return (ScoringSystem(lam0, terms, tuple(names[k] for k, _ in terms), p),
+            ObjectiveValue(Fraction(units, unit_den), l0, l1, Fraction(total, den)))
+
+
 class _Search:
     """Mutable state shared across the branch-and-bound recursion."""
 
@@ -291,6 +327,7 @@ class _Search:
         reach = self.bounds @ self.cols
         self.base = np.zeros(len(units), dtype=np.int64)
         self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
+        self.row = np.empty(len(units), dtype=np.int64)  # scratch for _move
         self.terms = ()  # the nonzero fixed coefficients as model terms
         self.n_nonzero = 0
         self.l1_fixed = 0
@@ -333,15 +370,17 @@ class _Search:
 
     def _move(self, j, v, sign):
         """Fix coefficient j to v (sign 1), or free it again (sign -1)."""
-        col, b, n_pos = self.cols[j], int(self.bounds[j]), self.n_pos
+        col, b, n_pos, row = self.cols[j], int(self.bounds[j]), self.n_pos, self.row
         if v:
-            self.base += sign * v * col
+            np.multiply(col, sign * v, out=row)
+            self.base += row
             self.n_nonzero += sign
             self.l1_fixed += sign * abs(v)
             self.terms = self._with(j, v) if sign > 0 \
                 else tuple(t for t in self.terms if t[0] != j)
-        self.edge[:n_pos] += sign * (v - b) * col[:n_pos]
-        self.edge[n_pos:] += sign * (v + b) * col[n_pos:]
+        np.multiply(col[:n_pos], sign * (v - b), out=row[:n_pos])
+        np.multiply(col[n_pos:], sign * (v + b), out=row[n_pos:])
+        self.edge += row
 
     def apply(self, j, v):
         self._move(j, v, 1)
@@ -450,16 +489,15 @@ class _Search:
         """Offer the leaf that adds coefficient j = v to the fixed ones (v
         = 0 adds none), with intercept lam0 and loss units, to the pool and
         to best_leq; return its total."""
-        terms = self._with(j, v)
         l0, l1 = self.n_nonzero + (v != 0), self.l1_fixed + abs(v)
         total = self._total(units, l0, l1)
-
-        def build():
-            names = tuple(self.names[k] for k, _ in terms)
-            werr = Fraction(units, self.unit_den)
-            return (ScoringSystem(lam0, terms, names, self.p),
-                    ObjectiveValue(werr, l0, l1, self.fraction(total)))
-
+        # a leaf the pool turns away by total has one with at most l0 terms
+        # and no larger total before it, so best_leq has no use for it either
+        if self.pool.rejects(total, l0):
+            return total
+        terms = self._with(j, v)
+        build = functools.partial(_build_entry, self.names, self.p, self.unit_den, self.den,
+                                  terms, lam0, units, l0, l1, total)
         self.pool.offer(total, (lam0,) + terms, l0, build)
         # best_leq never increases with k, so the first budget not improved
         # ends the update

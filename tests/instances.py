@@ -1,10 +1,10 @@
-"""Seeded random problem instances at oracle (exhaustively checkable) scale."""
+"""Seeded random problem instances, most at oracle (exhaustively checkable) scale."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from intscore.data import BinaryDataset, FeatureSpec, aggregate
+from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.model import LatticeSpec, PenaltyConfig
 
 W_GRID = [Fraction(k, 10) for k in range(1, 20)]  # 0.1 .. 1.9
@@ -44,3 +44,17 @@ def a1a2_dataset():
     X = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     y = np.array([1, -1, -1, -1], dtype=np.int8)
     return BinaryDataset((FeatureSpec("a1"), FeatureSpec("a2")), X, y)
+
+
+def wide_instance(seed):
+    """A seeded instance too large for brute force but quick to solve:
+    N in [60, 200), P in [5, 9), per-coefficient bound <= 2, intercept
+    bound 5, a term cap of 3 or 4."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(5, 9))
+    ds = synth_generate(rng.uniform(0.1, 0.8, p), rng.normal(0, 0.8, p),
+                        int(rng.integers(60, 200)), seed=seed, bias=-0.2)
+    lattice = LatticeSpec(int(rng.integers(1, 3)), 5)
+    cfg = PenaltyConfig.auto(Fraction(int(rng.integers(1, 20)), 10), ds.n, ds.p, lattice,
+                             max_terms=int(rng.integers(3, 5)))
+    return ds, aggregate(ds), cfg, lattice

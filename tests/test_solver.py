@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,7 @@ from intscore.solver import (
     solve,
 )
 
-from instances import a1a2_dataset, random_instance
+from instances import a1a2_dataset, random_instance, wide_instance
 from oracles import ReferencePool, pattern_relaxation, per_leaf_greedy_seed
 
 
@@ -339,6 +340,91 @@ class TestPool:
                     [(m.key(), v) for m, v in ref.entries]
                 for k in range(5):
                     assert pool.best_with_at_most(k) == ref.best_with_at_most(k)
+
+    @pytest.mark.parametrize("capacity", [1, 3, 500])
+    def test_builds_only_entries_read(self, capacity):
+        # counting builders: offers build nothing, a read builds each entry
+        # it returns once, and a candidate evicted unread is never built
+        rng = np.random.default_rng(capacity)
+        built = []
+
+        def builder(model, total):
+            def build():
+                built.append(model.key())
+                return model, total
+            return build
+
+        pool = SolutionPool(capacity)
+        read_midway = []
+        n_offers = 2 * capacity + 300
+        for i in range(n_offers):
+            # a distinct intercept per offer keeps every key distinct
+            model = ScoringSystem.from_dense(i, rng.integers(-1, 2, size=4), list("abcd"))
+            total = int(rng.integers(0, 60))
+            pool.offer(total, model.key(), model.l0, builder(model, total))
+            if i == n_offers // 2:
+                assert built == []
+                read_midway = [pool.best()[0].key()]
+                assert built == read_midway
+        assert built == read_midway
+        built.clear()
+        assert len(pool) == capacity
+
+        first = pool.best()[0].key()
+        assert built == ([] if [first] == read_midway else [first])
+        keys = [model.key() for model, _ in pool.entries]
+        assert sorted(built) == sorted(set(keys) - set(read_midway))
+
+        before = list(built)
+        assert [model.key() for model, _ in pool.entries] == keys
+        assert pool.best()[0].key() == first
+        for k in range(5):
+            pool.best_with_at_most(k)
+        assert built == before
+
+
+def _solve_outputs(agg, cfg, lattice, pool_size, node_limit):
+    """Everything a solve returns that does not depend on the clock."""
+    telemetry = []
+    report, pool = solve(agg, cfg, lattice,
+                         SolveConfig(time_limit=60, pool_size=pool_size, node_limit=node_limit),
+                         telemetry=telemetry.append)
+    return (replace(report, wall_time=None),
+            [pool.best_with_at_most(k) for k in range(cfg.max_terms + 1)],
+            pool.entries,
+            [{k: v for k, v in r.items() if k != "time"} for r in telemetry])
+
+
+def test_early_rejection_is_exact(monkeypatch):
+    # the search drops a leaf the pool rejects by total before making its
+    # key; without that shortcut every leaf reaches offer(), and each solve
+    # must come out the same. Wider instances under a pool of one or two
+    # lose sparse levels from the pool, where the rule's at-level clause
+    # decides
+    cases = [(random_instance(seed)[1:], pool_size, node_limit)
+             for seed in range(30) for pool_size in (1, 2, 3, 5) for node_limit in (None, 7, 40)]
+    cases += [(wide_instance(seed)[1:], pool_size, None)
+              for seed in range(10) for pool_size in (1, 2)]
+    fast = [_solve_outputs(*inst, pool_size, node_limit) for inst, pool_size, node_limit in cases]
+    monkeypatch.setattr(SolutionPool, "rejects", lambda self, total, l0: False)
+    for (inst, pool_size, node_limit), got in zip(cases, fast):
+        assert got == _solve_outputs(*inst, pool_size, node_limit), (pool_size, node_limit)
+
+
+def test_solve_leaves_no_cycle():
+    # an unbuilt pool entry must not keep the search alive: with the cycle
+    # collector off, the search is freed as soon as its report and pool are
+    _, agg, cfg, lattice = random_instance(5)
+    gc.collect()
+    gc.disable()
+    try:
+        report, pool = solve(agg, cfg, lattice, quick_cfg(pool=5))
+        assert len(pool) >= 2
+        pool.best()
+        del report, pool
+        assert not [o for o in gc.get_objects() if isinstance(o, _Search)]
+    finally:
+        gc.enable()
 
 
 class TestAnytimeBehavior:
