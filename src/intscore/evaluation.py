@@ -204,16 +204,12 @@ def _polished_pool(pool, agg, cfg, lattice):
     """Polish every pool entry, de-duplicate, order by (total, coefficients).
 
     The polished result is determined by the entry's support alone, so each
-    distinct support is optimized once.
+    distinct support is optimized once, from its first entry, and no other
+    entry is built.
     """
     seen = {}
-    by_support = {}
-    for model, _ in pool.entries:
-        support = tuple(j for j, _ in model.terms)
-        if support in by_support:
-            continue
-        by_support[support] = polish(model, agg, cfg, lattice)
-    for out, value in by_support.values():
+    for model, _ in pool.first_per_support():
+        out, value = polish(model, agg, cfg, lattice)
         key = out.key()
         if key not in seen or value.total < seen[key][1].total:
             seen[key] = (out, value)

@@ -10,25 +10,19 @@ preferred). The data is first projected onto the active columns, which
 collapses it to at most 2^|A| distinct patterns per class, so the search
 is fast even when the original dataset is large.
 
-All loss curves come from the kernel in loss.py, over segments of the
-projected patterns. The search prunes with a grouped relaxation that is
-tighter than the per-pattern interval bound of the main solver: patterns
-sharing the same mask over the still-free coefficients form one segment
-and receive one shared unknown offset, so each segment contributes the
-sliding-window minimum of its exact loss curve. Conflicting label pairs
-always share a segment and are costed exactly by its curve, so they need
-no folding into the step weights.
+All loss curves and bounds come from the kernel in loss.py, over segments
+of the projected patterns. The search prunes with the grouped relaxation
+(loss.grouped_bounds), the bound the main solver uses at its deep nodes:
+patterns sharing the same mask over the still-free coefficients share one
+unknown offset, so each group contributes the sliding-window minimum of its
+exact loss curve. Conflicting label pairs always share a group and are
+costed exactly by its curve. The intercept grid is clipped to the sum of
+the active bounds plus one, beyond which the loss no longer changes.
 
-Bounds are computed for all siblings at once. The children of a node
-differ only in the coefficient v of the feature j branched on, and v moves
-the scores of exactly the rows with x_j = 1. So within each group of the
-children's grouping, the loss curve of child v is c0(t) + c1(t + v), where
-c0 and c1 are the curves of the group's x_j = 0 and x_j = 1 rows. Both come
-from one kernel call over an offset grid widened by the bound of j; the
-window minima and the intercept profile then run on all 2b+1 children
-together, and give each child exactly the bound the per-node computation
-gives it. The last two coefficients are not bounded: every value pair is
-scored at once from four such curves.
+Expanding a node bounds all 2b+1 children at once, from one kernel call
+over an offset grid widened by the bound b of the feature branched on. The
+last two coefficients are not bounded: every value pair is scored at once
+from four loss curves.
 
 The result is the least key over the support's whole lattice, so it does
 not depend on the incumbent a search starts from. On three or more terms
@@ -45,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import curve_plan, exact_steps, intercept_order, loss_curves, loss_units
+from .loss import (curve_plan, exact_steps, grouped_bounds, grouped_plan, intercept_order,
+                   loss_curves, loss_units, refined_groups, strided, units_dtype)
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 
@@ -82,36 +77,6 @@ def project_active(agg: AggregatedDataset, active: ActiveSet) -> AggregatedDatas
                             agg.neg_patterns[:, cols], agg.neg_counts, agg.source_n)
 
 
-def _sliding_min(rows: np.ndarray, w: int) -> np.ndarray:
-    """Minimum over every length-w window along axis 1 (van Herk)."""
-    if w == 1:
-        return rows
-    g, t = rows.shape
-    nblocks = -(-t // w)
-    pad = nblocks * w - t
-    if pad:
-        rows = np.concatenate([rows, np.full((g, pad), np.inf)], axis=1)
-    blocks = rows.reshape(g, nblocks, w)
-    pref = np.minimum.accumulate(blocks, axis=2).reshape(g, -1)
-    suff = np.minimum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(g, -1)
-    idx = np.arange(t - w + 1)
-    return np.minimum(suff[:, idx], pref[:, idx + w - 1])
-
-
-def _strided(arr: np.ndarray, start: int, steps, length: int) -> np.ndarray:
-    """View v of C-contiguous arr with v[i_1, .., i_L, q] =
-    arr.flat[start + sum(step_l * i_l) + q], i_l in range(n_l), for steps
-    (step_l, n_l); numpy refuses a view that reaches past arr's buffer."""
-    size = arr.itemsize
-    return np.ndarray(tuple(n for _, n in steps) + (length,), arr.dtype, arr,
-                      start * size, tuple(s * size for s, _ in steps) + (size,))
-
-
-# elements per child-curve block: siblings are bounded in blocks of this
-# size, which caps the memory of wide active sets
-_CHUNK_ELEMENTS = 1 << 20
-
-
 class _RestrictedSearch:
     """Branch and bound over the active coefficients of the projected data.
 
@@ -126,8 +91,7 @@ class _RestrictedSearch:
 
     Expanding a node at depth d bounds all of its children at once
     (_child_bounds), with the grouping of depth d + 1; a node at depth
-    k - 2 scores all its leaves at once (_offer). _bound_units is the
-    per-node bound they reproduce.
+    k - 2 scores all its leaves at once (_offer).
     """
 
     def __init__(self, proj: AggregatedDataset, cfg: PenaltyConfig,
@@ -143,8 +107,7 @@ class _RestrictedSearch:
         self.cols = np.ascontiguousarray(self.pats.T)
         self.is_pos = np.arange(len(self.units)) < n_pos
         self.steps, self.start = exact_steps(self.units, n_pos)
-        total = int(self.units.sum())
-        self.dtype = np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
+        self.dtype = units_dtype(self.units)
 
         total_span = int(self.bounds.sum())
         self.l0b = int(min(intercept_bound, total_span + 1))
@@ -165,116 +128,24 @@ class _RestrictedSearch:
             for j in range(self.k)
         ]
 
-        # per-depth grouping by free-feature mask: membership, window sizes,
-        # bucket row sets, and the loss-curve offset grid never change;
-        # groups are numbered by window size so each bucket is a range.
-        # Only the children of depths 0..k-3 are bounded, at depths 1..k-2.
-        self.groups = {}
-        for d in range(1, self.k - 1):
-            free = self.order[d:]
-            weights = 1 << np.arange(len(free), dtype=np.int64)
-            masks = self.pats[:, free] @ weights
-            gid, inverse = np.unique(masks, return_inverse=True)
-            half = (np.bitwise_and.outer(gid, weights) > 0).astype(np.int64) \
-                @ self.bounds[free]
-            by_half = np.argsort(half, kind="stable")
-            inverse, half = np.argsort(by_half)[inverse.ravel()], half[by_half]
-            pad = int(half.max()) if len(half) else 0
-            buckets = [(int(s), np.flatnonzero(half == s)) for s in np.unique(half)]
-            self.groups[d] = {
-                "inverse": np.ascontiguousarray(inverse, dtype=np.int64),
-                "half": np.ascontiguousarray(half, dtype=np.int64),
-                "n_groups": len(gid),
-                "buckets": buckets,
-                "pad": pad,
-                "t_lo": -(self.l0b + pad),
-                "t_len": 2 * (self.l0b + pad) + 1,
-            }
-        self.child_plans = [self._child_plan(d) for d in range(self.k - 2)]
+        # the children of depth d are bounded with the grouping by the free
+        # features order[d + 1:], the last k - d - 1 in order
+        groupings = list(refined_groups(self.cols, self.order[:0:-1], self.bounds))
+        self.child_plans = [
+            grouped_plan(self.steps, self.start, *groupings[self.k - d - 1],
+                         self.cols[self.order[d]], int(self.bounds[self.order[d]]),
+                         -self.l0b, self.grid_len)
+            for d in range(self.k - 2)]
         self.leaf_plans = {}
 
         self.best = None  # (units, l1, coef tuple, intercept)
 
-    # -- per-node bound ----------------------------------------------------------
-
-    def _bound_units(self, depth) -> int:
-        """Grouped bound of the current node at `depth`, one node at a time;
-        the reference that _child_bounds must reproduce."""
-        grouping = self.groups[depth]
-        plan = curve_plan(self.steps, self.start, grouping["inverse"], grouping["n_groups"],
-                          grouping["t_lo"], grouping["t_len"])
-        curves = loss_curves(plan, self.base)
-        pad = grouping["pad"]
-        profile = np.zeros(self.grid_len)
-        for s, rows_idx in grouping["buckets"]:
-            window_min = _sliding_min(curves[rows_idx], 2 * s + 1)
-            start = pad - s
-            profile += window_min[:, start:start + self.grid_len].sum(axis=0)
-        return int(profile.min())
-
     # -- batched child bounds --------------------------------------------------
 
-    def _child_plan(self, d):
-        """What _child_bounds(d) needs that does not depend on the node."""
-        j, grouping = self.order[d], self.groups[d + 1]
-        b, n_groups, pad = int(self.bounds[j]), grouping["n_groups"], grouping["pad"]
-        half, t_len = grouping["half"], grouping["t_len"]
-        # a window of 2s+1 is the min of two overlapping windows of 2^K,
-        # K = floor(log2(2s+1)); level k (windows of 2^k) is built only for
-        # the groups from `first` on, which use it
-        top = (2 * pad + 1).bit_length() - 1
-        levels = [(int(np.searchsorted(2 * half + 1, 1 << k)), []) for k in range(top + 1)]
-        for s in np.unique(half).tolist():
-            g0, g1 = np.searchsorted(half, [s, s + 1]).tolist()
-            k = (2 * s + 1).bit_length() - 1
-            levels[k][1].append((g0, g1, pad - s, 2 * s + 1 - (1 << k)))
-        segs = curve_plan(self.steps, self.start, self.cols[j] * n_groups + grouping["inverse"],
-                          2 * n_groups, grouping["t_lo"] - b, t_len + 2 * b)
-        return {"b": b, "n_groups": n_groups, "pad": pad, "t_len": t_len,
-                "levels": levels, "segs": segs,
-                "chunk": max(1, _CHUNK_ELEMENTS // (n_groups * t_len))}
-
     def _child_bounds(self, depth):
-        """_bound_units(depth + 1) of every child of the current node, for
+        """The grouped bound of every child of the current node, for
         coefficient values -b .. b of feature order[depth]."""
-        plan = self.child_plans[depth]
-        b, n_groups, t_len = plan["b"], plan["n_groups"], plan["t_len"]
-        width = t_len + 2 * b
-        curves = loss_curves(plan["segs"], self.base, self.dtype)
-        bounds = np.empty(2 * b + 1, dtype=np.int64)
-        for v0 in range(0, 2 * b + 1, plan["chunk"]):
-            n_values = min(plan["chunk"], 2 * b + 1 - v0)
-            size = n_groups * n_values * t_len
-            # rows (group, child) of child curves c0(t) + c1(t + v), then a
-            # tail that window reads of the last row may run into
-            level = np.empty(size + 2 * plan["pad"], dtype=self.dtype)
-            np.add(curves[:n_groups, None, b:b + t_len],
-                   _strided(curves, n_groups * width + v0,
-                            ((width, n_groups), (1, n_values)), t_len),
-                   out=level[:size].reshape(n_groups, n_values, t_len))
-            bounds[v0:v0 + n_values] = self._window_bounds(plan, level, n_values)
-        return bounds
-
-    def _window_bounds(self, plan, level, n_values):
-        """Bound of each child from the flat child curves in level."""
-        n_groups, t_len, grid = plan["n_groups"], plan["t_len"], self.grid_len
-        row = n_values * t_len
-        # The minimum of two shifted flat slices is much faster than of
-        # shifted 3-D views. Entries that mix neighbouring rows, or come
-        # from the tail, are never read into a bound.
-        spare = np.empty_like(level)
-        windows = np.empty(n_groups * row, dtype=self.dtype)
-        for k, (first, buckets) in enumerate(plan["levels"]):
-            if k:
-                h, prev, level, spare = 1 << (k - 1), level, spare, level
-                np.minimum(prev[first * row:-h], prev[first * row + h:],
-                           out=level[first * row:-h])
-            for g0, g1, a, shift in buckets:
-                lo, hi = g0 * row + a, g1 * row + a
-                np.minimum(level[lo:hi], level[lo + shift:hi + shift],
-                           out=windows[g0 * row:g1 * row])
-        profile = np.add.reduce(windows.reshape(n_groups, row), axis=0, dtype=self.dtype)
-        return profile.reshape(n_values, t_len)[:, :grid].min(axis=1)
+        return grouped_bounds(self.child_plans[depth], self.base, self.dtype)
 
     # -- leaves ------------------------------------------------------------------
 
@@ -307,9 +178,9 @@ class _RestrictedSearch:
         for cls in range(len(curves)):
             bits = [(cls >> bit) & 1 for bit in range(len(feats))]
             start = span - sum(bit * b for bit, b in zip(bits, bs))
-            profile += _strided(curves, cls * curves.shape[1] + start,
-                                [(bit, 2 * b + 1) for bit, b in zip(bits, bs)],
-                                self.grid_len)
+            profile += strided(curves, cls * curves.shape[1] + start,
+                               [(bit, 2 * b + 1) for bit, b in zip(bits, bs)],
+                               self.grid_len)
         return profile
 
     def _offer(self, feats, l1_fixed):

@@ -8,18 +8,44 @@ function, so one loss curve over the intercept grid (loss.loss_curves)
 gives the loss of every intercept at once.
 
 The search keeps two score vectors over the distinct patterns. base holds
-the scores of the fixed coefficients; unfixed ones count as zero. edge
-adds to base the reach of the unfixed coefficients, each relaxed to its
-interval [-bound_j, bound_j] independently per pattern: upward for a
-positive pattern, downward for a negative one. A leaf is the curve of base
-at its least point, with ties broken toward the smallest intercept. A
-node's bound is the least point of the curve of edge: every pattern that
-misses its margin even at its edge score is surely lost. Conflict pairs
-(one pattern occurring with both labels) are folded into the bound's step
-weights: a pair costs its cheaper side over the offsets where neither of
-its rows is surely lost. The bound is monotone along any search path, so
-the proven lower bound never decreases and exhausting the tree certifies
-optimality.
+the scores of the fixed coefficients; unfixed ones count as zero. A leaf is
+the curve of base at its least point, with ties broken toward the smallest
+intercept. A node is bounded by one of two relaxations of its free
+coefficients:
+
+- The interval bound lets each pattern's free coefficients reach their
+  limits on their own: edge adds to base their reach, upward for a
+  positive pattern and downward for a negative one, and the bound is the
+  least point of the curve of edge. Every pattern that misses its margin
+  even at its edge score is surely lost. Conflict pairs (one pattern
+  occurring with both labels) are folded into the bound's step weights: a
+  pair costs its cheaper side over the offsets where neither of its rows
+  is surely lost.
+- The grouped bound (loss.grouped_bounds, the kernel polish prunes with)
+  groups the rows by their values on the free features. A group's free
+  coefficients add one shared offset in [-H_g, H_g], H_g the sum of the
+  bounds of the free features it has set, so it adds the least value of
+  its exact loss curve over that window. A conflict pair falls in one
+  group and is costed exactly. It is never below the interval bound. Its
+  intercept grid is clipped to +-min(intercept bound, sum of all
+  coefficient bounds + 1): past the coefficients' reach every score has
+  the intercept's sign, so the loss no longer changes there.
+
+One rule picks the bound from the node's free features F and the lattice
+alone: the grouped one when groups(F) x (2 (L + H_max(F)) + 1) x (2 b_max +
+1) <= _GROUPED_ELEMENTS, the size of the block that bounds all siblings at
+once (L is the clipped grid's half-width, H_max the widest group's reach
+and b_max the largest coefficient bound), the interval one otherwise.
+Freeing a feature never merges groups or narrows a reach, so a path is
+bounded by the interval bound at its wide, shallow nodes and by the grouped
+one from some depth on. The search's free sets are the suffixes of its
+branching order, so it builds their groupings from the deepest depth up,
+refining one feature at a time, and stops at the first one the rule
+refuses. Both relaxations only tighten as coefficients are fixed, and the
+grouped one is never below the interval one, so the bound is monotone
+along any search path: the proven lower bound never decreases and
+exhausting the tree certifies optimality. bound(), children() and
+node_bound() all apply the rule.
 
 Children are scored as siblings, never one at a time. Setting the free
 coefficient j to v moves only the rows with x_j = 1: by v in base, and in
@@ -27,14 +53,16 @@ edge by v - b_j for a positive row and v + b_j for a negative one (its
 reach b_j is replaced by v). Folded conflict-pair step weights stay with
 their rows and move with them. So one loss-curve pass over the rows split
 by x_j, on an intercept grid widened by the moves, gives the leaf or the
-bound of every value of j at once (loss.shifted_curves). That grid depends
-only on j, so its plan is built once per feature for leaves and once for
-bounds, over every value of j, and reused by every node. The search scores
-all children of a node on its first visit and then walks them in value
-order: a leaf child is recorded, an inner child is pruned on its bound, and
-only a child the search descends into is applied to base and edge, so
-pruned and leaf children never touch the state. Greedy seeding scores every
-value of every free feature the same way, one pass per feature.
+interval bound of every value of j at once (loss.shifted_curves); the
+grouped bounds of every value come the same way from one pass over the
+children's groups split by x_j (loss.grouped_bounds). The grids depend
+only on j, so each plan is built once per feature, over every value of j,
+and reused by every node. The search scores all children of a node on its
+first visit and then walks them in value order: a leaf child is recorded,
+an inner child is pruned on its bound, and only a child the search
+descends into is applied to base and edge, so pruned and leaf children
+never touch the state. Greedy seeding scores every value of every free
+feature the same way, one pass per feature.
 
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
 when its bound exceeds the best total found within the smallest term
@@ -68,8 +96,9 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (curve_plan, exact_steps, intercept_order, loss_curves, loss_units,
-                   shift_plan, shifted_curves)
+from .loss import (curve_plan, exact_steps, grouped_bounds, grouped_plan, intercept_order,
+                   loss_curves, loss_units, refined_groups, shift_plan, shifted_curves,
+                   units_dtype)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -78,6 +107,10 @@ from .model import (
 )
 
 _TINY = Fraction(1, 10**12)
+
+# the most curve elements (groups x offset grid x values of one coefficient)
+# a sibling block may cost for the grouped bound to bound it
+_GROUPED_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -148,8 +181,13 @@ class SolutionPool:
         long after offer returns, so it must bind the values it builds
         from, not variables that change later. total orders the pool: the
         objective value, or (as the solver passes it) that value times one
-        common denominator, an int. One pool takes one kind of total."""
-        if key in self._keys or self.rejects(total, l0):
+        common denominator, an int. One pool takes one kind of total.
+
+        It walks the frontier once: a full pool turns the candidate away
+        when an entry with at most l0 terms has no larger total and the
+        candidate does not precede the last entry, a rule that holds
+        wherever rejects() does."""
+        if key in self._keys:
             return False
         head = (total, key)
         at_level = self._at_level(l0)
@@ -192,6 +230,17 @@ class SolutionPool:
     @property
     def entries(self):
         return [self._read(e) for e in self._entries]
+
+    def first_per_support(self):
+        """The first (model, value) of each distinct support (the features
+        with nonzero coefficients), in pool order; only these are built."""
+        seen, out = set(), []
+        for e in self._entries:
+            support = tuple(j for j, _ in e[1][1:])
+            if support not in seen:
+                seen.add(support)
+                out.append(self._read(e))
+        return out
 
     def best_with_at_most(self, k: int):
         """Best entry using at most k terms, or None."""
@@ -241,7 +290,9 @@ def conflict_lower_bound(agg: AggregatedDataset, cfg: PenaltyConfig) -> Fraction
 def node_bound(partial, agg: AggregatedDataset, cfg: PenaltyConfig,
                lattice: LatticeSpec) -> Fraction:
     """Lower bound on the objective of every completion of a partial
-    assignment: the bound the search prunes with.
+    assignment: the bound the search prunes with, the grouped relaxation
+    where the rule admits the partial's free features and the interval
+    relaxation elsewhere (see the module docstring).
 
     partial has length P+1: entry 0 is the intercept, entries 1..P the
     feature coefficients; None marks a free entry ranging over its lattice
@@ -306,6 +357,9 @@ class _Search:
         self.bound_steps[s] += pair
         self.bound_steps[t] -= pair
 
+        self.order = self._feature_order()
+        self.values = [self._value_order(j) for j in range(p)]
+
         lo, width = -self.lam0_bound, 2 * self.lam0_bound + 1
         self.leaf_plan = curve_plan(self.leaf_steps, self.start, None, 1, lo, width)
         self.bound_plan = curve_plan(self.bound_steps, self.start, None, 1, lo, width)
@@ -315,8 +369,23 @@ class _Search:
         self.side = np.where(np.arange(len(units)) < n_pos, 1, 2)
         self.lam0_order = intercept_order(self.lam0_grid)
 
-        self.order = self._feature_order()
-        self.values = [self._value_order(j) for j in range(p)]
+        # the grouped bound: its intercept grid, clipped where the loss stops
+        # changing, the values of the widest coefficient, the sums' dtype
+        self.grid_half = min(self.lam0_bound, int(self.bounds.sum()) + 1)
+        self.block = 2 * int(self.bounds.max(initial=0)) + 1
+        self.dtype = units_dtype(units)
+        # the groupings by the free features order[d:] of every depth d the
+        # rule admits; refining by the reversed order meets the depths from
+        # the deepest up, and the rule refuses every depth above the first
+        # one it refuses
+        self.groupings = {}
+        for d, grouping in zip(range(p, -1, -1),
+                               refined_groups(self.cols, self.order[::-1], self.bounds)):
+            if not self._fits(grouping[1]):
+                break
+            self.groupings[d] = grouping
+        self.grouped_plans = {}  # depth: see _grouped_plan
+
         # the penalty a value of feature j adds to its node's total
         self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
                            for vals in self.values]
@@ -328,6 +397,7 @@ class _Search:
         self.base = np.zeros(len(units), dtype=np.int64)
         self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
         self.row = np.empty(len(units), dtype=np.int64)  # scratch for _move
+        self.fixed = np.zeros(p, dtype=bool)
         self.terms = ()  # the nonzero fixed coefficients as model terms
         self.n_nonzero = 0
         self.l1_fixed = 0
@@ -381,6 +451,7 @@ class _Search:
         np.multiply(col[:n_pos], sign * (v - b), out=row[:n_pos])
         np.multiply(col[n_pos:], sign * (v + b), out=row[n_pos:])
         self.edge += row
+        self.fixed[j] = sign > 0
 
     def apply(self, j, v):
         self._move(j, v, 1)
@@ -403,12 +474,39 @@ class _Search:
         """The objective value of a total."""
         return Fraction(total, self.den)
 
+    def _fits(self, half) -> bool:
+        """The rule that picks a node's bound, from its free features alone:
+        the grouped bound when the groups of the rows by their values on
+        the free features, with offset reaches half, give a sibling block of
+        at most _GROUPED_ELEMENTS, and the interval bound otherwise. Freeing
+        one more feature never merges groups or narrows a reach, so the
+        rule that refuses a free set refuses every set containing it."""
+        size = len(half) * (2 * (self.grid_half + int(half.max())) + 1) * self.block
+        return size <= _GROUPED_ELEMENTS
+
+    def _grouping(self, free):
+        """(inverse, half): the rows grouped by their values on the
+        features free, as refined_groups gives them, or None when the rule
+        refuses free."""
+        for grouping in refined_groups(self.cols, free, self.bounds):
+            if not self._fits(grouping[1]):
+                return None
+        return grouping
+
     def bound(self, lam0=None) -> int:
-        """Lower bound on every completion of the current node: the loss of
-        the edge scores, least over the intercept grid (or at the intercept
-        lam0), plus the penalties of the fixed coefficients, as a total
-        over den."""
-        if lam0 is None:
+        """Lower bound on every completion of the current node, least over
+        the intercept grid (or at the intercept lam0), plus the penalties of
+        the fixed coefficients, as a total over den. It is the grouped bound
+        where the rule admits the node's free features, and elsewhere the
+        loss of the edge scores."""
+        grouping = self._grouping(np.flatnonzero(~self.fixed).tolist())
+        if grouping is not None:
+            lo, width = (-self.grid_half, 2 * self.grid_half + 1) if lam0 is None \
+                else (int(lam0), 1)
+            plan = grouped_plan(self.leaf_steps, self.start, *grouping,
+                                np.zeros_like(self.base), 0, lo, width)
+            units = grouped_bounds(plan, self.base, self.dtype)[0]
+        elif lam0 is None:
             units = loss_curves(self.bound_plan, self.edge).min()
         else:
             plan = curve_plan(self.bound_steps, self.start, None, 1, int(lam0), 1)
@@ -454,14 +552,34 @@ class _Search:
         plan, shifts = self._shift_plan(j, False)
         return self._canonical(shifted_curves(plan, self.base, shifts[at]))
 
-    def child_bounds(self, j, at):
-        """bound() of every child that sets the free coefficient j to
-        values[j][c], for each position c in at."""
-        plan, shifts = self._shift_plan(j, True)
-        curves = shifted_curves(plan, self.edge, shifts[at])
+    def _grouped_plan(self, depth):
+        """The loss.grouped_plan that bounds the children of a node at
+        depth, built on first use: the grouping of depth + 1, with feature
+        order[depth] taking each of its values."""
+        plan = self.grouped_plans.get(depth)
+        if plan is None:
+            j = self.order[depth]
+            plan = self.grouped_plans[depth] = grouped_plan(
+                self.leaf_steps, self.start, *self.groupings[depth + 1], self.cols[j],
+                int(self.bounds[j]), -self.grid_half, 2 * self.grid_half + 1)
+        return plan
+
+    def child_bounds(self, depth, at):
+        """bound() of every child that sets the free coefficient j =
+        order[depth] to values[j][c], for each position c in at."""
+        j = self.order[depth]
+        if depth + 1 in self.groupings:
+            # the children's free features are order[depth + 1:]
+            plan = self._grouped_plan(depth)
+            pos = [self.values[j][c] + plan["b"] for c in at]
+            first = min(pos)
+            units = grouped_bounds(plan, self.base, self.dtype, first,
+                                   max(pos) - first + 1)[[i - first for i in pos]].tolist()
+        else:
+            plan, shifts = self._shift_plan(j, True)
+            units = shifted_curves(plan, self.edge, shifts[at]).min(axis=1).tolist()
         fixed, cost = self._total(0, self.n_nonzero, self.l1_fixed), self.value_cost[j]
-        return [units * self.unit_scale + fixed + cost[c]
-                for c, units in zip(at, curves.min(axis=1).tolist())]
+        return [u * self.unit_scale + fixed + cost[c] for c, u in zip(at, units)]
 
     def children(self, depth):
         """Every child of the current node at `depth`, scored at once
@@ -481,7 +599,7 @@ class _Search:
             for c, u, lam in zip(leaves, units, lam0):
                 kids[c] = (True, u, lam)
         if inner:
-            for c, bound in zip(inner, self.child_bounds(j, inner)):
+            for c, bound in zip(inner, self.child_bounds(depth, inner)):
                 kids[c] = (False, bound, None)
         return kids
 

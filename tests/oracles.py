@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive: plain Python loops and Fractions,
-no shared code with the library's evaluation or search paths. The one
-exception is per_leaf_greedy_seed, which drives the solver's own per-node
-primitives so that the batched seeding can be checked against them. The
-readers and writers at the end are earlier, cell-by-cell versions of the
-library's CSV reader and MPS writer, kept to pin their exact output.
+no shared code with the library's evaluation or search paths. Two
+exceptions check batched code against per-node code built on the same
+loss curves: per_leaf_greedy_seed drives the solver's own per-node
+primitives, and restricted_bound_units bounds one polish node at a time.
+The readers and writers at the end are earlier, cell-by-cell versions of
+the library's CSV reader and MPS writer, kept to pin their exact output.
 """
 
 import csv
@@ -17,6 +18,7 @@ import numpy as np
 
 from intscore.common import frac_float
 from intscore.data import BinaryDataset, DataError, FeatureSpec
+from intscore.loss import curve_plan, loss_curves
 from intscore.mps import VARIANTS, _loss_rows
 
 
@@ -171,6 +173,90 @@ def pattern_relaxation(coefs, intercept, agg, cfg, lattice):
         if pos_hi[s] > 0 and neg_lo[t] < 1:
             total += min(cfg.w_plus * pos_counts[s], cfg.w_minus * neg_counts[t]) / n
     return total
+
+
+def grouped_relaxation(coefs, intercept, agg, cfg, lattice):
+    """Grouped relaxation of a node at a fixed intercept.
+
+    coefs has one entry per feature, None for a free coefficient. Patterns
+    with the same values on the free features form a group. The group's
+    free coefficients add one shared offset t to all its scores, t in
+    [-H, H], H the sum of the bounds of the free features it has set, and
+    the group costs its least weighted loss over t. Penalties cover the
+    fixed coefficients.
+    """
+    bounds = [int(b) for b in lattice.bounds_for(len(coefs))]
+    free = [j for j, c in enumerate(coefs) if c is None]
+    groups = {}
+    for patterns, counts, is_pos in ((agg.pos_patterns, agg.pos_counts, True),
+                                     (agg.neg_patterns, agg.neg_counts, False)):
+        for row, count in zip(patterns.tolist(), counts.tolist()):
+            base = intercept + sum(c * x for c, x in zip(coefs, row) if c is not None)
+            groups.setdefault(tuple(row[j] for j in free), []).append((base, count, is_pos))
+    # the class weights as integers over their common denominator
+    den = cfg.w_plus.denominator * cfg.w_minus.denominator
+    w_pos, w_neg = int(cfg.w_plus * den), int(cfg.w_minus * den)
+    total = sum((cfg.c0 + cfg.epsilon * abs(c) for c in coefs if c), Fraction(0))
+    for mask, members in groups.items():
+        reach = sum(bounds[j] for j, x in zip(free, mask) if x)
+        best = None
+        for t in range(-reach, reach + 1):
+            pos_lost = sum(n for base, n, is_pos in members if is_pos and base + t <= 0)
+            neg_lost = sum(n for base, n, is_pos in members if not is_pos and base + t >= 1)
+            loss = w_pos * pos_lost + w_neg * neg_lost
+            best = loss if best is None else min(best, loss)
+        total += Fraction(best, den * agg.source_n)
+    return total
+
+
+def grouped_rule_admits(free, agg, lattice):
+    """Whether the solver bounds a node whose free features are `free` by
+    the grouped relaxation: groups x (2 (L + H) + 1) x (2 b + 1) is at most
+    2**14, for the groups of the patterns by their values on free, H the
+    widest group's offset reach, L the intercept bound clipped to the sum of
+    the coefficient bounds plus one, and b the largest coefficient bound."""
+    bounds = [int(b) for b in lattice.bounds_for(agg.p)]
+    masks = {tuple(row[j] for j in free)
+             for row in agg.pos_patterns.tolist() + agg.neg_patterns.tolist()}
+    reach = max(sum(bounds[j] for j, x in zip(free, mask) if x) for mask in masks)
+    grid = min(lattice.intercept_bound, sum(bounds) + 1)
+    return len(masks) * (2 * (grid + reach) + 1) * (2 * max(bounds) + 1) <= 2 ** 14
+
+
+def sliding_min(rows, w):
+    """Minimum over every length-w window along axis 1 (van Herk)."""
+    if w == 1:
+        return rows
+    g, t = rows.shape
+    nblocks = -(-t // w)
+    pad = nblocks * w - t
+    if pad:
+        rows = np.concatenate([rows, np.full((g, pad), np.inf)], axis=1)
+    blocks = rows.reshape(g, nblocks, w)
+    pref = np.minimum.accumulate(blocks, axis=2).reshape(g, -1)
+    suff = np.minimum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(g, -1)
+    idx = np.arange(t - w + 1)
+    return np.minimum(suff[:, idx], pref[:, idx + w - 1])
+
+
+def restricted_bound_units(search, depth):
+    """Grouped bound, in loss units, of a polish search's current node at
+    depth, one node at a time: its rows grouped by their mask over the free
+    features order[depth:], each group's window minima taken by
+    sliding_min. The reference that the batched child bounds reproduce."""
+    free = search.order[depth:]
+    weights = 1 << np.arange(len(free), dtype=np.int64)
+    gid, inverse = np.unique(search.pats[:, free] @ weights, return_inverse=True)
+    half = (np.bitwise_and.outer(gid, weights) > 0).astype(np.int64) @ search.bounds[free]
+    pad = int(half.max())
+    plan = curve_plan(search.steps, search.start, inverse.ravel(), len(gid),
+                      -(search.l0b + pad), search.grid_len + 2 * pad)
+    curves = loss_curves(plan, search.base)
+    profile = np.zeros(search.grid_len)
+    for s in np.unique(half).tolist():
+        window_min = sliding_min(curves[half == s], 2 * s + 1)
+        profile += window_min[:, pad - s:pad - s + search.grid_len].sum(axis=0)
+    return int(profile.min())
 
 
 class ReferencePool:

@@ -41,7 +41,7 @@ from intscore.solver import (
 
 from instances import a1a2_dataset, random_instance
 from mps_reader import solve_mps
-from oracles import enumerate_rules, row_weighted_error
+from oracles import enumerate_rules, grouped_relaxation, grouped_rule_admits, row_weighted_error
 from test_rules import lift_fixture
 
 N_ORACLE_INSTANCES = 50
@@ -148,13 +148,21 @@ def test_03_l1_tie_break(oracle_suite):
 def test_04_bound_validity(oracle_suite):
     runs, _ = oracle_suite
     with criterion(4, "conflict and root bounds below the optimum on every "
-                      "instance; telemetry bound <= incumbent throughout"):
+                      "instance; the root bound is the grouped relaxation where "
+                      "the rule admits it; telemetry bound <= incumbent throughout"):
+        grouped = 0
         for run in runs:
             best = run["bf_value"].total
-            assert conflict_lower_bound(run["agg"], run["cfg"]) <= best
-            root = node_bound([None] * (run["ds"].p + 1), run["agg"],
-                              run["cfg"], run["lattice"])
+            agg, cfg, lattice, p = run["agg"], run["cfg"], run["lattice"], run["ds"].p
+            assert conflict_lower_bound(agg, cfg) <= best
+            root = node_bound([None] * (p + 1), agg, cfg, lattice)
             assert root <= best
+            if grouped_rule_admits(range(p), agg, lattice):
+                grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
+                assert root == min(grouped_relaxation([None] * p, lam0, agg, cfg, lattice)
+                                   for lam0 in grid)
+                grouped += 1
+        assert grouped > 0
         for seed in (3, 11, 27):
             ds, agg, cfg, lattice = random_instance(seed)
             samples = []

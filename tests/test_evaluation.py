@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intscore import evaluation
 from intscore.data import BinaryDataset, FeatureSpec, FoldAssignment, make_folds
 from intscore.evaluation import (
     PRESET_GRIDS,
@@ -140,6 +142,34 @@ class TestSweep:
         assert failed[0].exc_info is not None
         assert "w+=1 failed" in failed[0].getMessage()
         assert "Traceback" in caplog.text
+
+    def test_point_builds_one_entry_per_support(self, monkeypatch):
+        # model selection polishes the first pool entry of each support; no
+        # other entry of a solve's pool is ever built
+        solver_module = sys.modules["intscore.solver"]
+        build_entry, solve = solver_module._build_entry, evaluation.solve
+        built, pools = [], []
+
+        def counting_build(names, p, unit_den, den, terms, *rest):
+            built[-1].append(tuple(j for j, _ in terms))
+            return build_entry(names, p, unit_den, den, terms, *rest)
+
+        def counting_solve(*args, **kwargs):
+            built.append([])
+            report, pool = solve(*args, **kwargs)
+            pools.append(pool)
+            return report, pool
+
+        monkeypatch.setattr(solver_module, "_build_entry", counting_build)
+        monkeypatch.setattr(evaluation, "solve", counting_solve)
+        ds, _ = planted_dataset()
+        result = sweep(ds, make_folds(ds, seed=2), self.protocol((1,)), LatticeSpec(2, 4),
+                       self.scfg(), max_terms=3)
+        assert result.points[0].status == "ok"
+        assert len(built) == 6  # five folds, then the final model
+        for supports, pool in zip(built, pools):
+            assert len(supports) == len(set(supports))
+            assert len(set(supports)) == len(pool.first_per_support()) < len(pool)
 
     def test_presets(self):
         assert len(PRESET_GRIDS["balanced"]) == 19

@@ -12,7 +12,7 @@ from intscore.polish import ActiveSet, polish, project_active
 from intscore.solver import SolveConfig, brute_force_solve, solve
 
 from instances import a1a2_dataset, random_instance
-from oracles import restricted_optimum
+from oracles import restricted_bound_units, restricted_optimum
 
 
 class TestActiveSet:
@@ -240,7 +240,7 @@ def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
     from intscore.polish import _RestrictedSearch
 
     if chunk_elements is not None:
-        monkeypatch.setattr(sys.modules["intscore.polish"], "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(sys.modules["intscore.loss"], "_CHUNK_ELEMENTS", chunk_elements)
 
     instances = [random_instance(seed)[1:] for seed in range(12)]
     ds = synth_generate([0.3, 0.6, 0.5, 0.4, 0.7, 0.5, 0.35],
@@ -271,7 +271,7 @@ def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
                 b = int(bounds[j])
                 for v in range(-b, b + 1):
                     s._apply(j, v)
-                    assert batched[v + b] == s._bound_units(depth + 1)
+                    assert batched[v + b] == restricted_bound_units(s, depth + 1)
                     s._undo(j, v)
                     checked += 1
                 for j, v in reversed(applied):

@@ -22,11 +22,24 @@ from intscore.solver import (
 )
 
 from instances import a1a2_dataset, random_instance, wide_instance
-from oracles import ReferencePool, pattern_relaxation, per_leaf_greedy_seed
+from oracles import (ReferencePool, grouped_relaxation, grouped_rule_admits, pattern_relaxation,
+                     per_leaf_greedy_seed)
 
 
 def quick_cfg(pool=20, **kw):
     return SolveConfig(time_limit=30.0, pool_size=pool, **kw)
+
+
+def pruning_relaxation(coefs, intercept, agg, cfg, lattice):
+    """(kind, value): the relaxation the solver bounds a node with, by the
+    rule on its free features, at a fixed intercept or (None) least over
+    the intercept grid, from the Fraction oracles."""
+    free = [j for j, c in enumerate(coefs) if c is None]
+    kind = "grouped" if grouped_rule_admits(free, agg, lattice) else "interval"
+    oracle = grouped_relaxation if kind == "grouped" else pattern_relaxation
+    grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1) \
+        if intercept is None else [intercept]
+    return kind, min(oracle(coefs, lam0, agg, cfg, lattice) for lam0 in grid)
 
 
 class TestWorkedExample:
@@ -129,28 +142,118 @@ class TestConflictBound:
 
 class TestNodeBound:
     def test_equals_pattern_relaxation(self):
-        # node_bound is the bound the search prunes with: at a fixed
-        # intercept (inside the grid or not) it is the per-pattern
-        # relaxation, with a free one its least value over the grid
+        # node_bound is the bound the search prunes with: the grouped
+        # relaxation where the rule admits the node's free features and the
+        # per-pattern interval relaxation elsewhere, at a fixed intercept
+        # (inside the grid or not) or least over the grid
         rng = np.random.default_rng(41)
         checked = conflicts = 0
-        for seed in range(12):
-            ds, agg, cfg, lattice = random_instance(seed)
+        kinds = set()
+        instances = [random_instance(seed)[1:] for seed in range(12)]
+        for agg, cfg, lattice in instances + _uneven_instances()[-1:]:
             conflicts += len(agg.conflict_pairs)
-            bounds = lattice.bounds_for(ds.p)
-            grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
+            bounds = lattice.bounds_for(agg.p)
             for _ in range(8):
+                fixed = rng.uniform(0.1, 0.9)
                 coefs = [int(rng.integers(-bounds[j], bounds[j] + 1))
-                         if rng.random() < 0.5 else None for j in range(ds.p)]
+                         if rng.random() < fixed else None for j in range(agg.p)]
                 lam0 = int(rng.integers(-lattice.intercept_bound - 3,
                                         lattice.intercept_bound + 4))
-                assert node_bound([lam0] + coefs, agg, cfg, lattice) == \
-                    pattern_relaxation(coefs, lam0, agg, cfg, lattice)
-                assert node_bound([None] + coefs, agg, cfg, lattice) == \
-                    min(pattern_relaxation(coefs, v, agg, cfg, lattice) for v in grid)
+                for intercept in (lam0, None):
+                    kind, want = pruning_relaxation(coefs, intercept, agg, cfg, lattice)
+                    assert node_bound([intercept] + coefs, agg, cfg, lattice) == want
+                    kinds.add(kind)
                 checked += 1
-        assert checked == 96
+        assert checked == 104
         assert conflicts > 0
+        assert kinds == {"grouped", "interval"}
+
+    def test_grouped_never_below_interval(self):
+        # on random partial assignments the grouped relaxation is at least
+        # the interval one at every intercept, so node_bound, whichever the
+        # rule picks, is at least the interval bound
+        rng = np.random.default_rng(43)
+        tighter = 0
+        instances = [random_instance(seed)[1:] for seed in range(12)]
+        for agg, cfg, lattice in instances + _uneven_instances()[-1:]:
+            bounds = lattice.bounds_for(agg.p)
+            grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
+            for _ in range(6):
+                coefs = [int(rng.integers(-bounds[j], bounds[j] + 1))
+                         if rng.random() < 0.5 else None for j in range(agg.p)]
+                interval = [pattern_relaxation(coefs, v, agg, cfg, lattice) for v in grid]
+                grouped = [grouped_relaxation(coefs, v, agg, cfg, lattice) for v in grid]
+                assert all(g >= i for g, i in zip(grouped, interval))
+                tighter += min(grouped) > min(interval)
+                assert node_bound([None] + coefs, agg, cfg, lattice) >= min(interval)
+        assert tighter > 0
+
+    def test_grid_clipped_beyond_coefficient_reach(self):
+        # with an intercept bound past the sum of the coefficient bounds
+        # plus one, the grouped bound reads a clipped intercept grid; it must
+        # still equal the relaxation's least value over the whole grid, also
+        # where that least value needs the extreme intercept sum + 1
+        rng = np.random.default_rng(47)
+        X = (rng.random((40, 3)) < 0.5).astype(np.uint8)
+        y = np.where(X @ np.array([1, -1, 1]) + rng.normal(0, 0.7, 40) > 0.5, 1, -1)
+        ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(3)), X, y.astype(np.int8))
+        lattice = LatticeSpec((1, 2, 1), 12)
+        assert lattice.intercept_bound > sum(lattice.bounds_for(3)) + 1
+        agg = aggregate(ds)
+        cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice)
+        for _ in range(12):
+            coefs = [int(rng.integers(-b, b + 1)) if rng.random() < 0.5 else None
+                     for b in lattice.bounds_for(3)]
+            assert node_bound([None] + coefs, agg, cfg, lattice) == \
+                pruning_relaxation(coefs, None, agg, cfg, lattice)[1]
+        # only a positive pattern with every coefficient at its lower bound:
+        # classified right only by the intercept 1 + 2 + 1 + 1 = 5
+        ones = BinaryDataset(ds.features, np.ones((3, 3), dtype=np.uint8),
+                             np.ones(3, dtype=np.int8))
+        agg = aggregate(ones)
+        cfg = PenaltyConfig.auto(1, ones.n, ones.p, lattice)
+        partial = [None, -1, -2, -1]
+        assert node_bound(partial, agg, cfg, lattice) == \
+            grouped_relaxation(partial[1:], 5, agg, cfg, lattice) == \
+            cfg.c0 * 3 + cfg.epsilon * 4
+        assert grouped_relaxation(partial[1:], 4, agg, cfg, lattice) > \
+            grouped_relaxation(partial[1:], 5, agg, cfg, lattice)
+
+    def test_rule_is_monotone_in_depth(self):
+        # the rule depends on the free features and the lattice alone: the
+        # search bounds the depths it admits with the grouped bound, and
+        # they are every depth below some depth. Down one path per
+        # instance, every child bound the search prunes with is the
+        # node_bound of that child
+        rng = np.random.default_rng(53)
+        kinds = set()
+        instances = [random_instance(seed)[1:] for seed in range(6)]
+        # an intercept bound far past the coefficients' reach: the rule
+        # reads the clipped grid, which admits the root here
+        ds = synth_generate([0.5] * 6, [0.8, -0.6, 0.5, -0.4, 0.3, 0.2], n=400, seed=4)
+        lattice = LatticeSpec(2, 60)
+        instances.append((aggregate(ds), PenaltyConfig.auto(1, ds.n, ds.p, lattice,
+                                                            max_terms=3), lattice))
+        for agg, cfg, lattice in instances + _uneven_instances()[-1:]:
+            search = _Search(agg, cfg, lattice, quick_cfg(), None)
+            admitted = [d for d in range(agg.p + 1)
+                        if grouped_rule_admits(search.order[d:], agg, lattice)]
+            assert admitted == list(range(agg.p + 1 - len(admitted), agg.p + 1))
+            assert sorted(search.groupings) == admitted
+            partial = [None] * (agg.p + 1)
+            for depth in range(agg.p - 1):
+                j = search.order[depth]
+                for v, kid in zip(search.values[j], search.children(depth)):
+                    if not kid[0]:
+                        partial[j + 1] = v
+                        assert search.fraction(kid[1]) == node_bound(partial, agg, cfg, lattice)
+                        kinds.add(depth + 1 in admitted)
+                v = search.values[j][int(rng.integers(len(search.values[j])))]
+                search.apply(j, v)
+                partial[j + 1] = v
+                if search.n_nonzero == search.cap:
+                    break
+        assert kinds == {True, False}
 
     def test_fully_fixed_equals_objective(self):
         ds, agg, cfg, lattice = random_instance(3)
@@ -241,13 +344,14 @@ class TestExactUnits:
         # epsilon's denominators); here that denominator is past 2**84, so
         # totals held in int64 would wrap or refuse to convert. Every child
         # bound the search prunes with is checked against the Fraction
-        # oracle too, since a wrong bound need not change the optimum.
+        # oracle of its kind too, since a wrong bound need not change the
+        # optimum; a node-limited solve of a wider instance, where the rule
+        # leaves the shallow depths to the interval bound, is checked too.
         _, agg, cfg, lattice = random_instance(seed)
         cfg = PenaltyConfig(1, 1, Fraction(1, 3 * 10 ** 22), Fraction(1, 7 * 10 ** 24),
                             cfg.max_terms)
         assert cfg.c0.denominator > 2 ** 64 and cfg.epsilon.denominator > 2 ** 64
         batched = _Search.children
-        grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1)
         checked = []
 
         def checked_children(search, depth):
@@ -261,9 +365,10 @@ class TestExactUnits:
             for v, kid in zip(search.values[j], kids):
                 if kid is not None and not kid[0]:
                     coefs[j] = v
-                    assert search.fraction(kid[1]) == \
-                        min(pattern_relaxation(coefs, lam0, agg, cfg, lattice) for lam0 in grid)
-                    checked.append(v)
+                    kind, want = pruning_relaxation(coefs, None, search.agg, search.cfg,
+                                                    lattice)
+                    assert search.fraction(kid[1]) == want
+                    checked.append(kind)
             return kids
 
         monkeypatch.setattr(_Search, "children", checked_children)
@@ -275,6 +380,12 @@ class TestExactUnits:
         for model, value in pool.entries:
             assert objective(model, agg, cfg).total == value.total
         assert checked
+
+        agg, wide, lattice = _uneven_instances()[seed % 3 + 2]
+        wide = replace(cfg, max_terms=wide.max_terms)
+        report, _ = solve(agg, wide, lattice, quick_cfg(node_limit=60))
+        assert objective(report.best, agg, wide).total == report.best_objective
+        assert set(checked) == {"grouped", "interval"}
 
 
 class TestPool:
@@ -618,9 +729,13 @@ class TestSiblingBatching:
 
     def test_children_match_per_node_code(self, monkeypatch):
         # at every frame of the search, each child scored in the batch must
-        # equal the child's own leaf or bound, reached by fixing its value
+        # equal the child's own leaf or bound, reached by fixing its value.
+        # Every interval bound and every 40th bound are also checked against
+        # the Fraction oracle of the relaxation the rule picks for the
+        # child's free features.
         batched = _Search.children
-        seen = {"leaf": 0, "bound": 0}
+        seen = {"leaf": 0, "bound": 0, "grouped": 0, "interval": 0}
+        rule = {}  # (search, free features): whether the rule admits them
 
         def checked(search, depth):
             kids = batched(search, depth)
@@ -636,6 +751,19 @@ class TestSiblingBatching:
                 else:
                     assert lam0 is None and score == search.bound()
                     seen["bound"] += 1
+                    free = tuple(search.order[depth + 1:])
+                    if (search, free) not in rule:
+                        rule[search, free] = grouped_rule_admits(free, search.agg, lattice)
+                    if not rule[search, free] or seen["bound"] % 40 == 0:
+                        coefs = [None] * search.p
+                        for i in search.order[:depth + 1]:
+                            coefs[i] = 0
+                        for i, c in search.terms:
+                            coefs[i] = c
+                        kind, want = pruning_relaxation(coefs, None, search.agg, search.cfg,
+                                                        lattice)
+                        assert search.fraction(score) == want
+                        seen[kind] += 1
                 search.undo(j, v)
             return kids
 
@@ -646,6 +774,7 @@ class TestSiblingBatching:
         for agg, cfg, lattice in _uneven_instances():
             solve(agg, cfg, lattice, quick_cfg(node_limit=2000))
         assert seen["leaf"] > 1000 and seen["bound"] > 1000
+        assert seen["grouped"] and seen["interval"]
 
     def test_greedy_seed_matches_per_leaf_seed(self):
         instances = [random_instance(seed)[1:] for seed in range(12)]
@@ -662,61 +791,53 @@ class TestSiblingBatching:
             assert not batched.base.any() and batched.terms == ()
 
 
-# Outputs of a node-limited solve, recorded with the solver that scored one
-# child at a time (commit e60a35b). Any change to node order, value order,
-# intercept tie-breaks or pool eviction shows up here.
+# Outputs of a node-limited solve. Any change to node order, value order,
+# bounds, intercept tie-breaks or pool eviction shows up here. Recorded first
+# with the solver that scored one child at a time (commit e60a35b), at a
+# 15,000-node limit; re-recorded at 5,000 nodes when the deep nodes took the
+# grouped bound, which proves this instance optimal in 8,884 nodes.
 PINNED_POOL = [
     ((-1, (1, 1), (4, -1), (8, -1), (9, 1)), '10963/34000'),
     ((-2, (1, 1), (4, -1), (8, -1), (9, 2)), '1096301/3400000'),
     ((-1, (1, 1), (4, -1), (8, -2), (9, 1)), '1096301/3400000'),
     ((-2, (1, 1), (4, -1), (8, -2), (9, 2)), '548151/1700000'),
     ((-1, (1, 1), (5, 1), (6, -1), (8, -1)), '54849/170000'),
+    ((-2, (1, 1), (5, 2), (6, -1), (8, -1)), '1096981/3400000'),
     ((-1, (1, 1), (5, 1), (6, -2), (8, -1)), '1096981/3400000'),
     ((-1, (1, 1), (5, 1), (6, -1), (8, -2)), '1096981/3400000'),
+    ((-2, (1, 1), (5, 2), (6, -2), (8, -1)), '548491/1700000'),
+    ((-2, (1, 1), (5, 2), (6, -1), (8, -2)), '548491/1700000'),
     ((-1, (1, 1), (5, 1), (6, -2), (8, -2)), '548491/1700000'),
+    ((-2, (1, 1), (5, 2), (6, -2), (8, -2)), '1096983/3400000'),
     ((-1, (1, 1), (3, -1), (5, 1), (8, -1)), '54917/170000'),
+    ((-2, (1, 1), (3, -1), (5, 2), (8, -1)), '1098341/3400000'),
     ((-1, (1, 1), (3, -2), (5, 1), (8, -1)), '1098341/3400000'),
     ((-1, (1, 1), (3, -1), (5, 1), (8, -2)), '1098341/3400000'),
+    ((-2, (1, 1), (3, -2), (5, 2), (8, -1)), '549171/1700000'),
+    ((-2, (1, 1), (3, -1), (5, 2), (8, -2)), '549171/1700000'),
     ((-1, (1, 1), (3, -2), (5, 1), (8, -2)), '549171/1700000'),
+    ((-2, (1, 1), (3, -2), (5, 2), (8, -2)), '1098343/3400000'),
     ((-1, (3, -1), (4, 1), (5, 1), (8, -1)), '55257/170000'),
+    ((-2, (3, -1), (4, 1), (5, 2), (8, -1)), '1105141/3400000'),
     ((-1, (3, -2), (4, 1), (5, 1), (8, -1)), '1105141/3400000'),
     ((-1, (3, -1), (4, 1), (5, 1), (8, -2)), '1105141/3400000'),
+    ((-2, (3, -2), (4, 1), (5, 2), (8, -1)), '552571/1700000'),
+    ((-2, (3, -1), (4, 1), (5, 2), (8, -2)), '552571/1700000'),
     ((-1, (3, -2), (4, 1), (5, 1), (8, -2)), '552571/1700000'),
-    ((-1, (1, 1), (4, -1), (5, 1), (8, -1)), '2213/6800'),
-    ((-1, (1, 1), (4, -1), (5, 1), (8, -2)), '1106501/3400000'),
-    ((-2, (1, 1), (4, 1), (5, 1), (6, -1)), '55359/170000'),
-    ((-2, (1, 1), (5, 1), (8, -1), (9, 1)), '55359/170000'),
-    ((0, (0, -1), (3, -1), (5, 1), (8, -1)), '55359/170000'),
-    ((-3, (1, 1), (5, 1), (8, -1), (9, 2)), '1107181/3400000'),
-    ((-2, (1, 1), (4, 1), (5, 1), (6, -2)), '1107181/3400000'),
-    ((-2, (1, 1), (5, 1), (8, -2), (9, 1)), '1107181/3400000'),
-    ((0, (0, -2), (3, -1), (5, 1), (8, -1)), '1107181/3400000'),
-    ((0, (0, -1), (3, -2), (5, 1), (8, -1)), '1107181/3400000'),
-    ((0, (0, -1), (3, -1), (5, 1), (8, -2)), '1107181/3400000'),
-    ((-3, (1, 1), (5, 1), (8, -2), (9, 2)), '553591/1700000'),
+    ((-2, (3, -2), (4, 1), (5, 2), (8, -2)), '1105143/3400000'),
     ((-1, (1, 1), (8, -1), (9, 1)), '222109/680000'),
     ((0,), '41/125'),
 ]
 PINNED_TELEMETRY = [
     (0, '41/125', '123/500'),
-    (211, '11099/34000', '123/500'),
-    (1024, '11099/34000', '123/500'),
-    (2048, '11099/34000', '123/500'),
-    (3072, '11099/34000', '123/500'),
-    (4096, '11099/34000', '123/500'),
-    (5120, '11099/34000', '123/500'),
-    (5972, '55427/170000', '123/500'),
-    (6144, '55427/170000', '123/500'),
-    (6697, '10963/34000', '123/500'),
-    (7168, '10963/34000', '123/500'),
-    (8192, '10963/34000', '123/500'),
-    (9216, '10963/34000', '123/500'),
-    (10240, '10963/34000', '123/500'),
-    (11264, '10963/34000', '123/500'),
-    (12288, '10963/34000', '123/500'),
-    (13312, '10963/34000', '123/500'),
-    (14336, '10963/34000', '123/500'),
-    (15000, '10963/34000', '123/500'),
+    (31, '11099/34000', '123/500'),
+    (792, '55427/170000', '123/500'),
+    (922, '10963/34000', '123/500'),
+    (1024, '10963/34000', '123/500'),
+    (2048, '10963/34000', '123/500'),
+    (3072, '10963/34000', '123/500'),
+    (4096, '10963/34000', '123/500'),
+    (5000, '10963/34000', '123/500'),
 ]
 
 
@@ -730,9 +851,9 @@ def test_pinned_node_limited_solve():
     cfg = PenaltyConfig.auto(Fraction(4, 5), ds.n, ds.p, lattice, max_terms=4)
     telemetry = []
     report, pool = solve(agg, cfg, lattice,
-                         SolveConfig(time_limit=60, pool_size=30, node_limit=15000),
+                         SolveConfig(time_limit=60, pool_size=30, node_limit=5000),
                          telemetry=telemetry.append)
-    assert (report.nodes_explored, report.status) == (15000, "node_limit")
+    assert (report.nodes_explored, report.status) == (5000, "node_limit")
     assert (report.best_objective, report.lower_bound) == \
         (Fraction(10963, 34000), Fraction(123, 500))
     assert [(m.key(), frac_str(v.total)) for m, v in pool.entries] == PINNED_POOL
