@@ -519,6 +519,8 @@ def make_folds(dataset: BinaryDataset, seed: int,
     ratio = as_fraction(test_ratio)
     if not (0 < ratio < 1):
         raise DataError("test_ratio must be strictly between 0 and 1")
+    if n_folds < 2:
+        raise DataError("cross-validation needs at least 2 folds")
 
     rng = np.random.default_rng(seed)
     y = dataset.y

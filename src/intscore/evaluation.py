@@ -125,6 +125,8 @@ class SweepProtocol:
         ks = tuple(int(k) for k in self.sparsity_grid)
         if not ks or any(k < 1 for k in ks):
             raise ValueError("sparsity grid must contain positive term counts")
+        if self.cv_folds < 2:
+            raise ValueError("cross-validation needs at least 2 folds")
         object.__setattr__(self, "w_plus_grid", grid)
         object.__setattr__(self, "sparsity_grid", ks)
 
@@ -288,6 +290,10 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
     split; grid points are independent and may run in parallel."""
     if folds.n != dataset.n:
         raise ValueError("fold assignment does not match the dataset")
+    if folds.n_folds != protocol.cv_folds:
+        raise ValueError(f"fold assignment has {folds.n_folds} folds, not {protocol.cv_folds}")
+    if not any(k <= max_terms for k in protocol.sparsity_grid):
+        raise ValueError(f"no term count in the sparsity grid is at most max_terms={max_terms}")
     args = [(dataset, folds, protocol, lattice, scfg, max_terms, w)
             for w in protocol.w_plus_grid]
     if jobs > 1:

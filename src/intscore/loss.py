@@ -13,15 +13,16 @@ histogram of the step positions and one cumulative sum. Callers choose the
 scores (exact ones for a leaf, optimistic ones for a bound) and the step
 weights (a bound folds its conflict pairs into them).
 
-shifted_curves scores many sibling score vectors at once when they differ
-only by whole segments moving by fixed amounts, as when one coefficient
-takes each of its values: setting coefficient j to v moves exactly the rows
-with x_j = 1, by v. Moving a segment by d reads its curve d columns
-further on, so one kernel call on a grid widened by the spread of the moves
-gives every sibling's curve as a sum of shifted segment curves. The widened
-grid depends only on the segments and on the range of the moves, not on
-the scores, so shift_plan builds it once for every value a coefficient can
-take, and each shifted_curves call reads the siblings it is asked for.
+sibling_curves scores many sibling score vectors at once when they differ
+only by whole segments moving by amounts linear in the values of a few
+coefficients: setting coefficient j to v moves exactly the rows with
+x_j = 1, by v. Moving a segment by d reads its curve d columns further on,
+so one kernel call on a grid widened by the spread of the moves gives every
+sibling's curve as a sum of strided views of the segment curves, one view
+per segment, with one axis per coefficient. The widened grid and the views
+depend only on the segments and on the moves, not on the scores, so
+sibling_plan builds them once. least_loss reads a curve's canonical
+intercept, the one rule by which every search picks it.
 
 grouped_bounds bounds every completion of a node by a relaxation tighter
 than letting each row's free coefficients reach their limits on their own.
@@ -92,24 +93,27 @@ def intercept_order(grid: np.ndarray) -> np.ndarray:
     return np.argsort(np.abs(grid) * 2 + (grid > 0), kind="stable")
 
 
+def least_loss(curves: np.ndarray, grid: np.ndarray, order: np.ndarray):
+    """(units, lam0) arrays: the least loss of each curve along its last
+    axis, an intercept grid, and the canonical intercept, the first in
+    order = intercept_order(grid) among those reaching it."""
+    return curves.min(axis=-1), grid[order[np.argmin(curves[..., order], axis=-1)]]
+
+
 def curve_plan(steps, start, seg, n_seg: int, lo: int, width: int) -> dict:
     """What loss_curves needs that does not depend on the scores.
 
     steps[i] is row i's change in loss at its step and start[i] its loss
-    below every step. seg[i] in 0 .. n_seg - 1 is row i's segment (None puts
-    every row in one segment). The curves cover offsets lo .. lo + width - 1.
+    below every step. seg[i] in 0 .. n_seg - 1 is row i's segment. The
+    curves cover offsets lo .. lo + width - 1.
     """
     steps = np.asarray(steps, dtype=np.float64)
-    if seg is None:
-        seg, seg_col = np.zeros(len(steps), dtype=np.int64), 0
-    else:
-        seg_col = seg * (width + 1)
     # every row adds one step wherever its score puts it, so what the flat
     # cumsum carries into a segment from the ones before it is fixed
     totals = np.bincount(seg, weights=steps, minlength=n_seg)
     carried = np.cumsum(totals) - totals
     first = np.bincount(seg, weights=start, minlength=n_seg)
-    return {"steps": steps, "seg_col": seg_col, "n_seg": n_seg,
+    return {"steps": steps, "seg_col": seg * (width + 1), "n_seg": n_seg,
             "lo": lo, "width": width, "offset": (first - carried)[:, None]}
 
 
@@ -130,33 +134,39 @@ def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     return curves
 
 
-def shift_plan(steps, start, seg, n_seg: int, lo: int, width: int,
-               low: int, high: int) -> dict:
-    """What shifted_curves needs that does not depend on the scores or on
-    which siblings are read: a curve_plan widened so that every segment
-    move in low .. high stays on the grid. steps, start, seg and n_seg are
-    as for curve_plan; the siblings' curves cover offsets lo .. lo + width
-    - 1."""
-    plan = curve_plan(steps, start, seg, n_seg, lo + low, width + high - low)
-    plan["cols"] = np.arange(width) - low
+def sibling_plan(steps, start, seg, moves, bs, lo: int, width: int) -> dict:
+    """What sibling_curves needs that does not depend on the scores: the
+    siblings set L coefficients to every v with v_l in -bs[l] .. bs[l].
+    steps, start and seg are as for curve_plan, with one segment per entry
+    of moves: in sibling v segment s moves by moves[s][L] + sum over l of
+    moves[s][l] * v_l. The siblings' curves cover offsets lo .. lo + width
+    - 1. The views are worked out in Python ints, which cost less than
+    numpy calls on plans this small."""
+    views, low, high = [], 0, 0
+    for m in moves:
+        head, reach = m[-1], 0
+        for m_l, b in zip(m, bs):
+            head, reach = head - m_l * b, reach + abs(m_l) * b
+        views.append((head, [(m_l, 2 * b + 1) for m_l, b in zip(m, bs)]))
+        low, high = min(low, m[-1] - reach), max(high, m[-1] + reach)
+    full = width + high - low
+    plan = curve_plan(steps, start, seg, len(moves), lo + low, full)
+    # segment s's view starts at the move head of sibling v = -bs
+    plan["views"] = [(s * full + head - low, axes) for s, (head, axes) in enumerate(views)]
+    plan["length"] = width
     return plan
 
 
-def shifted_curves(plan: dict, scores: np.ndarray, shifts) -> np.ndarray:
-    """Loss curves of sibling score vectors that differ by segment moves.
-
-    Sibling c is scores with every row i moved by shifts[c, seg[i]], seg as
-    given to shift_plan. Row c, column q: the loss units of sibling c when
-    every score is further moved by lo + q. shifts has one column per
-    segment, at least one row, and every entry in the plan's low .. high.
-    """
-    shifts = np.asarray(shifts, dtype=np.int64)
-    curves = loss_curves(plan, scores)
-    # one segment at a time keeps the working set to two sibling-by-width arrays
-    cols = plan["cols"]
-    out = curves[0, shifts[:, :1] + cols]
-    for s in range(1, plan["n_seg"]):
-        out += curves[s, shifts[:, s:s + 1] + cols]
+def sibling_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Loss curves of the siblings of plan, scores being every row's score
+    before its segment moves: entry [i_0, .., i_{L-1}, q] is the loss units
+    of sibling v_l = i_l - bs[l] with every score further moved by lo + q.
+    dtype must hold every sum of the loss units."""
+    curves = loss_curves(plan, scores, dtype)
+    views = [strided(curves, first, steps, plan["length"]) for first, steps in plan["views"]]
+    out = views[0] if len(views) == 1 else views[0] + views[1]
+    for view in views[2:]:
+        out += view
     return out
 
 

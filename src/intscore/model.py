@@ -37,20 +37,23 @@ class LatticeSpec:
     intercept_bound: int = 100
 
     def __post_init__(self):
+        # both bounds are stored as Python ints, so they serialize as JSON
         if isinstance(self.coef_bound, (int, np.integer)):
-            if self.coef_bound < 1:
+            bounds = int(self.coef_bound)
+            if bounds < 1:
                 raise ValueError("coefficient bound must be >= 1")
         else:
             bounds = tuple(int(b) for b in self.coef_bound)
             if not bounds or any(b < 1 for b in bounds):
                 raise ValueError("all coefficient bounds must be >= 1")
-            object.__setattr__(self, "coef_bound", bounds)
+        object.__setattr__(self, "coef_bound", bounds)
+        object.__setattr__(self, "intercept_bound", int(self.intercept_bound))
         if self.intercept_bound < 1:
             raise ValueError("intercept bound must be >= 1")
 
     def bounds_for(self, p: int) -> np.ndarray:
         """Per-feature bound vector of length p."""
-        if isinstance(self.coef_bound, (int, np.integer)):
+        if isinstance(self.coef_bound, int):
             return np.full(p, int(self.coef_bound), dtype=np.int64)
         if len(self.coef_bound) != p:
             raise ValueError(f"lattice has {len(self.coef_bound)} bounds, dataset has {p} features")

@@ -22,7 +22,9 @@ the active bounds plus one, beyond which the loss no longer changes.
 Expanding a node bounds all 2b+1 children at once, from one kernel call
 over an offset grid widened by the bound b of the feature branched on. The
 last two coefficients are not bounded: every value pair is scored at once
-from four loss curves.
+by the solver's sibling kernel (loss.sibling_curves), from the four loss
+curves of the patterns split by their bits on the pair, and takes its
+intercept by the solver's rule (loss.least_loss).
 
 The result is the least key over the support's whole lattice, so it does
 not depend on the incumbent a search starts from. On three or more terms
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import (curve_plan, exact_steps, grouped_bounds, grouped_plan, intercept_order,
-                   loss_curves, loss_units, refined_groups, strided, units_dtype)
+from .loss import (exact_steps, grouped_bounds, grouped_plan, intercept_order, least_loss,
+                   loss_units, refined_groups, sibling_curves, sibling_plan, units_dtype)
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 
@@ -101,10 +103,8 @@ class _RestrictedSearch:
 
         self.units, _ = loss_units(proj, cfg)
         n_pos = len(proj.pos_counts)
-        self.pats = np.concatenate([proj.pos_patterns, proj.neg_patterns],
-                                   axis=0).astype(np.int64) \
-            if self.k else np.zeros((len(self.units), 0), dtype=np.int64)
-        self.cols = np.ascontiguousarray(self.pats.T)
+        self.cols = np.ascontiguousarray(
+            np.concatenate([proj.pos_patterns, proj.neg_patterns]).T, dtype=np.int64)
         self.is_pos = np.arange(len(self.units)) < n_pos
         self.steps, self.start = exact_steps(self.units, n_pos)
         self.dtype = units_dtype(self.units)
@@ -113,14 +113,14 @@ class _RestrictedSearch:
         self.l0b = int(min(intercept_bound, total_span + 1))
         self.grid_len = 2 * self.l0b + 1
         self.lam0_grid = np.arange(-self.l0b, self.l0b + 1)
-        self.lam0_pref = intercept_order(self.lam0_grid)
+        self.lam0_order = intercept_order(self.lam0_grid)
 
-        self.base = np.zeros(len(self.pats), dtype=np.int64)
+        self.base = np.zeros(len(self.units), dtype=np.int64)
         self.coef = np.zeros(self.k, dtype=np.int64)
 
         # branch on widely shared features first so patterns decouple from
         # the free set quickly; value order only affects speed, not results
-        coverage = [(-int((self.units * self.pats[:, j]).sum()), j) for j in range(self.k)]
+        coverage = [(-int(self.units @ self.cols[j]), j) for j in range(self.k)]
         self.order = [j for _, j in sorted(coverage)]
         self.values = [
             sorted(range(-int(self.bounds[j]), int(self.bounds[j]) + 1),
@@ -150,46 +150,31 @@ class _RestrictedSearch:
     # -- leaves ------------------------------------------------------------------
 
     def _leaf_plan(self, feats):
-        """What _leaf_profiles(feats) needs that does not depend on the node."""
-        plan = self.leaf_plans.get(feats)
-        if plan is None:
+        """(loss.sibling_plan, l1 norms) of every value tuple of the sorted
+        features feats, built on first use: a row moves by the values of
+        the features it has set, so its bits on feats are its segment."""
+        cached = self.leaf_plans.get(feats)
+        if cached is None:
             bs = [int(self.bounds[j]) for j in feats]
-            seg = np.zeros(len(self.pats), dtype=np.int64)
-            for bit, j in enumerate(feats):
-                seg += self.cols[j] << bit
-            span = sum(bs)
-            plan = self.leaf_plans[feats] = {
-                "bs": bs, "span": span,
-                "absv": sum(np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in bs]),
-                            np.zeros((), dtype=np.int64)),
-                "segs": curve_plan(self.steps, self.start, seg, 1 << len(feats),
-                                   -self.l0b - span, self.grid_len + 2 * span),
-            }
-        return plan
-
-    def _leaf_profiles(self, feats):
-        """Loss units over the intercept grid of every completion that sets
-        the features feats (coefficient zero in the current node) to each of
-        their values: axis l holds values -b_l .. b_l of feats[l]."""
-        plan = self._leaf_plan(feats)
-        bs, span = plan["bs"], plan["span"]
-        curves = loss_curves(plan["segs"], self.base, self.dtype)
-        profile = np.zeros([2 * b + 1 for b in bs] + [self.grid_len], dtype=self.dtype)
-        for cls in range(len(curves)):
-            bits = [(cls >> bit) & 1 for bit in range(len(feats))]
-            start = span - sum(bit * b for bit, b in zip(bits, bs))
-            profile += strided(curves, cls * curves.shape[1] + start,
-                               [(bit, 2 * b + 1) for bit, b in zip(bits, bs)],
-                               self.grid_len)
-        return profile
+            seg = sum((self.cols[j] << bit for bit, j in enumerate(feats)),
+                      np.zeros(len(self.units), dtype=np.int64))
+            moves = [[(cls >> bit) & 1 for bit in range(len(feats))] + [0]
+                     for cls in range(1 << len(feats))]
+            cached = self.leaf_plans[feats] = (
+                sibling_plan(self.steps, self.start, seg, moves, bs, -self.l0b, self.grid_len),
+                sum(np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in bs]),
+                    np.zeros((), dtype=np.int64)))
+        return cached
 
     def _offer(self, feats, l1_fixed):
         """Make the best completion of the current node over the sorted
         features feats the incumbent if it beats it."""
-        profile = self._leaf_profiles(feats)
+        plan, absv = self._leaf_plan(feats)
+        # axis l holds values -b .. b of feats[l], the last the intercept grid
+        profile = sibling_curves(plan, self.base, self.dtype)
         units = profile.min(axis=-1)
         u = int(units.min())
-        l1 = np.where(units == u, self.leaf_plans[feats]["absv"], np.iinfo(np.int64).max)
+        l1 = np.where(units == u, absv, np.iinfo(np.int64).max)
         key = (u, l1_fixed + int(l1.min()))
         if self.best is not None and key > self.best[:2]:
             return
@@ -201,8 +186,7 @@ class _RestrictedSearch:
             coef[j] = int(i) - int(self.bounds[j])
         key += (tuple(int(c) for c in coef),)
         if self.best is None or key < self.best[:3]:
-            row = profile[idx]
-            lam0 = self.lam0_grid[self.lam0_pref[np.argmin(row[self.lam0_pref])]]
+            _, lam0 = least_loss(profile[idx], self.lam0_grid, self.lam0_order)
             self.best = key + (int(lam0),)
 
     # -- search -----------------------------------------------------------------

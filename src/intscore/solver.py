@@ -53,16 +53,16 @@ edge by v - b_j for a positive row and v + b_j for a negative one (its
 reach b_j is replaced by v). Folded conflict-pair step weights stay with
 their rows and move with them. So one loss-curve pass over the rows split
 by x_j, on an intercept grid widened by the moves, gives the leaf or the
-interval bound of every value of j at once (loss.shifted_curves); the
+interval bound of every value of j at once (loss.sibling_curves); the
 grouped bounds of every value come the same way from one pass over the
-children's groups split by x_j (loss.grouped_bounds). The grids depend
-only on j, so each plan is built once per feature, over every value of j,
-and reused by every node. The search scores all children of a node on its
-first visit and then walks them in value order: a leaf child is recorded,
-an inner child is pruned on its bound, and only a child the search
-descends into is applied to base and edge, so pruned and leaf children
-never touch the state. Greedy seeding scores every value of every free
-feature the same way, one pass per feature.
+children's groups split by x_j (loss.grouped_bounds). The grids depend only
+on j, so each plan is built once per feature, over every value of j, and
+reused by every node. The search scores all children of a node on its first
+visit and then walks them in value order: a leaf child is recorded, an
+inner child is pruned on its bound, and only a child the search descends
+into is applied to base and edge, so pruned and leaf children never touch
+the state. Greedy seeding scores every value of every free feature the same
+way, one pass per feature.
 
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
 when its bound exceeds the best total found within the smallest term
@@ -96,9 +96,8 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (curve_plan, exact_steps, grouped_bounds, grouped_plan, intercept_order,
-                   loss_curves, loss_units, refined_groups, shift_plan, shifted_curves,
-                   units_dtype)
+from .loss import (exact_steps, grouped_bounds, grouped_plan, intercept_order, least_loss,
+                   loss_units, refined_groups, sibling_curves, sibling_plan, units_dtype)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -361,8 +360,11 @@ class _Search:
         self.values = [self._value_order(j) for j in range(p)]
 
         lo, width = -self.lam0_bound, 2 * self.lam0_bound + 1
-        self.leaf_plan = curve_plan(self.leaf_steps, self.start, None, 1, lo, width)
-        self.bound_plan = curve_plan(self.bound_steps, self.start, None, 1, lo, width)
+        self.dtype = units_dtype(units)
+        # a node's own leaf and interval bound: siblings over no coefficient
+        whole = np.zeros(len(units), dtype=np.int64)
+        self.leaf_plan = sibling_plan(self.leaf_steps, self.start, whole, [(0,)], (), lo, width)
+        self.bound_plan = sibling_plan(self.bound_steps, self.start, whole, [(0,)], (), lo, width)
         self.lam0_grid = np.arange(lo, lo + width)
         # segment of a row with x_j = 1 when siblings on j are bounded: a
         # positive's edge moves by v - b_j, a negative's by v + b_j
@@ -370,10 +372,9 @@ class _Search:
         self.lam0_order = intercept_order(self.lam0_grid)
 
         # the grouped bound: its intercept grid, clipped where the loss stops
-        # changing, the values of the widest coefficient, the sums' dtype
+        # changing, and the values of the widest coefficient
         self.grid_half = min(self.lam0_bound, int(self.bounds.sum()) + 1)
         self.block = 2 * int(self.bounds.max(initial=0)) + 1
-        self.dtype = units_dtype(units)
         # the groupings by the free features order[d:] of every depth d the
         # rule admits; refining by the reversed order meets the depths from
         # the deepest up, and the rule refuses every depth above the first
@@ -389,7 +390,7 @@ class _Search:
         # the penalty a value of feature j adds to its node's total
         self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
                            for vals in self.values]
-        self.shift_plans = {}  # (j, bound): see _shift_plan
+        self.sibling_plans = {}  # (j, bound): see _sibling_plan
 
         # base: scores of the fixed coefficients; edge: the highest score a
         # completion can give a positive row, the lowest a negative one
@@ -507,50 +508,43 @@ class _Search:
                                 np.zeros_like(self.base), 0, lo, width)
             units = grouped_bounds(plan, self.base, self.dtype)[0]
         elif lam0 is None:
-            units = loss_curves(self.bound_plan, self.edge).min()
+            units = sibling_curves(self.bound_plan, self.edge, self.dtype).min()
         else:
-            plan = curve_plan(self.bound_steps, self.start, None, 1, int(lam0), 1)
-            units = loss_curves(plan, self.edge)[0, 0]
+            plan = sibling_plan(self.bound_steps, self.start, np.zeros_like(self.base), [(0,)],
+                                (), int(lam0), 1)
+            units = sibling_curves(plan, self.edge, self.dtype)[0]
         return self._total(int(units), self.n_nonzero, self.l1_fixed)
-
-    def _canonical(self, curves):
-        """(units, lam0) lists, one per intercept-grid curve: the least
-        loss, at the intercept ranked first among those reaching it."""
-        best = self.lam0_order[np.argmin(curves[:, self.lam0_order], axis=1)]
-        return curves[np.arange(len(curves)), best].tolist(), self.lam0_grid[best].tolist()
 
     def leaf(self):
         """(units, lam0): the loss of the current coefficients at their
         canonical intercept; unfixed coefficients are zero here."""
-        units, lam0 = self._canonical(loss_curves(self.leaf_plan, self.base))
-        return units[0], lam0[0]
+        units, lam0 = least_loss(sibling_curves(self.leaf_plan, self.base, self.dtype),
+                                 self.lam0_grid, self.lam0_order)
+        return int(units), int(lam0)
 
-    def _shift_plan(self, j, bound):
-        """(plan, shifts) for scoring children on feature j, built on first
-        use: the loss.shift_plan of every value of j, and row c of shifts
-        the segment moves of values[j][c]. For leaves the rows with x_j = 1
-        move by v. For bounds, with x_j = 1, positive edges move by v - b_j
-        and negative ones by v + b_j."""
-        cached = self.shift_plans.get((j, bound))
-        if cached is None:
+    def _sibling_plan(self, j, bound):
+        """The loss.sibling_plan of every value v of feature j, built on
+        first use. For leaves the rows with x_j = 1 move by v. For bounds,
+        with x_j = 1, positive edges move by v - b_j and negative ones by v
+        + b_j."""
+        plan = self.sibling_plans.get((j, bound))
+        if plan is None:
             b = int(self.bounds[j])
-            v = np.array(self.values[j], dtype=np.int64)
-            lo, width = -self.lam0_bound, len(self.lam0_grid)
-            if bound:
-                plan = shift_plan(self.bound_steps, self.start, self.cols[j] * self.side, 3,
-                                  lo, width, -2 * b, 2 * b)
-                shifts = np.stack([np.zeros_like(v), v - b, v + b], axis=1)
-            else:
-                plan = shift_plan(self.leaf_steps, self.start, self.cols[j], 2, lo, width, -b, b)
-                shifts = np.stack([np.zeros_like(v), v], axis=1)
-            cached = self.shift_plans[(j, bound)] = (plan, shifts)
-        return cached
+            steps, seg, moves = (
+                (self.bound_steps, self.cols[j] * self.side, [(0, 0), (1, -b), (1, b)])
+                if bound else (self.leaf_steps, self.cols[j], [(0, 0), (1, 0)]))
+            plan = self.sibling_plans[(j, bound)] = sibling_plan(
+                steps, self.start, seg, moves, (b,), -self.lam0_bound, len(self.lam0_grid))
+        return plan
 
     def child_leaves(self, j, at):
         """leaf() of every child that sets the free coefficient j to
-        values[j][c], for each position c in at."""
-        plan, shifts = self._shift_plan(j, False)
-        return self._canonical(shifted_curves(plan, self.base, shifts[at]))
+        values[j][c], for each position c in at: (units, lam0) lists."""
+        units, lam0 = least_loss(
+            sibling_curves(self._sibling_plan(j, False), self.base, self.dtype),
+            self.lam0_grid, self.lam0_order)
+        pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
+        return units[pos].tolist(), lam0[pos].tolist()
 
     def _grouped_plan(self, depth):
         """The loss.grouped_plan that bounds the children of a node at
@@ -568,16 +562,15 @@ class _Search:
         """bound() of every child that sets the free coefficient j =
         order[depth] to values[j][c], for each position c in at."""
         j = self.order[depth]
+        pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
         if depth + 1 in self.groupings:
             # the children's free features are order[depth + 1:]
-            plan = self._grouped_plan(depth)
-            pos = [self.values[j][c] + plan["b"] for c in at]
             first = min(pos)
-            units = grouped_bounds(plan, self.base, self.dtype, first,
+            units = grouped_bounds(self._grouped_plan(depth), self.base, self.dtype, first,
                                    max(pos) - first + 1)[[i - first for i in pos]].tolist()
         else:
-            plan, shifts = self._shift_plan(j, True)
-            units = shifted_curves(plan, self.edge, shifts[at]).min(axis=1).tolist()
+            curves = sibling_curves(self._sibling_plan(j, True), self.edge, self.dtype)
+            units = curves.min(axis=1)[pos].tolist()
         fixed, cost = self._total(0, self.n_nonzero, self.l1_fixed), self.value_cost[j]
         return [u * self.unit_scale + fixed + cost[c] for c, u in zip(at, units)]
 

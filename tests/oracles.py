@@ -246,7 +246,7 @@ def restricted_bound_units(search, depth):
     sliding_min. The reference that the batched child bounds reproduce."""
     free = search.order[depth:]
     weights = 1 << np.arange(len(free), dtype=np.int64)
-    gid, inverse = np.unique(search.pats[:, free] @ weights, return_inverse=True)
+    gid, inverse = np.unique(weights @ search.cols[free], return_inverse=True)
     half = (np.bitwise_and.outer(gid, weights) > 0).astype(np.int64) @ search.bounds[free]
     pad = int(half.max())
     plan = curve_plan(search.steps, search.start, inverse.ravel(), len(gid),

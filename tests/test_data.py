@@ -379,6 +379,12 @@ class TestFolds:
         with pytest.raises(DataError):
             make_folds(ds, seed=0, test_ratio=Fraction(1, 3))
 
+    @pytest.mark.parametrize("n_folds", [-1, 0, 1])
+    def test_fewer_than_two_folds_rejected(self, n_folds):
+        ds = small_dataset([((1,), 1)] * 15 + [((0,), -1)] * 15)
+        with pytest.raises(DataError, match="at least 2 folds"):
+            make_folds(ds, seed=0, n_folds=n_folds)
+
     def test_json_round_trip(self):
         ds = small_dataset([((1,), 1)] * 10 + [((0,), -1)] * 20)
         fa = make_folds(ds, seed=9)

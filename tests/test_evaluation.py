@@ -187,6 +187,29 @@ class TestSweep:
             SweepProtocol(())
         with pytest.raises(ValueError):
             SweepProtocol((Fraction(5, 2),))
+        for cv_folds in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 folds"):
+                SweepProtocol((1,), cv_folds=cv_folds)
+
+    @pytest.mark.parametrize("n_folds, cv_folds, sparsity_grid, max_terms, message", [
+        (3, 5, (1, 2), 2, "has 3 folds"),
+        (10, 5, (1, 2), 2, "has 10 folds"),
+        (5, 5, (3, 4), 2, "at most max_terms=2"),
+    ])
+    def test_inconsistent_settings_rejected_before_any_solve(
+            self, monkeypatch, n_folds, cv_folds, sparsity_grid, max_terms, message):
+        # folds the protocol would not validate on, or no term count the
+        # cap admits, would fail or mislead every point after its solves
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(evaluation, "solve", no_solve)
+        ds, _ = planted_dataset()
+        folds = make_folds(ds, seed=1, n_folds=n_folds)
+        protocol = SweepProtocol((Fraction(1, 2), 1), cv_folds=cv_folds, pool_size=20,
+                                 sparsity_grid=sparsity_grid)
+        with pytest.raises(ValueError, match=message):
+            sweep(ds, folds, protocol, LatticeSpec(2, 4), self.scfg(), max_terms=max_terms)
 
 
 class TestCalibration:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -226,6 +227,19 @@ class TestLatticeSpec:
         doc = {"coef_bound": 5, "intercept_bound": 9, "margin": "1/2"}
         assert LatticeSpec.from_json(doc) == LatticeSpec(5, 9)
         assert "margin" not in LatticeSpec(5, 9).to_json()
+
+    def test_numpy_bounds_stored_as_ints(self):
+        # numpy integers, as a per-feature bound array yields them, are
+        # stored as Python ints, so the lattice and a model citing it
+        # serialize as JSON
+        lat = LatticeSpec(np.int64(5), np.int64(20))
+        assert type(lat.coef_bound) is int and type(lat.intercept_bound) is int
+        assert lat.to_json() == {"coef_bound": 5, "intercept_bound": 20}
+        assert LatticeSpec.from_json(lat.to_json()) == lat == LatticeSpec(5, 20)
+        model = ScoringSystem.from_dense(1, [2, 0], ["a", "b"])
+        assert json.loads(model.to_json(lattice=lat))["lattice"] == lat.to_json()
+        per_feature = LatticeSpec(np.array([2, 3]), np.int32(4))
+        assert per_feature.to_json() == {"coef_bound": [2, 3], "intercept_bound": 4}
 
 
 def test_trivial_models():

@@ -324,7 +324,7 @@ def test_leaf_batch_offers_least_key():
             for pair in product(*[range(-int(bounds[j]), int(bounds[j]) + 1) for j in feats]):
                 coef = s.coef.copy()
                 coef[list(feats)] = pair
-                score = s.pats @ coef
+                score = coef @ s.cols
                 for lam0 in s.lam0_grid.tolist():
                     lost = np.where(s.is_pos, score + lam0 <= 0, score + lam0 >= 1) * s.units
                     key = (int(lost.sum()), l1_fixed + sum(map(abs, pair)),

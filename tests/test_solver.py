@@ -8,7 +8,7 @@ import pytest
 
 from intscore.common import frac_str
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
-from intscore.loss import exact_steps, loss_units, shift_plan, shifted_curves
+from intscore.loss import exact_steps, loss_units, sibling_curves, sibling_plan
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
 from intscore.polish import polish
 from intscore.solver import (
@@ -703,42 +703,57 @@ def _uneven_instances():
 
 
 class TestSiblingBatching:
-    def test_shifted_curves_count_every_offset(self):
-        # every sibling's curve against a direct count at every offset, with
-        # moves of either sign on every segment, read from plans whose move
-        # range is exactly the moves' or wider
+    def test_sibling_curves_count_every_offset(self):
+        # every sibling's curve against a direct count at every offset, for
+        # zero, one and two coefficients, with constant moves of either sign
+        # and per-value moves of either sign or none, so that most segments
+        # read views narrower than the widened grid, and with scores beyond
+        # both ends of it
         rng = np.random.default_rng(41)
+        constants, checked = set(), 0
         for seed in range(6):
             _, agg, cfg, _ = random_instance(seed)
             units, _ = loss_units(agg, cfg)
             is_pos = np.arange(len(units)) < agg.n_pos_patterns
             steps, start = exact_steps(units, agg.n_pos_patterns)
-            scores = rng.integers(-6, 7, size=len(units))
-            seg = rng.integers(0, 3, size=len(units))
-            shifts = rng.integers(-4, 5, size=(5, 3))
-            lo, width = int(rng.integers(-5, 2)), int(rng.integers(1, 8))
-            low = int(shifts.min()) - int(rng.integers(0, 3)) * (seed % 2)
-            high = int(shifts.max()) + int(rng.integers(0, 3)) * (seed % 2)
-            plan = shift_plan(steps, start, seg, 3, lo, width, low, high)
-            curves = shifted_curves(plan, scores, shifts)
-            for c in range(len(shifts)):
-                for q in range(width):
-                    score = scores + shifts[c, seg] + lo + q
-                    lost = np.where(is_pos, score <= 0, score >= 1) * units
-                    assert curves[c, q] == lost.sum()
+            scores = rng.integers(-9, 10, size=len(units))
+            for n_coef in range(3):
+                bs = rng.integers(1, 3, size=n_coef).tolist()
+                n_seg = int(rng.integers(1, 5))
+                seg = rng.integers(0, n_seg, size=len(units))
+                moves = rng.integers(-3, 4, size=(n_seg, n_coef + 1)).tolist()
+                moves[0][:n_coef] = [0] * n_coef
+                lo, width = int(rng.integers(-5, 2)), int(rng.integers(1, 8))
+                curves = sibling_curves(sibling_plan(steps, start, seg, moves, bs, lo, width),
+                                        scores)
+                assert curves.shape == tuple(2 * b + 1 for b in bs) + (width,)
+                constants.update(np.sign([m[-1] for m in moves]).tolist())
+                for idx in np.ndindex(*curves.shape[:-1]):
+                    v = [i - b for i, b in zip(idx, bs)]
+                    move = np.array([m[-1] + sum(a * x for a, x in zip(m, v)) for m in moves])
+                    for q in range(width):
+                        score = scores + move[seg] + lo + q
+                        lost = np.where(is_pos, score <= 0, score >= 1) * units
+                        assert curves[idx + (q,)] == lost.sum()
+                        checked += 1
+        assert constants == {-1, 0, 1} and checked > 500
 
     def test_children_match_per_node_code(self, monkeypatch):
         # at every frame of the search, each child scored in the batch must
         # equal the child's own leaf or bound, reached by fixing its value.
         # Every interval bound and every 40th bound are also checked against
         # the Fraction oracle of the relaxation the rule picks for the
-        # child's free features.
+        # child's free features, and every 10th leaf against the model's
+        # exact objective, which a loss-curve dtype too narrow for the
+        # instance's unit totals would miss.
         batched = _Search.children
         seen = {"leaf": 0, "bound": 0, "grouped": 0, "interval": 0}
         rule = {}  # (search, free features): whether the rule admits them
+        dtypes = set()  # bytes per loss unit of the searches' curves
 
         def checked(search, depth):
             kids = batched(search, depth)
+            dtypes.add(np.dtype(search.dtype).itemsize)
             j = search.order[depth]
             for v, kid in zip(search.values[j], kids):
                 l0 = search.n_nonzero + (v != 0)
@@ -748,6 +763,11 @@ class TestSiblingBatching:
                 if is_leaf:
                     assert (score, lam0) == search.leaf()
                     seen["leaf"] += 1
+                    if seen["leaf"] % 10 == 0:
+                        model = ScoringSystem(lam0, search.terms,
+                                              tuple(f"f{i}" for i, _ in search.terms), search.p)
+                        assert objective(model, search.agg, search.cfg).weighted_error == \
+                            Fraction(score, search.unit_den)
                 else:
                     assert lam0 is None and score == search.bound()
                     seen["bound"] += 1
@@ -771,10 +791,25 @@ class TestSiblingBatching:
         for seed in range(12):
             _, agg, cfg, lattice = random_instance(seed)
             solve(agg, cfg, lattice, quick_cfg())
-        for agg, cfg, lattice in _uneven_instances():
+        # unit totals that need 16-, 32- and 64-bit loss curves
+        uneven = _uneven_instances()
+        for w_plus in (Fraction(10001, 10000), Fraction(10**7 + 1, 10**7)):
+            agg, cfg, lattice = uneven[3]
+            uneven.append((agg, PenaltyConfig.auto(w_plus, agg.source_n, agg.p, lattice,
+                                                   max_terms=4), lattice))
+        for agg, cfg, lattice in uneven:
             solve(agg, cfg, lattice, quick_cfg(node_limit=2000))
+        # interval-bound nodes deep enough that the edges of negative rows
+        # with x_j = 1, the third segment of the batch, move the bound
+        rng = np.random.default_rng(1)
+        ds = synth_generate(rng.uniform(0.1, 0.8, 10), rng.normal(0, 0.8, 10), 2000,
+                            seed=1, bias=-0.2)
+        lattice = LatticeSpec((2, 1, 2, 2, 1, 2, 2, 1, 2, 2), 10)
+        cfg = PenaltyConfig.auto(Fraction(1, 5), ds.n, ds.p, lattice, max_terms=4)
+        solve(aggregate(ds), cfg, lattice, quick_cfg(node_limit=300))
         assert seen["leaf"] > 1000 and seen["bound"] > 1000
         assert seen["grouped"] and seen["interval"]
+        assert dtypes == {2, 4, 8}
 
     def test_greedy_seed_matches_per_leaf_seed(self):
         instances = [random_instance(seed)[1:] for seed in range(12)]
