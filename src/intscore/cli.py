@@ -40,7 +40,7 @@ from .evaluation import (
     roc_svg,
     sweep,
 )
-from .manifest import RunManifest, TOOL_VERSION
+from .manifest import RunManifest, TOOL_VERSION, sha256_file
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, trivial_model
 from .mps import VARIANTS, export_mps
 from .polish import ActiveSet
@@ -213,8 +213,7 @@ def _write(path, text):
 
 
 def _manifest(args, inputs, outputs, config, seed=None, path=None):
-    manifest = RunManifest.begin(sys.argv[1:] if args is None else args,
-                                 config, inputs, seed)
+    manifest = RunManifest.begin(args, config, inputs, seed)
     manifest.finish()
     target = path or f"{outputs[0]}.manifest.json"
     manifest.write(target)
@@ -305,7 +304,7 @@ def _cmd_train(args, argv):
 
     provenance = {
         "input": str(args.dataset),
-        "input_sha256": RunManifest.begin([], {}, [args.dataset]).input_hashes[str(args.dataset)],
+        "input_sha256": sha256_file(args.dataset),
         "seed": args.seed,
         "w_plus": frac_str(w_plus),
         "tool_version": TOOL_VERSION,

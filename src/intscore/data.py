@@ -457,11 +457,18 @@ def binarize_continuous(raw_column: Sequence[float], cuts: Sequence[object]):
 # train/test split and cross-validation folds
 # ---------------------------------------------------------------------------
 
+def _check_n_folds(n_folds: int) -> None:
+    if not 2 <= n_folds <= 127:  # fold ids are stored as int8
+        raise DataError(f"cross-validation needs at least 2 folds and at most 127, "
+                        f"not {n_folds}")
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     """Stratified test split plus a stratified k-fold partition of the rest.
 
-    cv_fold is -1 on test rows and in {0..n_folds-1} on training rows.
+    cv_fold is -1 on test rows and in {0..n_folds-1} on training rows, and
+    every fold holds at least one training row.
     """
 
     test_mask: np.ndarray
@@ -471,8 +478,20 @@ class FoldAssignment:
     n_folds: int = 5
 
     def __post_init__(self):
+        _check_n_folds(self.n_folds)
         tm = np.ascontiguousarray(self.test_mask, dtype=bool)
-        cf = np.ascontiguousarray(self.cv_fold, dtype=np.int8)
+        cf = np.asarray(self.cv_fold)
+        if tm.ndim != 1 or cf.shape != tm.shape:
+            raise DataError(f"test_mask of shape {tm.shape} and cv_fold of shape "
+                            f"{cf.shape} must be 1-D and of one length")
+        if not np.array_equal(cf == -1, tm):
+            raise DataError("cv_fold must be -1 exactly on the test rows")
+        train = cf[~tm]
+        if np.any((train < 0) | (train >= self.n_folds)):
+            raise DataError(f"training rows need fold ids in 0..{self.n_folds - 1}")
+        if not np.bincount(train, minlength=self.n_folds).all():
+            raise DataError("every fold needs at least one training row")
+        cf = np.ascontiguousarray(cf, dtype=np.int8)
         tm.setflags(write=False)
         cf.setflags(write=False)
         object.__setattr__(self, "test_mask", tm)
@@ -519,8 +538,7 @@ def make_folds(dataset: BinaryDataset, seed: int,
     ratio = as_fraction(test_ratio)
     if not (0 < ratio < 1):
         raise DataError("test_ratio must be strictly between 0 and 1")
-    if n_folds < 2:
-        raise DataError("cross-validation needs at least 2 folds")
+    _check_n_folds(n_folds)
 
     rng = np.random.default_rng(seed)
     y = dataset.y

@@ -1,12 +1,14 @@
 """Class-based accuracy, cost-weight sweeps, calibration, model selection.
 
 A sweep traces out an ROC curve by re-training at a grid of positive-class
-weights: for each weight it solves on the five fold-training sets plus the
-full training set, polishes every pooled solution, tunes the term count by
-mean weighted validation error, and evaluates the chosen full-training
-model on the held-out test rows. Weight endpoints 0 and 2 are served by
-the constant classifiers directly since no validated penalty configuration
-exists there.
+weights. For each weight it fits the five fold-training sets plus the full
+training set; a fit solves, polishes the first pooled solution of each
+support, and keeps the polished models in a SolutionPool, whose best model
+with at most k terms is the candidate at term count k. The term count is
+tuned by mean weighted validation error, and the chosen full-training
+model is evaluated on the held-out test rows. Weight endpoints 0 and 2 are
+served by the constant classifiers directly since no validated penalty
+configuration exists there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .model import (
     trivial_model,
 )
 from .polish import polish
-from .solver import SolveConfig, solve
+from .solver import SolutionPool, SolveConfig, solve
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +53,12 @@ class ConfusionCounts:
         neg = self.fp + self.tn
         return Fraction(self.fp, neg) if neg else None
 
+    def weighted_error(self, w_plus, w_minus) -> Fraction:
+        """Misclassification cost per row: w_plus per false negative,
+        w_minus per false positive."""
+        return (as_fraction(w_plus) * self.fn + as_fraction(w_minus) * self.fp) \
+            / (self.tp + self.fp + self.tn + self.fn)
+
     def to_json(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
                 "tpr": None if self.tpr is None else frac_str(self.tpr),
@@ -70,9 +78,7 @@ def confusion(model: ScoringSystem, dataset: BinaryDataset) -> ConfusionCounts:
 
 def weighted_error(model: ScoringSystem, dataset: BinaryDataset,
                    w_plus, w_minus) -> Fraction:
-    counts = confusion(model, dataset)
-    return (as_fraction(w_plus) * counts.fn
-            + as_fraction(w_minus) * counts.fp) / dataset.n
+    return confusion(model, dataset).weighted_error(w_plus, w_minus)
 
 
 def auc(points) -> Fraction:
@@ -202,81 +208,58 @@ class SweepResult:
                 "auc": frac_str(self.curve().auc)}
 
 
-def _polished_pool(pool, agg, cfg, lattice):
-    """Polish every pool entry, de-duplicate, order by (total, coefficients).
-
-    The polished result is determined by the entry's support alone, so each
-    distinct support is optimized once, from its first entry, and no other
-    entry is built.
-    """
-    seen = {}
-    for model, _ in pool.first_per_support():
-        out, value = polish(model, agg, cfg, lattice)
-        key = out.key()
-        if key not in seen or value.total < seen[key][1].total:
-            seen[key] = (out, value)
-    return sorted(seen.values(), key=lambda mv: (mv[1].total, mv[0].key()))
-
-
-def _best_at_k(entries, k):
-    for model, value in entries:
-        if model.l0 <= k:
-            return model, value
-    return None
+def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
+                  scfg: SolveConfig, max_terms: int) -> SolutionPool:
+    """Solve the training set at weight w_plus and polish the first pool
+    entry of each support, the polished result being determined by the
+    support alone. Returns the distinct polished models as a pool, which
+    has room for all of them and so never evicts one; its best entry with
+    at most k terms is the fit's model at term count k."""
+    agg = aggregate(train)
+    cfg = PenaltyConfig.auto(w_plus, train.n, train.p, lattice, max_terms)
+    _, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
+    supports = pool.first_per_support()
+    polished = SolutionPool(len(supports))
+    for model, _ in supports:
+        polished.add(*polish(model, agg, cfg, lattice))
+    return polished
 
 
 def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
                  protocol: SweepProtocol, lattice: LatticeSpec,
                  scfg: SolveConfig, max_terms: int, w_plus) -> SweepPoint:
     w_plus = as_fraction(w_plus)
+    w_minus = 2 - w_plus
     test_ds = dataset.subset(folds.test_mask)
 
     if w_plus == 0 or w_plus == 2:
         model = trivial_model(dataset.p, positive=(w_plus == 2))
-        test = confusion(model, test_ds)
-        train_counts = confusion(model, dataset.subset(folds.train_mask()))
-        return SweepPoint(w_plus, "trivial", model, 0, test,
-                          train_counts.tpr, train_counts.fpr,
-                          weighted_error(model, dataset.subset(folds.train_mask()),
-                                         w_plus, 2 - w_plus))
+        train = confusion(model, dataset.subset(folds.train_mask()))
+        return SweepPoint(w_plus, "trivial", model, 0, confusion(model, test_ds),
+                          train.tpr, train.fpr, train.weighted_error(w_plus, w_minus))
 
     try:
         scfg = replace(scfg, pool_size=protocol.pool_size)
         ks = [k for k in protocol.sparsity_grid if k <= max_terms]
 
-        val_err = {k: Fraction(0) for k in ks}
-        val_tpr = {k: Fraction(0) for k in ks}
-        val_fpr = {k: Fraction(0) for k in ks}
+        sums = {k: (Fraction(0),) * 3 for k in ks}  # weighted error, TPR, FPR
         for f in range(protocol.cv_folds):
-            fold_train = dataset.subset(folds.fold_train_mask(f))
-            fold_valid = dataset.subset(folds.fold_valid_mask(f))
-            agg = aggregate(fold_train)
-            cfg = PenaltyConfig.auto(w_plus, fold_train.n, fold_train.p,
-                                     lattice, max_terms)
-            _, pool = solve(agg, cfg, lattice, scfg,
-                            feature_names=dataset.feature_names)
-            entries = _polished_pool(pool, agg, cfg, lattice)
+            fit = _polished_fit(dataset.subset(folds.fold_train_mask(f)), w_plus,
+                                lattice, scfg, max_terms)
+            valid = dataset.subset(folds.fold_valid_mask(f))
             for k in ks:
-                model, _ = _best_at_k(entries, k)
-                counts = confusion(model, fold_valid)
-                val_err[k] += weighted_error(model, fold_valid, w_plus, 2 - w_plus)
-                tpr, fpr = counts.tpr, counts.fpr
-                val_tpr[k] += tpr if tpr is not None else Fraction(0)
-                val_fpr[k] += fpr if fpr is not None else Fraction(0)
+                model, _ = fit.best_with_at_most(k)
+                counts = confusion(model, valid)
+                err, tpr, fpr = sums[k]
+                sums[k] = (err + counts.weighted_error(w_plus, w_minus),
+                           tpr + (counts.tpr or 0), fpr + (counts.fpr or 0))
 
-        nf = protocol.cv_folds
-        chosen_k = min(ks, key=lambda k: (val_err[k], k))
-
-        train_ds = dataset.subset(folds.train_mask())
-        agg = aggregate(train_ds)
-        cfg = PenaltyConfig.auto(w_plus, train_ds.n, train_ds.p, lattice, max_terms)
-        _, pool = solve(agg, cfg, lattice, scfg, feature_names=dataset.feature_names)
-        entries = _polished_pool(pool, agg, cfg, lattice)
-        final, _ = _best_at_k(entries, chosen_k)
-        test = confusion(final, test_ds)
-        return SweepPoint(w_plus, "ok", final, chosen_k, test,
-                          val_tpr[chosen_k] / nf, val_fpr[chosen_k] / nf,
-                          val_err[chosen_k] / nf)
+        chosen_k = min(ks, key=lambda k: (sums[k][0], k))
+        final, _ = _polished_fit(dataset.subset(folds.train_mask()), w_plus,
+                                 lattice, scfg, max_terms).best_with_at_most(chosen_k)
+        err, tpr, fpr = (s / protocol.cv_folds for s in sums[chosen_k])
+        return SweepPoint(w_plus, "ok", final, chosen_k, confusion(final, test_ds),
+                          tpr, fpr, err)
     except Exception as exc:  # a failed grid point is recorded, not fatal
         logger.exception("sweep point w+=%s failed", frac_str(w_plus))
         return SweepPoint(w_plus, "failed", None, None, None, None, None, None,
@@ -298,14 +281,10 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
             for w in protocol.w_plus_grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_sweep_point_star, args))
+            points = list(pool.map(_sweep_point, *zip(*args)))
     else:
         points = [_sweep_point(*a) for a in args]
     return SweepResult(tuple(points))
-
-
-def _sweep_point_star(args):
-    return _sweep_point(*args)
 
 
 # ---------------------------------------------------------------------------

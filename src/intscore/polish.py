@@ -45,6 +45,9 @@ from .loss import (exact_steps, grouped_bounds, grouped_plan, intercept_order, l
                    loss_units, refined_groups, sibling_curves, sibling_plan, units_dtype)
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
+# the largest support polish accepts; its projection has up to 2^cap patterns per class
+POLISH_CAP = 12
+
 
 @dataclass(frozen=True)
 class ActiveSet:
@@ -105,7 +108,6 @@ class _RestrictedSearch:
         n_pos = len(proj.pos_counts)
         self.cols = np.ascontiguousarray(
             np.concatenate([proj.pos_patterns, proj.neg_patterns]).T, dtype=np.int64)
-        self.is_pos = np.arange(len(self.units)) < n_pos
         self.steps, self.start = exact_steps(self.units, n_pos)
         self.dtype = units_dtype(self.units)
 
@@ -226,17 +228,17 @@ class _RestrictedSearch:
 
 
 def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
-           lattice: LatticeSpec, cap: int = 12):
+           lattice: LatticeSpec):
     """Re-optimize the model's nonzero coefficients to proven optimality.
 
     Returns (polished ScoringSystem, its ObjectiveValue under cfg). The
     output support is contained in the input support and the objective
-    never increases.
+    never increases. Models of more than POLISH_CAP terms are refused.
     """
     model.validate_lattice(lattice)
     active = ActiveSet.of(model)
-    if len(active) > cap:
-        raise ValueError(f"active set of size {len(active)} exceeds the polish cap {cap}")
+    if len(active) > POLISH_CAP:
+        raise ValueError(f"active set of size {len(active)} exceeds the polish cap {POLISH_CAP}")
 
     proj = project_active(agg, active)
     bounds = lattice.bounds_for(agg.p)[list(active.indices)]

@@ -242,11 +242,9 @@ class SolutionPool:
         return out
 
     def best_with_at_most(self, k: int):
-        """Best entry using at most k terms, or None."""
-        for e in self._frontier:
-            if e[2] <= k:
-                return self._read(e)
-        return None
+        """Best (model, value) using at most k terms, or None."""
+        entry = self._at_level(k)
+        return None if entry is None else self._read(entry)
 
 
 @dataclass(frozen=True)

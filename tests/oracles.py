@@ -5,6 +5,8 @@ no shared code with the library's evaluation or search paths. Two
 exceptions check batched code against per-node code built on the same
 loss curves: per_leaf_greedy_seed drives the solver's own per-node
 primitives, and restricted_bound_units bounds one polish node at a time.
+_polished_pool and _best_at_k are model selection as first written, a
+dedupe dict, a sort and a walk, over the library's own polish.
 The readers and writers at the end are earlier, cell-by-cell versions of
 the library's CSV reader and MPS writer, kept to pin their exact output.
 """
@@ -20,6 +22,7 @@ from intscore.common import frac_float
 from intscore.data import BinaryDataset, DataError, FeatureSpec
 from intscore.loss import curve_plan, loss_curves
 from intscore.mps import VARIANTS, _loss_rows
+from intscore.polish import polish
 
 
 def row_weighted_error(intercept, coefs, X, y, w_plus, w_minus):
@@ -315,6 +318,29 @@ class ReferencePool:
             if model.l0 <= k:
                 return model, value
         return None
+
+
+def _polished_pool(pool, agg, cfg, lattice):
+    """Polish every pool entry, de-duplicate, order by (total, coefficients).
+
+    The polished result is determined by the entry's support alone, so each
+    distinct support is optimized once, from its first entry, and no other
+    entry is built.
+    """
+    seen = {}
+    for model, _ in pool.first_per_support():
+        out, value = polish(model, agg, cfg, lattice)
+        key = out.key()
+        if key not in seen or value.total < seen[key][1].total:
+            seen[key] = (out, value)
+    return sorted(seen.values(), key=lambda mv: (mv[1].total, mv[0].key()))
+
+
+def _best_at_k(entries, k):
+    for model, value in entries:
+        if model.l0 <= k:
+            return model, value
+    return None
 
 
 def per_leaf_greedy_seed(search):

@@ -385,6 +385,34 @@ class TestFolds:
         with pytest.raises(DataError, match="at least 2 folds"):
             make_folds(ds, seed=0, n_folds=n_folds)
 
+    def test_more_folds_than_int8_holds_rejected(self):
+        ds = small_dataset([((1,), 1)] * 300 + [((0,), -1)] * 300)
+        with pytest.raises(DataError, match="at most 127"):
+            make_folds(ds, seed=0, n_folds=200)
+        fa = make_folds(ds, seed=0, n_folds=127)
+        assert sorted(set(fa.cv_fold.tolist())) == list(range(-1, 127))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda tm, cf: (tm, np.where(cf == 4, 7, cf), 5), "fold ids in 0..4"),
+        (lambda tm, cf: (tm, np.where(cf == 4, -2, cf), 5), "fold ids in 0..4"),
+        (lambda tm, cf: (tm[:10], cf, 5), "one length"),
+        (lambda tm, cf: (tm, np.where(tm, 0, cf), 5), "-1 exactly on the test rows"),
+        (lambda tm, cf: (tm, np.where(cf == -1, 2, np.where(cf == 2, -1, cf)), 5),
+         "-1 exactly on the test rows"),
+        (lambda tm, cf: (tm, np.where(cf == 4, 3, cf), 5), "every fold"),
+        (lambda tm, cf: (tm, cf, 1), "at least 2 folds"),
+        (lambda tm, cf: (tm, cf, 128), "at most 127"),
+    ], ids=["id-beyond-n-folds", "negative-id", "length-mismatch", "fold-on-test-row",
+            "train-row-marked-test", "merged-fold", "one-fold", "too-many-folds"])
+    def test_inconsistent_assignment_rejected(self, corrupt, message):
+        # an assignment a sweep would fail on late or misread is refused
+        # when it is made
+        ds = small_dataset([((1,), 1)] * 300 + [((0,), -1)] * 300)
+        fa = make_folds(ds, seed=4)
+        test_mask, cv_fold, n_folds = corrupt(fa.test_mask, fa.cv_fold.astype(np.int64))
+        with pytest.raises(DataError, match=message):
+            FoldAssignment(test_mask, cv_fold, fa.seed, fa.test_ratio, n_folds)
+
     def test_json_round_trip(self):
         ds = small_dataset([((1,), 1)] * 10 + [((0,), -1)] * 20)
         fa = make_folds(ds, seed=9)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intscore import evaluation
-from intscore.data import BinaryDataset, FeatureSpec, FoldAssignment, make_folds
+from intscore.data import BinaryDataset, FeatureSpec, make_folds
 from intscore.evaluation import (
     PRESET_GRIDS,
     SweepProtocol,
@@ -22,6 +22,8 @@ from intscore.evaluation import (
 from intscore.model import LatticeSpec, ScoringSystem, trivial_model
 from intscore.solver import SolveConfig
 
+import oracles
+from instances import random_instance
 from test_data import small_dataset
 
 
@@ -125,14 +127,13 @@ class TestSweep:
                     for p in result.points if p.model is not None]
         assert {0, 1} in supports
 
-    def test_failed_point_recorded(self, caplog):
+    def test_failed_point_recorded(self, monkeypatch, caplog):
+        def failing_polish(*args):
+            raise RuntimeError("polish failed")
+
+        monkeypatch.setattr(evaluation, "polish", failing_polish)
         ds, _ = planted_dataset(n=60)
-        folds = make_folds(ds, seed=1)
-        # corrupt one fold so its validation split is empty
-        fold = folds.cv_fold.copy()
-        fold[fold == 4] = 3
-        broken = FoldAssignment(folds.test_mask, fold, folds.seed, folds.test_ratio)
-        result = sweep(ds, broken, self.protocol((1,)), LatticeSpec(2, 4),
+        result = sweep(ds, make_folds(ds, seed=1), self.protocol((1,)), LatticeSpec(2, 4),
                        self.scfg(), max_terms=2)
         assert result.points[0].status == "failed"
         assert result.points[0].error
@@ -170,6 +171,52 @@ class TestSweep:
         for supports, pool in zip(built, pools):
             assert len(supports) == len(set(supports))
             assert len(set(supports)) == len(pool.first_per_support()) < len(pool)
+
+    def test_polished_fit_selects_as_reference(self, monkeypatch):
+        # model selection reads the polished pool's frontier; at every term
+        # budget it must return what the first-written dedupe, sort and walk
+        # returns, down to the object: of two supports polished to one
+        # model, the first one's (model, value)
+        solve, polish = evaluation.solve, evaluation.polish
+        pools, polished = [], []
+
+        def recording_solve(*args, **kwargs):
+            report, pool = solve(*args, **kwargs)
+            pools.append(pool)
+            return report, pool
+
+        def recording_polish(model, *rest):
+            polished.append((model, polish(model, *rest)))
+            return polished[-1][1]
+
+        def replayed_polish(model, *rest):
+            recorded_model, out = next(replay)
+            assert recorded_model is model
+            return out
+
+        monkeypatch.setattr(evaluation, "solve", recording_solve)
+        monkeypatch.setattr(evaluation, "polish", recording_polish)
+        monkeypatch.setattr(oracles, "polish", replayed_polish)
+        scfg = SolveConfig(time_limit=60, pool_size=20, node_limit=2000)
+        duplicates = 0
+        for seed in range(10):
+            ds, _, cfg, lattice = random_instance(seed)
+            for w_plus in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+                pools.clear()
+                polished.clear()
+                fit = evaluation._polished_fit(ds, w_plus, lattice, scfg, cfg.max_terms)
+                # the reference polishes the same supports in the same order,
+                # so replaying the recorded outputs needs no data
+                replay = iter(polished)
+                want = oracles._polished_pool(pools[0], None, None, None)
+                assert next(replay, None) is None
+                duplicates += len(polished) - len(want)
+                for k in range(cfg.max_terms + 1):
+                    got, ref = fit.best_with_at_most(k), oracles._best_at_k(want, k)
+                    assert (got is None) == (ref is None)
+                    if ref is not None:
+                        assert got[0] is ref[0] and got[1] is ref[1]
+        assert duplicates > 0
 
     def test_presets(self):
         assert len(PRESET_GRIDS["balanced"]) == 19

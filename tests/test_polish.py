@@ -158,8 +158,8 @@ class TestPolish:
         lattice = LatticeSpec(1, 5)
         cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms=14)
         m = ScoringSystem.from_dense(0, [1] * 13 + [0], ds.feature_names)
-        with pytest.raises(ValueError):
-            polish(m, agg, cfg, lattice, cap=12)
+        with pytest.raises(ValueError, match="polish cap 12"):
+            polish(m, agg, cfg, lattice)
 
     def test_pool_polishing_on_oracle_instances(self):
         for seed in (0, 4, 9):
@@ -295,9 +295,10 @@ def test_segment_curves_count_every_offset():
         lo, width = int(rng.integers(-6, 2)), int(rng.integers(1, 9))
         s.base[:] = rng.integers(-12, 13, size=len(s.base))
         curves = loss_curves(curve_plan(s.steps, s.start, seg, 4, lo, width), s.base, s.dtype)
+        is_pos = np.arange(len(s.units)) < len(proj.pos_counts)
         for q in range(width):
             score = s.base + lo + q
-            lost = np.where(s.is_pos, score <= 0, score >= 1) * s.units
+            lost = np.where(is_pos, score <= 0, score >= 1) * s.units
             assert curves[:, q].tolist() == [int(lost[seg == g].sum()) for g in range(4)]
 
 
@@ -320,13 +321,14 @@ def test_leaf_batch_offers_least_key():
             l1_fixed = int(np.abs(s.coef).sum())
             feats = tuple(sorted(s.order[-2:]))
             s._offer(feats, l1_fixed)
+            is_pos = np.arange(len(s.units)) < len(proj.pos_counts)
             want = None
             for pair in product(*[range(-int(bounds[j]), int(bounds[j]) + 1) for j in feats]):
                 coef = s.coef.copy()
                 coef[list(feats)] = pair
                 score = coef @ s.cols
                 for lam0 in s.lam0_grid.tolist():
-                    lost = np.where(s.is_pos, score + lam0 <= 0, score + lam0 >= 1) * s.units
+                    lost = np.where(is_pos, score + lam0 <= 0, score + lam0 >= 1) * s.units
                     key = (int(lost.sum()), l1_fixed + sum(map(abs, pair)),
                            tuple(coef.tolist()), (abs(lam0), lam0))
                     want = key if want is None else min(want, key)
