@@ -50,8 +50,6 @@ from .solver import (
     SolutionPool,
     SolveConfig,
     SolveReport,
-    brute_force_solve,
-    conflict_lower_bound,
     node_bound,
     solve,
 )

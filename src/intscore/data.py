@@ -292,21 +292,6 @@ def _sorted_keys(keys: np.ndarray):
     return order, new
 
 
-def expand(agg: AggregatedDataset, features=None) -> BinaryDataset:
-    """Inverse of aggregate up to row order: repeat each pattern by its count."""
-    xs, ys = [], []
-    for pats, counts, label in ((agg.pos_patterns, agg.pos_counts, 1),
-                                (agg.neg_patterns, agg.neg_counts, -1)):
-        for row, c in zip(pats, counts):
-            xs.append(np.repeat(row[None, :], c, axis=0))
-            ys.append(np.full(c, label, dtype=np.int8))
-    X = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys)
-    if features is None:
-        features = tuple(FeatureSpec(f"x{j + 1}") for j in range(agg.p))
-    return BinaryDataset(features, X, y)
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------

@@ -271,6 +271,8 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
           jobs: int = 1) -> SweepResult:
     """Train one model per weight in the grid and evaluate it on the test
     split; grid points are independent and may run in parallel."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if folds.n != dataset.n:
         raise ValueError("fold assignment does not match the dataset")
     if folds.n_folds != protocol.cv_folds:

@@ -96,13 +96,6 @@ def mine_rules(dataset: BinaryDataset, min_support, min_confidence,
     return out
 
 
-def filter_rules_any(rules, indices):
-    """Keep rules whose antecedent uses at least one of the given features;
-    a reporting post-filter, not a mining parameter."""
-    wanted = set(int(j) for j in indices)
-    return [r for r in rules if wanted & set(r.antecedent)]
-
-
 def rules_csv(rules) -> str:
     """Table layout: rule condition, lift, support, confidence."""
     lines = ["rule,lift,support,confidence"]

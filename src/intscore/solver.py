@@ -7,62 +7,56 @@ the loss as a function of a shared offset added to every score is a step
 function, so one loss curve over the intercept grid (loss.loss_curves)
 gives the loss of every intercept at once.
 
-The search keeps two score vectors over the distinct patterns. base holds
-the scores of the fixed coefficients; unfixed ones count as zero. A leaf is
-the curve of base at its least point, with ties broken toward the smallest
-intercept. A node is bounded by one of two relaxations of its free
-coefficients:
+Every curve reads one intercept grid, clipped to +-min(intercept bound,
+sum of all coefficient bounds + 1): past the coefficients' reach every
+score has the intercept's sign, so no curve changes there. The search keeps
+the scores of the fixed coefficients over the distinct patterns in base;
+unfixed ones count as zero. A leaf is the curve of base at its least point,
+with ties broken toward the smallest intercept. A node is bounded by one of
+two relaxations of its free coefficients, plus its fixed ones' penalties:
 
-- The interval bound lets each pattern's free coefficients reach their
-  limits on their own: edge adds to base their reach, upward for a
-  positive pattern and downward for a negative one, and the bound is the
-  least point of the curve of edge. Every pattern that misses its margin
-  even at its edge score is surely lost. Conflict pairs (one pattern
-  occurring with both labels) are folded into the bound's step weights: a
-  pair costs its cheaper side over the offsets where neither of its rows
-  is surely lost.
 - The grouped bound (loss.grouped_bounds, the kernel polish prunes with)
   groups the rows by their values on the free features. A group's free
   coefficients add one shared offset in [-H_g, H_g], H_g the sum of the
   bounds of the free features it has set, so it adds the least value of
-  its exact loss curve over that window. A conflict pair falls in one
-  group and is costed exactly. It is never below the interval bound. Its
-  intercept grid is clipped to +-min(intercept bound, sum of all
-  coefficient bounds + 1): past the coefficients' reach every score has
-  the intercept's sign, so the loss no longer changes there.
+  its exact loss curve over that window. A conflict pair (one pattern
+  occurring with both labels) falls in one group and is costed exactly.
+- The root's interval bound, computed once, lets each pattern's
+  coefficients reach their limits on their own, upward for a positive
+  pattern and downward for a negative one (its edge score). Conflict pairs
+  are folded into its step weights: a pair costs its cheaper side over the
+  offsets where neither of its rows is surely lost. Every completion of a
+  node completes the root, so its loss is at least this bound.
 
 One rule picks the bound from the node's free features F and the lattice
 alone: the grouped one when groups(F) x (2 (L + H_max(F)) + 1) x (2 b_max +
 1) <= _GROUPED_ELEMENTS, the size of the block that bounds all siblings at
 once (L is the clipped grid's half-width, H_max the widest group's reach
-and b_max the largest coefficient bound), the interval one otherwise.
+and b_max the largest coefficient bound), the root's one otherwise.
 Freeing a feature never merges groups or narrows a reach, so a path is
-bounded by the interval bound at its wide, shallow nodes and by the grouped
+bounded by the root's bound at its wide, shallow nodes and by the grouped
 one from some depth on. The search's free sets are the suffixes of its
 branching order, so it builds their groupings from the deepest depth up,
 refining one feature at a time, and stops at the first one the rule
-refuses. Both relaxations only tighten as coefficients are fixed, and the
-grouped one is never below the interval one, so the bound is monotone
-along any search path: the proven lower bound never decreases and
+refuses. The grouped bound only tightens as coefficients are fixed and is
+at least the root's bound, and fixed penalties only grow, so the bound is
+monotone along any search path: the proven lower bound never decreases and
 exhausting the tree certifies optimality. bound(), children() and
 node_bound() all apply the rule.
 
 Children are scored as siblings, never one at a time. Setting the free
-coefficient j to v moves only the rows with x_j = 1: by v in base, and in
-edge by v - b_j for a positive row and v + b_j for a negative one (its
-reach b_j is replaced by v). Folded conflict-pair step weights stay with
-their rows and move with them. So one loss-curve pass over the rows split
-by x_j, on an intercept grid widened by the moves, gives the leaf or the
-interval bound of every value of j at once (loss.sibling_curves); the
-grouped bounds of every value come the same way from one pass over the
-children's groups split by x_j (loss.grouped_bounds). The grids depend only
-on j, so each plan is built once per feature, over every value of j, and
-reused by every node. The search scores all children of a node on its first
-visit and then walks them in value order: a leaf child is recorded, an
-inner child is pruned on its bound, and only a child the search descends
-into is applied to base and edge, so pruned and leaf children never touch
-the state. Greedy seeding scores every value of every free feature the same
-way, one pass per feature.
+coefficient j to v moves only the rows with x_j = 1, by v. So one
+loss-curve pass over the rows split by x_j, on an intercept grid widened by
+the moves, gives the leaf of every value of j at once
+(loss.sibling_curves); the grouped bounds of every value come the same way
+from one pass over the children's groups split by x_j
+(loss.grouped_bounds). The grids depend only on j, so each plan is built
+once per feature, over every value of j, and reused by every node. The
+search scores all children of a node on its first visit and then walks
+them in value order: a leaf child is recorded, an inner child is pruned on
+its bound, and only a child the search descends into is applied to base,
+so pruned and leaf children never touch the state. Greedy seeding scores
+every value of every free feature the same way, one pass per feature.
 
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
 when its bound exceeds the best total found within the smallest term
@@ -84,7 +78,6 @@ before its terms and key are made.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from bisect import insort
@@ -121,8 +114,10 @@ class SolveConfig:
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # nan too: no clock ever passes it
             raise ValueError("time_limit must be positive")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
 
@@ -274,22 +269,13 @@ def relative_gap(best: Fraction, bound: Fraction) -> Fraction:
     return (best - bound) / max(best, _TINY)
 
 
-def conflict_lower_bound(agg: AggregatedDataset, cfg: PenaltyConfig) -> Fraction:
-    """Unavoidable weighted error from patterns occurring with both labels:
-    each such pair misclassifies at least its cheaper side."""
-    total = Fraction(0)
-    for s, t in agg.conflict_pairs:
-        total += min(cfg.w_plus * int(agg.pos_counts[s]),
-                     cfg.w_minus * int(agg.neg_counts[t]))
-    return total / agg.source_n
-
-
 def node_bound(partial, agg: AggregatedDataset, cfg: PenaltyConfig,
                lattice: LatticeSpec) -> Fraction:
     """Lower bound on the objective of every completion of a partial
     assignment: the bound the search prunes with, the grouped relaxation
-    where the rule admits the partial's free features and the interval
-    relaxation elsewhere (see the module docstring).
+    where the rule admits the partial's free features and elsewhere the
+    root's interval relaxation plus the penalties of the fixed
+    coefficients (see the module docstring).
 
     partial has length P+1: entry 0 is the intercept, entries 1..P the
     feature coefficients; None marks a free entry ranging over its lattice
@@ -327,7 +313,6 @@ class _Search:
         p = agg.p
         self.p = p
         self.bounds = lattice.bounds_for(p)
-        self.lam0_bound = lattice.intercept_bound
         self.cap = min(cfg.max_terms, p)
 
         # rows are the distinct patterns, positives first, stored by column
@@ -357,21 +342,23 @@ class _Search:
         self.order = self._feature_order()
         self.values = [self._value_order(j) for j in range(p)]
 
-        lo, width = -self.lam0_bound, 2 * self.lam0_bound + 1
+        # the intercept grid of every curve, clipped where no curve changes
+        self.grid_half = min(lattice.intercept_bound, int(self.bounds.sum()) + 1)
+        lo, width = -self.grid_half, 2 * self.grid_half + 1
+        self.lam0_grid = np.arange(lo, lo + width)
+        self.lam0_order = intercept_order(self.lam0_grid)
         self.dtype = units_dtype(units)
-        # a node's own leaf and interval bound: siblings over no coefficient
+        # a node's own leaf and the root's bound: siblings over no coefficient
         whole = np.zeros(len(units), dtype=np.int64)
         self.leaf_plan = sibling_plan(self.leaf_steps, self.start, whole, [(0,)], (), lo, width)
-        self.bound_plan = sibling_plan(self.bound_steps, self.start, whole, [(0,)], (), lo, width)
-        self.lam0_grid = np.arange(lo, lo + width)
-        # segment of a row with x_j = 1 when siblings on j are bounded: a
-        # positive's edge moves by v - b_j, a negative's by v + b_j
-        self.side = np.where(np.arange(len(units)) < n_pos, 1, 2)
-        self.lam0_order = intercept_order(self.lam0_grid)
+        bound_plan = sibling_plan(self.bound_steps, self.start, whole, [(0,)], (), lo, width)
+        # edge: the highest score a completion of the root can give a
+        # positive row, the lowest it can give a negative one
+        reach = self.bounds @ self.cols
+        self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
+        self.root_units = int(sibling_curves(bound_plan, self.edge, self.dtype).min())
 
-        # the grouped bound: its intercept grid, clipped where the loss stops
-        # changing, and the values of the widest coefficient
-        self.grid_half = min(self.lam0_bound, int(self.bounds.sum()) + 1)
+        # the values of the widest coefficient, for the grouped rule
         self.block = 2 * int(self.bounds.max(initial=0)) + 1
         # the groupings by the free features order[d:] of every depth d the
         # rule admits; refining by the reversed order meets the depths from
@@ -388,13 +375,10 @@ class _Search:
         # the penalty a value of feature j adds to its node's total
         self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
                            for vals in self.values]
-        self.sibling_plans = {}  # (j, bound): see _sibling_plan
+        self.sibling_plans = {}  # j: see _sibling_plan
 
-        # base: scores of the fixed coefficients; edge: the highest score a
-        # completion can give a positive row, the lowest a negative one
-        reach = self.bounds @ self.cols
+        # base: scores of the fixed coefficients
         self.base = np.zeros(len(units), dtype=np.int64)
-        self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
         self.row = np.empty(len(units), dtype=np.int64)  # scratch for _move
         self.fixed = np.zeros(p, dtype=bool)
         self.terms = ()  # the nonzero fixed coefficients as model terms
@@ -439,17 +423,13 @@ class _Search:
 
     def _move(self, j, v, sign):
         """Fix coefficient j to v (sign 1), or free it again (sign -1)."""
-        col, b, n_pos, row = self.cols[j], int(self.bounds[j]), self.n_pos, self.row
         if v:
-            np.multiply(col, sign * v, out=row)
-            self.base += row
+            np.multiply(self.cols[j], sign * v, out=self.row)
+            self.base += self.row
             self.n_nonzero += sign
             self.l1_fixed += sign * abs(v)
             self.terms = self._with(j, v) if sign > 0 \
                 else tuple(t for t in self.terms if t[0] != j)
-        np.multiply(col[:n_pos], sign * (v - b), out=row[:n_pos])
-        np.multiply(col[n_pos:], sign * (v + b), out=row[n_pos:])
-        self.edge += row
         self.fixed[j] = sign > 0
 
     def apply(self, j, v):
@@ -477,9 +457,9 @@ class _Search:
         """The rule that picks a node's bound, from its free features alone:
         the grouped bound when the groups of the rows by their values on
         the free features, with offset reaches half, give a sibling block of
-        at most _GROUPED_ELEMENTS, and the interval bound otherwise. Freeing
-        one more feature never merges groups or narrows a reach, so the
-        rule that refuses a free set refuses every set containing it."""
+        at most _GROUPED_ELEMENTS, and the root's interval bound otherwise.
+        Freeing one more feature never merges groups or narrows a reach, so
+        the rule that refuses a free set refuses every set containing it."""
         size = len(half) * (2 * (self.grid_half + int(half.max())) + 1) * self.block
         return size <= _GROUPED_ELEMENTS
 
@@ -497,7 +477,7 @@ class _Search:
         the intercept grid (or at the intercept lam0), plus the penalties of
         the fixed coefficients, as a total over den. It is the grouped bound
         where the rule admits the node's free features, and elsewhere the
-        loss of the edge scores."""
+        root's interval bound, the loss of the edge scores."""
         grouping = self._grouping(np.flatnonzero(~self.fixed).tolist())
         if grouping is not None:
             lo, width = (-self.grid_half, 2 * self.grid_half + 1) if lam0 is None \
@@ -506,7 +486,7 @@ class _Search:
                                 np.zeros_like(self.base), 0, lo, width)
             units = grouped_bounds(plan, self.base, self.dtype)[0]
         elif lam0 is None:
-            units = sibling_curves(self.bound_plan, self.edge, self.dtype).min()
+            units = self.root_units
         else:
             plan = sibling_plan(self.bound_steps, self.start, np.zeros_like(self.base), [(0,)],
                                 (), int(lam0), 1)
@@ -520,26 +500,21 @@ class _Search:
                                  self.lam0_grid, self.lam0_order)
         return int(units), int(lam0)
 
-    def _sibling_plan(self, j, bound):
-        """The loss.sibling_plan of every value v of feature j, built on
-        first use. For leaves the rows with x_j = 1 move by v. For bounds,
-        with x_j = 1, positive edges move by v - b_j and negative ones by v
-        + b_j."""
-        plan = self.sibling_plans.get((j, bound))
+    def _sibling_plan(self, j):
+        """The loss.sibling_plan of the leaves of every value v of feature
+        j, built on first use: the rows with x_j = 1 move by v."""
+        plan = self.sibling_plans.get(j)
         if plan is None:
-            b = int(self.bounds[j])
-            steps, seg, moves = (
-                (self.bound_steps, self.cols[j] * self.side, [(0, 0), (1, -b), (1, b)])
-                if bound else (self.leaf_steps, self.cols[j], [(0, 0), (1, 0)]))
-            plan = self.sibling_plans[(j, bound)] = sibling_plan(
-                steps, self.start, seg, moves, (b,), -self.lam0_bound, len(self.lam0_grid))
+            plan = self.sibling_plans[j] = sibling_plan(
+                self.leaf_steps, self.start, self.cols[j], [(0, 0), (1, 0)],
+                (int(self.bounds[j]),), -self.grid_half, len(self.lam0_grid))
         return plan
 
     def child_leaves(self, j, at):
         """leaf() of every child that sets the free coefficient j to
         values[j][c], for each position c in at: (units, lam0) lists."""
         units, lam0 = least_loss(
-            sibling_curves(self._sibling_plan(j, False), self.base, self.dtype),
+            sibling_curves(self._sibling_plan(j), self.base, self.dtype),
             self.lam0_grid, self.lam0_order)
         pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
         return units[pos].tolist(), lam0[pos].tolist()
@@ -558,17 +533,17 @@ class _Search:
 
     def child_bounds(self, depth, at):
         """bound() of every child that sets the free coefficient j =
-        order[depth] to values[j][c], for each position c in at."""
+        order[depth] to values[j][c], for each position c in at; only the
+        grouped bound makes a pass."""
         j = self.order[depth]
-        pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
         if depth + 1 in self.groupings:
             # the children's free features are order[depth + 1:]
+            pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
             first = min(pos)
             units = grouped_bounds(self._grouped_plan(depth), self.base, self.dtype, first,
                                    max(pos) - first + 1)[[i - first for i in pos]].tolist()
         else:
-            curves = sibling_curves(self._sibling_plan(j, True), self.edge, self.dtype)
-            units = curves.min(axis=1)[pos].tolist()
+            units = [self.root_units] * len(at)
         fixed, cost = self._total(0, self.n_nonzero, self.l1_fixed), self.value_cost[j]
         return [u * self.unit_scale + fixed + cost[c] for c, u in zip(at, units)]
 
@@ -760,46 +735,3 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
                    "incumbent": frac_str(report.best_objective),
                    "bound": frac_str(lb)})
     return report, search.pool
-
-
-def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
-                      lattice: LatticeSpec):
-    """Exhaustive lattice enumeration; the reference answer for solve().
-
-    Iterates (intercept, coef_1, ..., coef_P) in ascending lexicographic
-    order keeping strict improvements, so ties resolve to the smallest
-    tuple. Guarded to 10^7 lattice points.
-    """
-    p = agg.p
-    bounds = lattice.bounds_for(p)
-    size = 2 * lattice.intercept_bound + 1
-    for b in bounds:
-        size *= 2 * int(b) + 1
-        if size > 10**7:
-            raise ValueError("lattice too large for exhaustive enumeration")
-
-    pos = agg.pos_patterns.astype(np.int64)
-    neg = agg.neg_patterns.astype(np.int64)
-    n = agg.source_n
-
-    best_total = None
-    best = None
-    coef_ranges = [range(-int(b), int(b) + 1) for b in bounds]
-    for lam0 in range(-lattice.intercept_bound, lattice.intercept_bound + 1):
-        for coefs in itertools.product(*coef_ranges):
-            l0 = sum(1 for c in coefs if c != 0)
-            if l0 > cfg.max_terms:
-                continue
-            cvec = np.array(coefs, dtype=np.int64)
-            pos_wrong = int(agg.pos_counts[(pos @ cvec + lam0) <= 0].sum()) if len(pos) else 0
-            neg_wrong = int(agg.neg_counts[(neg @ cvec + lam0) >= 1].sum()) if len(neg) else 0
-            werr = cfg.w_plus * Fraction(pos_wrong, n) + cfg.w_minus * Fraction(neg_wrong, n)
-            l1 = sum(abs(c) for c in coefs)
-            total = werr + cfg.c0 * l0 + cfg.epsilon * l1
-            if best_total is None or total < best_total:
-                best_total = total
-                best = (lam0, coefs, werr, l0, l1)
-
-    lam0, coefs, werr, l0, l1 = best
-    model = ScoringSystem.from_dense(lam0, coefs, [f"f{j}" for j in range(p)])
-    return model, ObjectiveValue.build(werr, l0, l1, cfg)

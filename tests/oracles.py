@@ -6,7 +6,9 @@ exceptions check batched code against per-node code built on the same
 loss curves: per_leaf_greedy_seed drives the solver's own per-node
 primitives, and restricted_bound_units bounds one polish node at a time.
 _polished_pool and _best_at_k are model selection as first written, a
-dedupe dict, a sort and a walk, over the library's own polish.
+dedupe dict, a sort and a walk, over the library's own polish. expand and
+filter_rules_any are helpers only the tests use: the inverse of aggregate,
+and a post-filter of mined rules.
 The readers and writers at the end are earlier, cell-by-cell versions of
 the library's CSV reader and MPS writer, kept to pin their exact output.
 """
@@ -19,8 +21,9 @@ from itertools import product
 import numpy as np
 
 from intscore.common import frac_float
-from intscore.data import BinaryDataset, DataError, FeatureSpec
+from intscore.data import AggregatedDataset, BinaryDataset, DataError, FeatureSpec
 from intscore.loss import curve_plan, loss_curves
+from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem
 from intscore.mps import VARIANTS, _loss_rows
 from intscore.polish import polish
 
@@ -71,6 +74,74 @@ def exhaustive_optimum(X, y, cfg, coef_bound, intercept_bound):
     return best, best_model
 
 
+def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
+                      lattice: LatticeSpec):
+    """Exhaustive lattice enumeration; the reference answer for solve().
+
+    Iterates (intercept, coef_1, ..., coef_P) in ascending lexicographic
+    order keeping strict improvements, so ties resolve to the smallest
+    tuple. Guarded to 10^7 lattice points.
+    """
+    p = agg.p
+    bounds = lattice.bounds_for(p)
+    size = 2 * lattice.intercept_bound + 1
+    for b in bounds:
+        size *= 2 * int(b) + 1
+        if size > 10**7:
+            raise ValueError("lattice too large for exhaustive enumeration")
+
+    pos = agg.pos_patterns.astype(np.int64)
+    neg = agg.neg_patterns.astype(np.int64)
+    n = agg.source_n
+
+    best_total = None
+    best = None
+    coef_ranges = [range(-int(b), int(b) + 1) for b in bounds]
+    for lam0 in range(-lattice.intercept_bound, lattice.intercept_bound + 1):
+        for coefs in product(*coef_ranges):
+            l0 = sum(1 for c in coefs if c != 0)
+            if l0 > cfg.max_terms:
+                continue
+            cvec = np.array(coefs, dtype=np.int64)
+            pos_wrong = int(agg.pos_counts[(pos @ cvec + lam0) <= 0].sum()) if len(pos) else 0
+            neg_wrong = int(agg.neg_counts[(neg @ cvec + lam0) >= 1].sum()) if len(neg) else 0
+            werr = cfg.w_plus * Fraction(pos_wrong, n) + cfg.w_minus * Fraction(neg_wrong, n)
+            l1 = sum(abs(c) for c in coefs)
+            total = werr + cfg.c0 * l0 + cfg.epsilon * l1
+            if best_total is None or total < best_total:
+                best_total = total
+                best = (lam0, coefs, werr, l0, l1)
+
+    lam0, coefs, werr, l0, l1 = best
+    model = ScoringSystem.from_dense(lam0, coefs, [f"f{j}" for j in range(p)])
+    return model, ObjectiveValue.build(werr, l0, l1, cfg)
+
+
+def conflict_lower_bound(agg: AggregatedDataset, cfg: PenaltyConfig) -> Fraction:
+    """Unavoidable weighted error from patterns occurring with both labels:
+    each such pair misclassifies at least its cheaper side."""
+    total = Fraction(0)
+    for s, t in agg.conflict_pairs:
+        total += min(cfg.w_plus * int(agg.pos_counts[s]),
+                     cfg.w_minus * int(agg.neg_counts[t]))
+    return total / agg.source_n
+
+
+def expand(agg: AggregatedDataset, features=None) -> BinaryDataset:
+    """Inverse of aggregate up to row order: repeat each pattern by its count."""
+    xs, ys = [], []
+    for pats, counts, label in ((agg.pos_patterns, agg.pos_counts, 1),
+                                (agg.neg_patterns, agg.neg_counts, -1)):
+        for row, c in zip(pats, counts):
+            xs.append(np.repeat(row[None, :], c, axis=0))
+            ys.append(np.full(c, label, dtype=np.int8))
+    X = np.concatenate(xs, axis=0)
+    y = np.concatenate(ys)
+    if features is None:
+        features = tuple(FeatureSpec(f"x{j + 1}") for j in range(agg.p))
+    return BinaryDataset(features, X, y)
+
+
 def all_optimal_models(X, y, cfg, coef_bound, intercept_bound):
     """Every lattice model achieving the global optimum."""
     best, _ = exhaustive_optimum(X, y, cfg, coef_bound, intercept_bound)
@@ -103,6 +174,13 @@ def enumerate_rules(X, y, min_support, min_confidence, max_antecedent=2):
         if support >= Fraction(min_support) and confidence >= Fraction(min_confidence):
             out.append((ant, support, confidence, lift))
     return out
+
+
+def filter_rules_any(rules, indices):
+    """Keep rules whose antecedent uses at least one of the given features;
+    a reporting post-filter, not a mining parameter."""
+    wanted = set(int(j) for j in indices)
+    return [r for r in rules if wanted & set(r.antecedent)]
 
 
 def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bound):

@@ -31,17 +31,12 @@ from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 from intscore.mps import export_mps
 from intscore.polish import polish
 from intscore.rules import mine_rules, rule_metrics
-from intscore.solver import (
-    SolveConfig,
-    brute_force_solve,
-    conflict_lower_bound,
-    node_bound,
-    solve,
-)
+from intscore.solver import SolveConfig, node_bound, solve
 
 from instances import a1a2_dataset, random_instance
 from mps_reader import solve_mps
-from oracles import enumerate_rules, grouped_relaxation, grouped_rule_admits, row_weighted_error
+from oracles import (brute_force_solve, conflict_lower_bound, enumerate_rules, grouped_relaxation,
+                     grouped_rule_admits, row_weighted_error)
 from test_rules import lift_fixture
 
 N_ORACLE_INSTANCES = 50

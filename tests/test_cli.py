@@ -245,6 +245,27 @@ def test_bad_jobs_environment(dataset_csv, tmp_path, capsys, monkeypatch):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--time-limit", "nan"), ("--node-limit", "-3")])
+def test_broken_solve_limit_is_usage_error(dataset_csv, tmp_path, capsys, flag, value):
+    # no clock ever passes a nan time limit, and a negative node limit
+    # stopped every solve at once
+    assert run("train", dataset_csv, flag, value, "--output", tmp_path / "m.json") == 1
+    assert flag.strip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_negative_jobs_is_usage_error(dataset_csv, tmp_path, capsys):
+    assert run("sweep", dataset_csv, "--jobs", "-1", "--node-limit", "50",
+               "--outdir", tmp_path / "o") == 1
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_zero_jobs_environment_is_usage_error(dataset_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("INTSCORE_JOBS", "0")
+    assert run("sweep", dataset_csv, "--node-limit", "50", "--outdir", tmp_path / "o") == 1
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_encode_wide_table(tmp_path, capsys):
     # 25 raw columns expand to 48 indicator columns: 13 binary passthroughs,
     # five 5-band sources, one 4-band source, six thresholds

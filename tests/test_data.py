@@ -21,14 +21,13 @@ from intscore.data import (
     aggregate_counts,
     binarize_continuous,
     conditional_probabilities,
-    expand,
     load_csv,
     make_folds,
     synth_generate,
     write_csv,
 )
 
-from oracles import reference_load_csv, row_weighted_error
+from oracles import expand, reference_load_csv, row_weighted_error
 
 # 48 criminal-history style column names (ascii comparators), used to check
 # that a realistically named wide file loads cleanly.

@@ -258,6 +258,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep(ds, folds, protocol, LatticeSpec(2, 4), self.scfg(), max_terms=max_terms)
 
+    def test_no_workers_rejected_before_any_solve(self, monkeypatch):
+        # jobs=0 used to run serially without a word
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(evaluation, "solve", no_solve)
+        ds, _ = planted_dataset()
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(ds, make_folds(ds, seed=1), self.protocol((1,)), LatticeSpec(2, 4),
+                  self.scfg(), max_terms=2, jobs=0)
+
 
 class TestCalibration:
     def test_constant_score_single_bin(self):

@@ -9,10 +9,10 @@ from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.loss import curve_plan, loss_curves
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 from intscore.polish import ActiveSet, polish, project_active
-from intscore.solver import SolveConfig, brute_force_solve, solve
+from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
-from oracles import restricted_bound_units, restricted_optimum
+from oracles import brute_force_solve, restricted_bound_units, restricted_optimum
 
 
 class TestActiveSet:

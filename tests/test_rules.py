@@ -5,7 +5,7 @@ import pytest
 
 from intscore.rules import mine_rules, rule_metrics, rules_csv
 
-from oracles import enumerate_rules
+from oracles import enumerate_rules, filter_rules_any
 from test_data import small_dataset
 
 
@@ -133,8 +133,6 @@ class TestMineRules:
 
 
 def test_post_filter_keeps_rules_touching_selected_features():
-    from intscore.rules import filter_rules_any
-
     ds = lift_fixture()
     mined = mine_rules(ds, Fraction(1, 100), Fraction(1, 100))
     only_x1 = filter_rules_any(mined, [0])

@@ -15,31 +15,41 @@ from intscore.solver import (
     SolutionPool,
     SolveConfig,
     _Search,
-    brute_force_solve,
-    conflict_lower_bound,
     node_bound,
     solve,
 )
 
 from instances import a1a2_dataset, random_instance, wide_instance
-from oracles import (ReferencePool, grouped_relaxation, grouped_rule_admits, pattern_relaxation,
-                     per_leaf_greedy_seed)
+from oracles import (ReferencePool, brute_force_solve, conflict_lower_bound, grouped_relaxation,
+                     grouped_rule_admits, pattern_relaxation, per_leaf_greedy_seed)
 
 
 def quick_cfg(pool=20, **kw):
     return SolveConfig(time_limit=30.0, pool_size=pool, **kw)
 
 
+def root_interval(coefs, intercept, agg, cfg, lattice):
+    """The root's interval relaxation plus the penalties of the fixed
+    coefficients of coefs, at a fixed intercept or (None) least over the
+    intercept grid."""
+    grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1) \
+        if intercept is None else [intercept]
+    fixed = sum((cfg.c0 + cfg.epsilon * abs(c) for c in coefs if c), Fraction(0))
+    return fixed + min(pattern_relaxation([None] * len(coefs), lam0, agg, cfg, lattice)
+                       for lam0 in grid)
+
+
 def pruning_relaxation(coefs, intercept, agg, cfg, lattice):
     """(kind, value): the relaxation the solver bounds a node with, by the
     rule on its free features, at a fixed intercept or (None) least over
-    the intercept grid, from the Fraction oracles."""
+    the intercept grid, from the Fraction oracles: the node's grouped
+    relaxation, or the root's interval one plus the fixed penalties."""
     free = [j for j, c in enumerate(coefs) if c is None]
-    kind = "grouped" if grouped_rule_admits(free, agg, lattice) else "interval"
-    oracle = grouped_relaxation if kind == "grouped" else pattern_relaxation
+    if not grouped_rule_admits(free, agg, lattice):
+        return "interval", root_interval(coefs, intercept, agg, cfg, lattice)
     grid = range(-lattice.intercept_bound, lattice.intercept_bound + 1) \
         if intercept is None else [intercept]
-    return kind, min(oracle(coefs, lam0, agg, cfg, lattice) for lam0 in grid)
+    return "grouped", min(grouped_relaxation(coefs, lam0, agg, cfg, lattice) for lam0 in grid)
 
 
 class TestWorkedExample:
@@ -143,9 +153,10 @@ class TestConflictBound:
 class TestNodeBound:
     def test_equals_pattern_relaxation(self):
         # node_bound is the bound the search prunes with: the grouped
-        # relaxation where the rule admits the node's free features and the
-        # per-pattern interval relaxation elsewhere, at a fixed intercept
-        # (inside the grid or not) or least over the grid
+        # relaxation where the rule admits the node's free features and
+        # elsewhere the root's per-pattern interval relaxation plus the
+        # fixed penalties, at a fixed intercept (inside the grid or not) or
+        # least over the grid
         rng = np.random.default_rng(41)
         checked = conflicts = 0
         kinds = set()
@@ -170,8 +181,10 @@ class TestNodeBound:
 
     def test_grouped_never_below_interval(self):
         # on random partial assignments the grouped relaxation is at least
-        # the interval one at every intercept, so node_bound, whichever the
-        # rule picks, is at least the interval bound
+        # the interval one at every intercept, which is at least the root's
+        # interval one plus the fixed penalties, so bounds never fall along
+        # a path. Every partial here is one the rule admits, so node_bound
+        # is the grouped relaxation and at least the interval one
         rng = np.random.default_rng(43)
         tighter = 0
         instances = [random_instance(seed)[1:] for seed in range(12)]
@@ -185,6 +198,9 @@ class TestNodeBound:
                 grouped = [grouped_relaxation(coefs, v, agg, cfg, lattice) for v in grid]
                 assert all(g >= i for g, i in zip(grouped, interval))
                 tighter += min(grouped) > min(interval)
+                assert min(interval) >= root_interval(coefs, None, agg, cfg, lattice)
+                assert grouped_rule_admits([j for j, c in enumerate(coefs) if c is None],
+                                           agg, lattice)
                 assert node_bound([None] + coefs, agg, cfg, lattice) >= min(interval)
         assert tighter > 0
 
@@ -538,6 +554,37 @@ def test_solve_leaves_no_cycle():
         gc.enable()
 
 
+def test_intercept_grid_clipped_to_coefficient_reach():
+    # past the coefficients' reach every score has the intercept's sign, so
+    # no curve changes there: the search reads 2 min(L, sum(b) + 1) + 1
+    # intercepts, and an intercept bound far past sum(b) + 1 = 16 gives the
+    # same solve as 16
+    ds = synth_generate([0.3, 0.5, 0.4, 0.6, 0.2], [1.0, -1.0, 0.5, 0.8, -0.6], 300, seed=1)
+    agg = aggregate(ds)
+    cfg = PenaltyConfig.auto(1, ds.n, ds.p, LatticeSpec(3, 16), max_terms=3)
+    outputs = []
+    for bound in (10, 16, 10 ** 6):
+        lattice = LatticeSpec(3, bound)
+        search = _Search(agg, cfg, lattice, quick_cfg(), None)
+        assert len(search.lam0_grid) == 2 * min(bound, 16) + 1
+        outputs.append(_solve_outputs(agg, cfg, lattice, 20, 200))
+    assert outputs[1] == outputs[2]
+    assert outputs[1][0].status == "node_limit"
+
+
+class TestLimits:
+    # limits a solve or sweep could not honour are refused up front
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolveConfig(time_limit=float("nan"))
+        assert SolveConfig(time_limit=float("inf")).time_limit == float("inf")
+
+    def test_negative_node_limit_rejected(self):
+        with pytest.raises(ValueError, match="node_limit"):
+            SolveConfig(node_limit=-3)
+        assert SolveConfig(node_limit=0).node_limit == 0
+
+
 class TestAnytimeBehavior:
     def test_telemetry_bound_below_incumbent_and_monotone(self):
         ds, agg, cfg, lattice = random_instance(17)
@@ -799,8 +846,8 @@ class TestSiblingBatching:
                                                    max_terms=4), lattice))
         for agg, cfg, lattice in uneven:
             solve(agg, cfg, lattice, quick_cfg(node_limit=2000))
-        # interval-bound nodes deep enough that the edges of negative rows
-        # with x_j = 1, the third segment of the batch, move the bound
+        # a wider instance, whose shallow nodes the rule leaves to the
+        # root's interval bound
         rng = np.random.default_rng(1)
         ds = synth_generate(rng.uniform(0.1, 0.8, 10), rng.normal(0, 0.8, 10), 2000,
                             seed=1, bias=-0.2)
