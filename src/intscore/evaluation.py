@@ -4,10 +4,12 @@ A sweep traces out an ROC curve by re-training at a grid of positive-class
 weights. For each weight it fits the five fold-training sets plus the full
 training set; a fit solves, polishes the first pooled solution of each
 support, and keeps the polished models in a SolutionPool, whose best model
-with at most k terms is the candidate at term count k. The term count is
-tuned by mean weighted validation error, and the chosen full-training
-model is evaluated on the held-out test rows. Weight endpoints 0 and 2 are
-served by the constant classifiers directly since no validated penalty
+with at most k terms is the candidate at term count k. A support is not
+polished when a superset of it already polished to a model inside it,
+which is then its polished model too. The term count is tuned by mean
+weighted validation error, and the chosen full-training model is
+evaluated on the held-out test rows. Weight endpoints 0 and 2 are served
+by the constant classifiers directly since no validated penalty
 configuration exists there.
 """
 
@@ -214,15 +216,30 @@ def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
     entry of each support, the polished result being determined by the
     support alone. Returns the distinct polished models as a pool, which
     has room for all of them and so never evicts one; its best entry with
-    at most k terms is the fit's model at term count k."""
+    at most k terms is the fit's model at term count k.
+
+    polish(S) is the least key over the lattice of S. Supports are polished
+    largest first, and S is skipped when a superset T polished to a model
+    M supported within S: M lies in S's lattice, which lies in T's, so
+    polish(S) is M, which the pool already holds."""
     agg = aggregate(train)
     cfg = PenaltyConfig.auto(w_plus, train.n, train.p, lattice, max_terms)
     _, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
     supports = pool.first_per_support()
     polished = SolutionPool(len(supports))
-    for model, _ in supports:
-        polished.add(*polish(model, agg, cfg, lattice))
+    done = []  # (support, polished support) of each polish call, as bit masks
+    for model, _ in sorted(supports, key=lambda mv: -mv[0].l0):
+        support = _mask(model)
+        if any(got & ~support == 0 and support & ~sup == 0 for sup, got in done):
+            continue
+        out, value = polish(model, agg, cfg, lattice)
+        polished.add(out, value)
+        done.append((support, _mask(out)))
     return polished
+
+
+def _mask(model: ScoringSystem) -> int:
+    return sum(1 << j for j, _ in model.terms)
 
 
 def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,

@@ -141,8 +141,8 @@ class _LossRows(NamedTuple):
     labels: np.ndarray   # +1 / -1
     rhs: np.ndarray      # the margin each row's score must reach, 1 or 0
     big_m: np.ndarray
-    names: list
-    z_names: list
+    names: np.ndarray    # (n, 8) uint8 table of loss-row names
+    z_names: np.ndarray  # (n, 8) uint8 table of Z-column names
     pairs: np.ndarray    # conflict pairs as (loss row, loss row)
 
 
@@ -164,20 +164,31 @@ def _loss_rows(agg: AggregatedDataset, lattice: LatticeSpec, variant: str,
         pats, labels = np.repeat(pats, counts, axis=0), np.repeat(labels, counts)
         counts = np.ones(len(labels), dtype=np.int64)
         numbers = np.arange(1, len(labels) + 1)
-        tags = {1: "LS", -1: "LS"}
+        tags = b"LSLS"
         margin_labels = np.ones_like(labels)  # symmetric margin 1
         pairs = np.empty((0, 2), dtype=np.int64)
     else:
         numbers = np.concatenate([np.arange(1, n_pos + 1), np.arange(1, n_neg + 1)])
-        tags = {1: "LP", -1: "LN"}
+        tags = b"LPLN"
         margin_labels = labels
         pairs = data.conflict_pairs + [0, n_pos]
-    rows = list(zip(labels.tolist(), numbers.tolist()))
+    negative = (labels < 0).astype(np.intp)
+    names = _numbered(tags, negative, numbers)
+    z_names = _numbered(b"ZSZT", negative, numbers)
     return _LossRows(cols, pats, counts, labels, (margin_labels == 1).astype(np.int64),
-                     big_m_loss(pats, margin_labels, lattice),
-                     [f"{tags[label]}{i:06d}" for label, i in rows],
-                     [f"{'ZS' if label == 1 else 'ZT'}{i:06d}" for label, i in rows],
-                     pairs)
+                     big_m_loss(pats, margin_labels, lattice), names, z_names, pairs)
+
+
+def _numbered(tags: bytes, which: np.ndarray, numbers: np.ndarray) -> np.ndarray:
+    """Names `{tag}{number:06d}` as the rows of an (m, 8) uint8 table, row
+    i taking the two-letter tag which[i] of tags and the number numbers[i];
+    a number past six digits would make a name longer than 8 characters."""
+    if len(numbers) and int(numbers.max()) > 999_999:
+        raise ValueError("an MPS name is longer than 8 characters")
+    table = np.empty((len(numbers), 8), dtype=np.uint8)
+    table[:, :2] = np.frombuffer(tags, dtype=np.uint8).reshape(-1, 2)[which]
+    table[:, 2:] = numbers[:, None] // 10 ** np.arange(5, -1, -1) % 10 + ord("0")
+    return table
 
 
 def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
@@ -190,7 +201,7 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
 
     loss = _loss_rows(agg, lattice, variant, active_set)
     n, bounds = len(loss.labels), lattice.bounds_for(agg.p)
-    rows = _names(loss.names)
+    rows = loss.names
     cf_names = [f"CF{c:06d}" for c in range(1, len(loss.pairs) + 1)]
     # the PE, L0U, L0L, L1U and L1L rows of each penalized feature
     links = {} if variant == "polish" else {
@@ -240,7 +251,7 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     keep = np.stack([np.ones(n, dtype=bool), has_cf], axis=1)
     left = np.stack([i, 2 * n + conflict], axis=1)[keep]
     right = np.stack([n + i, np.full(n, -1)], axis=1)[keep]
-    zs = _names(loss.z_names)
+    zs = loss.z_names
     out.append(_lines(zs[np.repeat(i, 1 + has_cf)], table, left, right))
     for j, (pe, l0u, l0l, l1u, l1l) in links.items():
         b = int(bounds[j])

@@ -28,10 +28,12 @@ intercept by the solver's rule (loss.least_loss).
 
 The result is the least key over the support's whole lattice, so it does
 not depend on the incumbent a search starts from. On three or more terms
-a search with every bound halved runs first: it is cheap, usually ends near
-the optimum, and its incumbent and value order let the full search prune
-more. On one or two terms the search is a single leaf batch that prunes
-nothing, so it runs alone and without an incumbent.
+the full search starts from the input model as its incumbent. On
+WARM_TERMS or more, a search with every bound halved runs first: it is
+cheap next to the full search, usually ends near the optimum, and its
+incumbent and value order let the full search prune more. On fewer terms
+it costs more than it saves. On one or two terms the search is a single
+leaf batch that prunes nothing, so it runs alone and without an incumbent.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 # the largest support polish accepts; its projection has up to 2^cap patterns per class
 POLISH_CAP = 12
+# the smallest support on which the halved-bounds warm search runs first
+WARM_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -243,14 +247,15 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
     proj = project_active(agg, active)
     bounds = lattice.bounds_for(agg.p)[list(active.indices)]
     start = [dict(model.terms)[j] for j in active.indices]
-    # On three or more terms, the search over coefficients capped at half
-    # their bounds is cheap and usually ends near the optimum; from its
+    # On WARM_TERMS or more terms, the search over coefficients capped at
+    # half their bounds is cheap and usually ends near the optimum; from its
     # incumbent, trying the values nearest it first, the full search prunes
-    # more. On one or two terms the search is one leaf batch, which reads
-    # no incumbent. Either way the result is the least key over the whole
-    # lattice, whatever the incumbent.
+    # more. On fewer, the full search starts from the input model. On one
+    # or two terms the search is one leaf batch, which reads no incumbent.
+    # Either way the result is the least key over the whole lattice,
+    # whatever the incumbent.
     half = (bounds + 1) // 2
-    if len(active) > 2 and (half < bounds).any():
+    if len(active) >= WARM_TERMS and (half < bounds).any():
         warm = _RestrictedSearch(proj, cfg, half, lattice.intercept_bound, start)
         warm.seed(start)
         warm.run()

@@ -522,7 +522,8 @@ def _reference_lines(lead, fields):
 
 def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=None):
     """The string-formatting MPS writer that mps.export_mps must match byte
-    for byte. It shares only the loss-row table (mps._loss_rows)."""
+    for byte. It shares only the loss-row table (mps._loss_rows), and names
+    the loss rows and Z columns itself."""
     _num, _field, _lines = _reference_num, _reference_field, _reference_lines
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -532,6 +533,12 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
     loss = _loss_rows(agg, lattice, variant, active_set)
     bounds = lattice.bounds_for(agg.p)
     labels, counts = loss.labels.tolist(), loss.counts.tolist()
+    # general rows are numbered 1.. across both classes, the others 1.. per class
+    n_pos = 0 if variant == "general" else labels.count(1)
+    numbers = [i + 1 if i < n_pos else i + 1 - n_pos for i in range(len(labels))]
+    tags = {1: "LS", -1: "LS"} if variant == "general" else {1: "LP", -1: "LN"}
+    names = [f"{tags[label]}{i:06d}" for label, i in zip(labels, numbers)]
+    z_names = [f"{'ZS' if label == 1 else 'ZT'}{i:06d}" for label, i in zip(labels, numbers)]
     cf_names = [f"CF{c:06d}" for c in range(1, len(loss.pairs) + 1)]
     conflict = {}  # loss row -> its conflict row
     for name, (s, u) in zip(cf_names, loss.pairs.tolist()):
@@ -542,7 +549,7 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
             f"L1U{j + 1:05d}", f"L1L{j + 1:05d}") for j in loss.cols}
 
     out = [f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]
-    out += [f" G  {name}" for name in loss.names]
+    out += [f" G  {name}" for name in names]
     out += [f" E  {name}" for name in cf_names]
     if links:
         out.append(" L  CAP")
@@ -550,7 +557,7 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
         out += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
 
     out += ["COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]
-    row_fields = [_field(name, label) for name, label in zip(loss.names, labels)]
+    row_fields = [_field(name, label) for name, label in zip(names, labels)]
     out.append(_lines("LAM00000", row_fields))
     lams = [("LAM00000", lattice.intercept_bound)]  # the columns written, with bounds
     for j in loss.cols:
@@ -565,7 +572,7 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
     costs = {(label, count): _field("COST", weight * Fraction(count, agg.source_n))
              for label, weight in ((1, cfg.w_plus), (-1, cfg.w_minus))
              for count in set(counts)}
-    for i, (z, name, big_m) in enumerate(zip(loss.z_names, loss.names, loss.big_m.tolist())):
+    for i, (z, name, big_m) in enumerate(zip(z_names, names, loss.big_m.tolist())):
         fields = [costs[labels[i], counts[i]], _field(name, big_m)]
         if i in conflict:
             fields.append(_field(conflict[i], 1))
@@ -578,7 +585,7 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
                 _lines(f"B{j + 1:07d}", [_field(pe, -cfg.epsilon), _field(l1u, -1),
                                          _field(l1l, 1)])]
 
-    rhs = [_field(name, 1) for name, r in zip(loss.names, loss.rhs.tolist()) if r]
+    rhs = [_field(name, 1) for name, r in zip(names, loss.rhs.tolist()) if r]
     rhs += [_field(name, 1) for name in cf_names]
     if links:
         rhs.append(_field("CAP", cfg.max_terms))
@@ -590,7 +597,7 @@ def reference_export_mps(agg, cfg, lattice, variant="aggregated", active_set=Non
     for name, bound in lams:
         out += [f" LO BND       {name:<8}  {_num(-bound)}",
                 f" UP BND       {name:<8}  {_num(bound)}"]
-    out += [f" BV BND       {z:<8}" for z in loss.z_names]
+    out += [f" BV BND       {z:<8}" for z in z_names]
     for j in links:
         out += [f" BV BND       A{j + 1:07d}",
                 f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}"]

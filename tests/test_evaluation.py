@@ -19,8 +19,8 @@ from intscore.evaluation import (
     sweep,
     weighted_error,
 )
-from intscore.model import LatticeSpec, ScoringSystem, trivial_model
-from intscore.solver import SolveConfig
+from intscore.model import LatticeSpec, ScoringSystem, objective, trivial_model
+from intscore.solver import SolutionPool, SolveConfig
 
 import oracles
 from instances import random_instance
@@ -172,51 +172,83 @@ class TestSweep:
             assert len(supports) == len(set(supports))
             assert len(set(supports)) == len(pool.first_per_support()) < len(pool)
 
-    def test_polished_fit_selects_as_reference(self, monkeypatch):
-        # model selection reads the polished pool's frontier; at every term
-        # budget it must return what the first-written dedupe, sort and walk
-        # returns, down to the object: of two supports polished to one
-        # model, the first one's (model, value)
-        solve, polish = evaluation.solve, evaluation.polish
-        pools, polished = [], []
+    @staticmethod
+    def _assert_pool_as_reference(fit, want, max_terms):
+        # by value: every entry in order, and the pick at every term budget
+        def view(mv):
+            return None if mv is None else (mv[0].key(), mv[0].term_names, mv[1])
 
-        def recording_solve(*args, **kwargs):
-            report, pool = solve(*args, **kwargs)
-            pools.append(pool)
+        assert [view(mv) for mv in fit.entries] == [view(mv) for mv in want]
+        for k in range(max_terms + 1):
+            assert view(fit.best_with_at_most(k)) == view(oracles._best_at_k(want, k))
+
+    @staticmethod
+    def _record_fit(monkeypatch, solve):
+        """Wrap evaluation's solve and polish; returns the lists they fill
+        with each solve's (agg, cfg, pool) and each polished model."""
+        polish = evaluation.polish
+        solves, calls = [], []
+
+        def recording_solve(agg, cfg, lattice, scfg, **kwargs):
+            report, pool = solve(agg, cfg, lattice, scfg, **kwargs)
+            solves.append((agg, cfg, pool))
             return report, pool
 
-        def recording_polish(model, *rest):
-            polished.append((model, polish(model, *rest)))
-            return polished[-1][1]
-
-        def replayed_polish(model, *rest):
-            recorded_model, out = next(replay)
-            assert recorded_model is model
-            return out
+        def counting_polish(model, *rest):
+            calls.append(model)
+            return polish(model, *rest)
 
         monkeypatch.setattr(evaluation, "solve", recording_solve)
-        monkeypatch.setattr(evaluation, "polish", recording_polish)
-        monkeypatch.setattr(oracles, "polish", replayed_polish)
+        monkeypatch.setattr(evaluation, "polish", counting_polish)
+        return solves, calls
+
+    def test_polished_fit_selects_as_reference(self, monkeypatch):
+        # model selection reads the polished pool; it must hold what polishing
+        # the first entry of every support, a dedupe, a sort and a walk give,
+        # though supports go largest first and one that a superset polished
+        # into is skipped
+        solves, calls = self._record_fit(monkeypatch, evaluation.solve)
         scfg = SolveConfig(time_limit=60, pool_size=20, node_limit=2000)
-        duplicates = 0
+        skipped = 0
         for seed in range(10):
             ds, _, cfg, lattice = random_instance(seed)
             for w_plus in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-                pools.clear()
-                polished.clear()
+                solves.clear()
+                calls.clear()
                 fit = evaluation._polished_fit(ds, w_plus, lattice, scfg, cfg.max_terms)
-                # the reference polishes the same supports in the same order,
-                # so replaying the recorded outputs needs no data
-                replay = iter(polished)
-                want = oracles._polished_pool(pools[0], None, None, None)
-                assert next(replay, None) is None
-                duplicates += len(polished) - len(want)
-                for k in range(cfg.max_terms + 1):
-                    got, ref = fit.best_with_at_most(k), oracles._best_at_k(want, k)
-                    assert (got is None) == (ref is None)
-                    if ref is not None:
-                        assert got[0] is ref[0] and got[1] is ref[1]
-        assert duplicates > 0
+                (agg, fit_cfg, pool), = solves
+                want = oracles._polished_pool(pool, agg, fit_cfg, lattice)
+                sizes = [model.l0 for model in calls]
+                assert sizes == sorted(sizes, reverse=True)
+                skipped += len(pool.first_per_support()) - len(calls)
+                self._assert_pool_as_reference(fit, want, cfg.max_terms)
+        assert skipped > 0
+
+    def test_superset_polished_into_a_support_skips_it(self, monkeypatch):
+        # x2 is noise on the planted data, so the support {x0, x1, x2}
+        # polishes to a model on {x0, x1}, which is then the polished model
+        # of {x0, x1} too: three supports take one polish call fewer than
+        # the reference and give its pool
+        ds, _ = planted_dataset()
+        lattice = LatticeSpec(2, 4)
+        models = [ScoringSystem.from_dense(-1, coefs, ds.feature_names)
+                  for coefs in ([2, -2, 1, 0], [2, -2, 0, 0], [0, 0, 1, 0])]
+
+        def pooled_solve(agg, cfg, lattice, scfg, **kwargs):
+            pool = SolutionPool(len(models))
+            for model in models:
+                pool.add(model, objective(model, agg, cfg))
+            return None, pool
+
+        solves, calls = self._record_fit(monkeypatch, pooled_solve)
+        fit = evaluation._polished_fit(ds, Fraction(1), lattice, self.scfg(), 3)
+        (agg, cfg, pool), = solves
+        want = oracles._polished_pool(pool, agg, cfg, lattice)
+        assert len(pool.first_per_support()) == 3
+        assert [model.l0 for model in calls] == [3, 1]
+        assert [[j for j, _ in model.terms] for model, _ in want] == [[0, 1], []]
+        assert want[0][1].weighted_error == 0
+        self._assert_pool_as_reference(fit, want, 3)
 
     def test_presets(self):
         assert len(PRESET_GRIDS["balanced"]) == 19

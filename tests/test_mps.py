@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
+from intscore import mps
+from intscore.data import BinaryDataset, FeatureSpec, aggregate, aggregate_counts, synth_generate
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, big_m_loss, objective
 from intscore.mps import VARIANTS, _names, _num, export_mps
 from intscore.polish import ActiveSet
@@ -91,6 +92,21 @@ class TestStructure:
         assert _names(["ZS999999"]).tobytes() == b"ZS999999"
         with pytest.raises(ValueError):
             _names(["ZS1000000"])
+
+    def test_rows_past_six_digits_rejected(self):
+        # the general variant numbers its rows across both classes, so
+        # 999,999 rows name the last ZS999999 and one more row is refused
+        lattice = LatticeSpec(2, 2)
+        for n, fits in ((999_999, True), (1_000_000, False)):
+            agg = aggregate_counts(np.ones((1, 1), dtype=np.uint8), np.array([n - 1]),
+                                   np.zeros((1, 1), dtype=np.uint8), np.array([1]), n)
+            if fits:
+                loss = mps._loss_rows(agg, lattice, "general", None)
+                assert loss.names[-1].tobytes() == b"LS999999"
+                assert loss.z_names[[0, -1]].tobytes() == b"ZS000001ZT999999"
+            else:
+                with pytest.raises(ValueError, match="longer than 8"):
+                    mps._loss_rows(agg, lattice, "general", None)
 
 
 class TestRoundTrip:

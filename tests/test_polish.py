@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.loss import curve_plan, loss_curves
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
-from intscore.polish import ActiveSet, polish, project_active
+from intscore.polish import WARM_TERMS, ActiveSet, polish, project_active
 from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
@@ -337,24 +338,46 @@ def test_leaf_batch_offers_least_key():
     assert checked == 36
 
 
-def test_optimum_beyond_halved_bounds():
-    # noiseless labels of 2*x0 - x1 - x2 - x3 >= 1 need a coefficient above
-    # half its bound of 2, which only the full search after the halved one
-    # can reach
-    X = np.array(list(product([0, 1], repeat=4)), dtype=np.uint8)
-    score = X.astype(np.int64) @ np.array([2, -1, -1, -1])
+def _polish_beyond_halved_bounds(k, monkeypatch):
+    """Polish a model on noiseless labels of 2*x0 - x1 - ... - x(k-1) >= 1,
+    which need a coefficient above half its bound of 2, and check it
+    against the exhaustive optimum. Returns the bounds of each search run."""
+    polish_module = sys.modules["intscore.polish"]
+    searches = []
+
+    class CountedSearch(polish_module._RestrictedSearch):
+        def __init__(self, proj, cfg, bounds, *rest):
+            searches.append(bounds.tolist())
+            super().__init__(proj, cfg, bounds, *rest)
+
+    monkeypatch.setattr(polish_module, "_RestrictedSearch", CountedSearch)
+    X = np.array(list(product([0, 1], repeat=k)), dtype=np.uint8)
+    score = X.astype(np.int64) @ np.array([2] + [-1] * (k - 1))
     y = np.where(score >= 1, 1, -1).astype(np.int8)
-    ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(4)), X, y)
+    ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(k)), X, y)
     agg = aggregate(ds)
     lattice = LatticeSpec(2, 4)
     cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice)
-    m = ScoringSystem.from_dense(0, [1, -1, -1, -1], ds.feature_names)
+    m = ScoringSystem.from_dense(0, [1] + [-1] * (k - 1), ds.feature_names)
     out, value = polish(m, agg, cfg, lattice)
     _, (lam0, dense) = restricted_optimum(ds.X.tolist(), ds.y.tolist(), cfg.w_plus,
-                                          cfg.w_minus, [0, 1, 2, 3], 2, 4)
+                                          cfg.w_minus, list(range(k)), 2, 4)
     assert (out.intercept, tuple(out.coef_vector())) == (lam0, dense)
     assert value.weighted_error == 0
     assert max(abs(c) for c in dense) == 2
+    return searches
+
+
+def test_optimum_beyond_halved_bounds(monkeypatch):
+    # below WARM_TERMS the full search runs alone, from the input model
+    assert _polish_beyond_halved_bounds(4, monkeypatch) == [[2] * 4]
+
+
+def test_optimum_beyond_halved_bounds_after_warm_search(monkeypatch):
+    # on WARM_TERMS terms the halved search runs first, and the full search
+    # must still reach the coefficient of 2 beyond its bounds
+    assert _polish_beyond_halved_bounds(WARM_TERMS, monkeypatch) == \
+        [[1] * WARM_TERMS, [2] * WARM_TERMS]
 
 
 def test_ties_on_loss_and_l1_are_not_pruned():
