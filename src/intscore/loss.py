@@ -41,11 +41,15 @@ the curves of the group's rows with x_j = 0 and x_j = 1, and both come from
 one loss_curves call over a grid widened by the bound of j. refined_groups
 builds the groupings one free feature at a time, from the deepest depth up.
 
-The intercept grid of a grouped bound may be clipped to
-+-min(intercept bound, sum of all coefficient bounds + 1): a score that
-adds an intercept beyond the coefficient bounds' sum has the intercept's
-sign whatever the coefficients are, so every row is lost or kept alike and
-the bound is the same at every intercept out there.
+Rows is the state both branch-and-bound searches, the solver's and
+polish's, keep of one problem: the rows, the scores of the fixed
+coefficients, and the plans above. Every curve and bound a search reads
+spans one intercept grid, clipped to +-min(intercept bound, sum of all
+coefficient bounds + 1): a score that adds an intercept beyond the
+coefficient bounds' sum has the intercept's sign whatever the coefficients
+are, so every row is lost or kept alike and no curve or bound changes out
+there. A plan depends on the rows, the bounds and the branching order but
+not on the scores, so Rows builds each one on its first use and keeps it.
 
 All sums are taken in float64 and are exact: loss_units rejects a weight
 denominator for which the total units could reach 2**53.
@@ -87,16 +91,10 @@ def exact_steps(units, n_pos: int):
     return np.where(is_pos, -units, units), np.where(is_pos, units, 0)
 
 
-def intercept_order(grid: np.ndarray) -> np.ndarray:
-    """Positions of an intercept grid in tie-break order: the smallest
-    magnitude first, a negative intercept before a positive one."""
-    return np.argsort(np.abs(grid) * 2 + (grid > 0), kind="stable")
-
-
 def least_loss(curves: np.ndarray, grid: np.ndarray, order: np.ndarray):
     """(units, lam0) arrays: the least loss of each curve along its last
     axis, an intercept grid, and the canonical intercept, the first in
-    order = intercept_order(grid) among those reaching it."""
+    order (Rows.lam0_order) among those reaching it."""
     return curves.min(axis=-1), grid[order[np.argmin(curves[..., order], axis=-1)]]
 
 
@@ -168,12 +166,6 @@ def sibling_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray
     for view in views[2:]:
         out += view
     return out
-
-
-def units_dtype(units) -> type:
-    """The narrowest integer type that holds every sum of the loss units."""
-    total = int(np.sum(units))
-    return np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
 
 
 def refined_groups(cols, feats, bounds):
@@ -288,3 +280,93 @@ def _window_bounds(plan, level, n_values):
                        out=windows[g0 * row:g1 * row])
     profile = np.add.reduce(windows.reshape(n_groups, row), axis=0, dtype=level.dtype)
     return profile.reshape(n_values, t_len)[:, :grid].min(axis=1)
+
+
+class Rows:
+    """The rows of one problem as a value-level branch and bound keeps them.
+
+    The rows are the distinct patterns of agg, positives first: units and
+    unit_den are loss_units', cols holds the features by column, and steps
+    (float64, as curve_plan takes them) and start are exact_steps'. dtype
+    is the narrowest integer type that holds every sum of the units. Every
+    curve reads lam0_grid, the intercepts -grid_half .. grid_half clipped as
+    the module docstring says, and least_loss ranks them by lam0_order.
+
+    base holds every row's score under the coefficients the search has
+    fixed: move(j, v) fixes coefficient j at v and move(j, -v) frees it
+    again. branch() sets the branching order and the groupings that bound
+    the children of each depth. leaf_plan and child_bounds build their
+    plans on first use and keep them.
+    """
+
+    def __init__(self, agg: AggregatedDataset, cfg: PenaltyConfig, bounds,
+                 intercept_bound: int):
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.units, self.unit_den = loss_units(agg, cfg)
+        self.n_pos = agg.n_pos_patterns
+        self.cols = np.ascontiguousarray(
+            np.concatenate([agg.pos_patterns, agg.neg_patterns]).T, dtype=np.int64)
+        steps, self.start = exact_steps(self.units, self.n_pos)
+        self.steps = steps.astype(np.float64)
+        total = int(self.units.sum())
+        self.dtype = np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
+        self.grid_half = min(intercept_bound, int(self.bounds.sum()) + 1)
+        self.lam0_grid = np.arange(-self.grid_half, self.grid_half + 1)
+        # tie order: the smallest magnitude first, a negative intercept
+        # before a positive one
+        self.lam0_order = np.argsort(np.abs(self.lam0_grid) * 2 + (self.lam0_grid > 0),
+                                     kind="stable")
+        self.base = np.zeros(len(self.units), dtype=np.int64)
+        self._row = np.empty_like(self.base)  # scratch for move
+        self._leaf_plans, self._child_plans = {}, {}
+
+    def move(self, j, v):
+        """Add v times column j to base."""
+        np.multiply(self.cols[j], v, out=self._row)
+        self.base += self._row
+
+    def branch(self, order, fits=None, top=0):
+        """Branch in order: depth d fixes feature order[d]. groupings[d]
+        groups the rows by the free features order[d:], as refined_groups
+        does, for every depth d from the deepest up to top, stopping at the
+        first grouping whose offset reaches fits refuses."""
+        self.order = order
+        self.groupings = {}
+        for d, grouping in zip(range(len(order), top - 1, -1),
+                               refined_groups(self.cols, order[::-1], self.bounds)):
+            if fits is not None and not fits(grouping[1]):
+                break
+            self.groupings[d] = grouping
+
+    def leaf_plan(self, feats):
+        """The sibling_plan of the leaves that set the sorted features feats
+        to every value tuple: a row moves by the values of the features it
+        has set, so its bits on feats are its segment."""
+        plan = self._leaf_plans.get(feats)
+        if plan is None:
+            seg = sum((self.cols[j] << bit for bit, j in enumerate(feats)),
+                      np.zeros(len(self.units), dtype=np.int64))
+            moves = [[(cls >> bit) & 1 for bit in range(len(feats))] + [0]
+                     for cls in range(1 << len(feats))]
+            plan = self._leaf_plans[feats] = sibling_plan(
+                self.steps, self.start, seg, moves, [int(self.bounds[j]) for j in feats],
+                -self.grid_half, len(self.lam0_grid))
+        return plan
+
+    def leaf_curves(self, feats):
+        """sibling_curves of leaf_plan(feats) at base: axis l holds the
+        values -b .. b of feats[l], the last axis the intercept grid."""
+        return sibling_curves(self.leaf_plan(feats), self.base, self.dtype)
+
+    def child_bounds(self, depth, first=0, count=None):
+        """grouped_bounds of the children of the current node at depth,
+        which set feature j = order[depth] to the values -b + first ..
+        -b + first + count - 1 (all 2 b + 1 by default), b its bound. Their
+        free features are order[depth + 1:], grouped by groupings[depth + 1]."""
+        plan = self._child_plans.get(depth)
+        if plan is None:
+            j = self.order[depth]
+            plan = self._child_plans[depth] = grouped_plan(
+                self.steps, self.start, *self.groupings[depth + 1], self.cols[j],
+                int(self.bounds[j]), -self.grid_half, len(self.lam0_grid))
+        return grouped_bounds(plan, self.base, self.dtype, first, count)

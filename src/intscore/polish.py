@@ -16,8 +16,7 @@ of the projected patterns. The search prunes with the grouped relaxation
 patterns sharing the same mask over the still-free coefficients share one
 unknown offset, so each group contributes the sliding-window minimum of its
 exact loss curve. Conflicting label pairs always share a group and are
-costed exactly by its curve. The intercept grid is clipped to the sum of
-the active bounds plus one, beyond which the loss no longer changes.
+costed exactly by its curve.
 
 Expanding a node bounds all 2b+1 children at once, from one kernel call
 over an offset grid widened by the bound b of the feature branched on. The
@@ -43,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import (exact_steps, grouped_bounds, grouped_plan, intercept_order, least_loss,
-                   loss_units, refined_groups, sibling_curves, sibling_plan, units_dtype)
+from .loss import Rows, least_loss
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 # the largest support polish accepts; its projection has up to 2^cap patterns per class
@@ -86,7 +84,7 @@ def project_active(agg: AggregatedDataset, active: ActiveSet) -> AggregatedDatas
                             agg.neg_patterns[:, cols], agg.neg_counts, agg.source_n)
 
 
-class _RestrictedSearch:
+class _RestrictedSearch(Rows):
     """Branch and bound over the active coefficients of the projected data.
 
     Depth d fixes feature order[d]; the intercept is chosen by scanning its
@@ -99,87 +97,40 @@ class _RestrictedSearch:
     seed_coefs first; on fewer it is one leaf batch.
 
     Expanding a node at depth d bounds all of its children at once
-    (_child_bounds), with the grouping of depth d + 1; a node at depth
-    k - 2 scores all its leaves at once (_offer).
+    (Rows.child_bounds); a node at depth k - 2 scores all its leaves at
+    once (_offer).
     """
 
     def __init__(self, proj: AggregatedDataset, cfg: PenaltyConfig,
                  bounds: np.ndarray, intercept_bound: int, seed_coefs):
+        super().__init__(proj, cfg, bounds, intercept_bound)
         self.k = proj.p
-        self.bounds = bounds.astype(np.int64)
-
-        self.units, _ = loss_units(proj, cfg)
-        n_pos = len(proj.pos_counts)
-        self.cols = np.ascontiguousarray(
-            np.concatenate([proj.pos_patterns, proj.neg_patterns]).T, dtype=np.int64)
-        self.steps, self.start = exact_steps(self.units, n_pos)
-        self.dtype = units_dtype(self.units)
-
-        total_span = int(self.bounds.sum())
-        self.l0b = int(min(intercept_bound, total_span + 1))
-        self.grid_len = 2 * self.l0b + 1
-        self.lam0_grid = np.arange(-self.l0b, self.l0b + 1)
-        self.lam0_order = intercept_order(self.lam0_grid)
-
-        self.base = np.zeros(len(self.units), dtype=np.int64)
         self.coef = np.zeros(self.k, dtype=np.int64)
-
-        # branch on widely shared features first so patterns decouple from
-        # the free set quickly; value order only affects speed, not results
-        coverage = [(-int(self.units @ self.cols[j]), j) for j in range(self.k)]
-        self.order = [j for _, j in sorted(coverage)]
         self.values = [
             sorted(range(-int(self.bounds[j]), int(self.bounds[j]) + 1),
                    key=lambda v, j=j: (abs(v - int(seed_coefs[j])), v))
             for j in range(self.k)
         ]
-
-        # the children of depth d are bounded with the grouping by the free
-        # features order[d + 1:], the last k - d - 1 in order
-        groupings = list(refined_groups(self.cols, self.order[:0:-1], self.bounds))
-        self.child_plans = [
-            grouped_plan(self.steps, self.start, *groupings[self.k - d - 1],
-                         self.cols[self.order[d]], int(self.bounds[self.order[d]]),
-                         -self.l0b, self.grid_len)
-            for d in range(self.k - 2)]
-        self.leaf_plans = {}
-
+        # branch on widely shared features first so patterns decouple from
+        # the free set quickly; value order only affects speed, not results.
+        # Depth 0 is never bounded, so its grouping is not built.
+        coverage = [(-int(self.units @ self.cols[j]), j) for j in range(self.k)]
+        self.branch([j for _, j in sorted(coverage)], top=1)
         self.best = None  # (units, l1, coef tuple, intercept)
-
-    # -- batched child bounds --------------------------------------------------
-
-    def _child_bounds(self, depth):
-        """The grouped bound of every child of the current node, for
-        coefficient values -b .. b of feature order[depth]."""
-        return grouped_bounds(self.child_plans[depth], self.base, self.dtype)
-
-    # -- leaves ------------------------------------------------------------------
-
-    def _leaf_plan(self, feats):
-        """(loss.sibling_plan, l1 norms) of every value tuple of the sorted
-        features feats, built on first use: a row moves by the values of
-        the features it has set, so its bits on feats are its segment."""
-        cached = self.leaf_plans.get(feats)
-        if cached is None:
-            bs = [int(self.bounds[j]) for j in feats]
-            seg = sum((self.cols[j] << bit for bit, j in enumerate(feats)),
-                      np.zeros(len(self.units), dtype=np.int64))
-            moves = [[(cls >> bit) & 1 for bit in range(len(feats))] + [0]
-                     for cls in range(1 << len(feats))]
-            cached = self.leaf_plans[feats] = (
-                sibling_plan(self.steps, self.start, seg, moves, bs, -self.l0b, self.grid_len),
-                sum(np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in bs]),
-                    np.zeros((), dtype=np.int64)))
-        return cached
+        self.l1_norms = {}  # feats: see _offer
 
     def _offer(self, feats, l1_fixed):
         """Make the best completion of the current node over the sorted
         features feats the incumbent if it beats it."""
-        plan, absv = self._leaf_plan(feats)
-        # axis l holds values -b .. b of feats[l], the last the intercept grid
-        profile = sibling_curves(plan, self.base, self.dtype)
+        profile = self.leaf_curves(feats)
         units = profile.min(axis=-1)
         u = int(units.min())
+        absv = self.l1_norms.get(feats)
+        if absv is None:
+            # the l1 norm of every value tuple, with leaf_curves' axes
+            absv = self.l1_norms[feats] = sum(
+                np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in self.bounds[list(feats)]]),
+                np.zeros((), dtype=np.int64))
         l1 = np.where(units == u, absv, np.iinfo(np.int64).max)
         key = (u, l1_fixed + int(l1.min()))
         if self.best is not None and key > self.best[:2]:
@@ -195,16 +146,14 @@ class _RestrictedSearch:
             _, lam0 = least_loss(profile[idx], self.lam0_grid, self.lam0_order)
             self.best = key + (int(lam0),)
 
-    # -- search -----------------------------------------------------------------
-
     def _apply(self, j, v):
         if v:
-            self.base += v * self.cols[j]
+            self.move(j, v)
             self.coef[j] = v
 
     def _undo(self, j, v):
         if v:
-            self.base -= v * self.cols[j]
+            self.move(j, -v)
             self.coef[j] = 0
 
     def seed(self, coefs):
@@ -221,7 +170,7 @@ class _RestrictedSearch:
             return
         j = self.order[depth]
         b = int(self.bounds[j])
-        child = self._child_bounds(depth).tolist()
+        child = self.child_bounds(depth).tolist()
         for v in self.values[j]:
             l1 = l1_fixed + abs(v)
             if (child[v + b], l1) > self.best[:2]:
@@ -239,6 +188,8 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
     output support is contained in the input support and the objective
     never increases. Models of more than POLISH_CAP terms are refused.
     """
+    if model.n_features != agg.p:
+        raise ValueError(f"dataset has {agg.p} features, model expects {model.n_features}")
     model.validate_lattice(lattice)
     active = ActiveSet.of(model)
     if len(active) > POLISH_CAP:
@@ -267,9 +218,6 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
 
     units, _, coefs, lam0 = search.best
     names = dict(zip((j for j, _ in model.terms), model.term_names))
-    dense = np.zeros(agg.p, dtype=np.int64)
-    for j, c in zip(active.indices, coefs):
-        dense[j] = c
-    all_names = [names.get(j, f"f{j}") for j in range(agg.p)]
-    polished = ScoringSystem.from_dense(lam0, dense, all_names)
+    terms = tuple((j, c) for j, c in zip(active.indices, coefs) if c)
+    polished = ScoringSystem(lam0, terms, tuple(names[j] for j, _ in terms), agg.p)
     return polished, objective(polished, agg, cfg)

@@ -7,13 +7,12 @@ the loss as a function of a shared offset added to every score is a step
 function, so one loss curve over the intercept grid (loss.loss_curves)
 gives the loss of every intercept at once.
 
-Every curve reads one intercept grid, clipped to +-min(intercept bound,
-sum of all coefficient bounds + 1): past the coefficients' reach every
-score has the intercept's sign, so no curve changes there. The search keeps
-the scores of the fixed coefficients over the distinct patterns in base;
-unfixed ones count as zero. A leaf is the curve of base at its least point,
-with ties broken toward the smallest intercept. A node is bounded by one of
-two relaxations of its free coefficients, plus its fixed ones' penalties:
+The search keeps its rows, their scores under the fixed coefficients
+(base; unfixed ones count as zero), the clipped intercept grid and its
+plans in loss.Rows, the state polish's search keeps too. A leaf is the
+curve of base at its least point, with ties broken toward the smallest
+intercept. A node is bounded by one of two relaxations of its free
+coefficients, plus its fixed ones' penalties:
 
 - The grouped bound (loss.grouped_bounds, the kernel polish prunes with)
   groups the rows by their values on the free features. A group's free
@@ -36,13 +35,13 @@ and b_max the largest coefficient bound), the root's one otherwise.
 Freeing a feature never merges groups or narrows a reach, so a path is
 bounded by the root's bound at its wide, shallow nodes and by the grouped
 one from some depth on. The search's free sets are the suffixes of its
-branching order, so it builds their groupings from the deepest depth up,
-refining one feature at a time, and stops at the first one the rule
-refuses. The grouped bound only tightens as coefficients are fixed and is
-at least the root's bound, and fixed penalties only grow, so the bound is
-monotone along any search path: the proven lower bound never decreases and
-exhausting the tree certifies optimality. bound(), children() and
-node_bound() all apply the rule.
+branching order, so Rows.branch builds their groupings from the deepest
+depth up and stops at the first one the rule refuses. The grouped bound
+only tightens as coefficients are fixed and is at least the root's bound,
+and fixed penalties only grow, so the bound is monotone along any search
+path: the proven lower bound never decreases and exhausting the tree
+certifies optimality. bound(), children() and node_bound() all apply the
+rule.
 
 Children are scored as siblings, never one at a time. Setting the free
 coefficient j to v moves only the rows with x_j = 1, by v. So one
@@ -50,12 +49,11 @@ loss-curve pass over the rows split by x_j, on an intercept grid widened by
 the moves, gives the leaf of every value of j at once
 (loss.sibling_curves); the grouped bounds of every value come the same way
 from one pass over the children's groups split by x_j
-(loss.grouped_bounds). The grids depend only on j, so each plan is built
-once per feature, over every value of j, and reused by every node. The
-search scores all children of a node on its first visit and then walks
-them in value order: a leaf child is recorded, an inner child is pruned on
-its bound, and only a child the search descends into is applied to base,
-so pruned and leaf children never touch the state. Greedy seeding scores
+(loss.grouped_bounds), each from a plan that Rows keeps. The search
+scores all children of a node on its first visit and then walks them in
+value order: a leaf child is recorded, an inner child is pruned on its
+bound, and only a child the search descends into is applied to base, so
+pruned and leaf children never touch the state. Greedy seeding scores
 every value of every free feature the same way, one pass per feature.
 
 Pruning keeps one incumbent per sparsity budget: a subtree is cut only
@@ -89,8 +87,8 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (exact_steps, grouped_bounds, grouped_plan, intercept_order, least_loss,
-                   loss_units, refined_groups, sibling_curves, sibling_plan, units_dtype)
+from .loss import (Rows, grouped_bounds, grouped_plan, least_loss, refined_groups,
+                   sibling_curves, sibling_plan)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -301,85 +299,55 @@ def _build_entry(names, p, unit_den, den, terms, lam0, units, l0, l1, total):
             ObjectiveValue(Fraction(units, unit_den), l0, l1, Fraction(total, den)))
 
 
-class _Search:
+class _Search(Rows):
     """Mutable state shared across the branch-and-bound recursion."""
 
     def __init__(self, agg, cfg, lattice, scfg, feature_names):
+        super().__init__(agg, cfg, lattice.bounds_for(agg.p), lattice.intercept_bound)
         self.agg = agg
         self.cfg = cfg
         self.names = list(feature_names) if feature_names is not None \
             else [f"f{j}" for j in range(agg.p)]
 
-        p = agg.p
-        self.p = p
-        self.bounds = lattice.bounds_for(p)
+        p = self.p = agg.p
         self.cap = min(cfg.max_terms, p)
 
-        # rows are the distinct patterns, positives first, stored by column
-        units, self.unit_den = loss_units(agg, cfg)
         # a total is an int over den: unit_scale per loss unit, c0_units per
         # term and eps_units per unit of coefficient magnitude
         self.den = math.lcm(self.unit_den, cfg.c0.denominator, cfg.epsilon.denominator)
         self.unit_scale = self.den // self.unit_den
         self.c0_units = cfg.c0.numerator * (self.den // cfg.c0.denominator)
         self.eps_units = cfg.epsilon.numerator * (self.den // cfg.epsilon.denominator)
-        n_pos = self.n_pos = agg.n_pos_patterns
-        self.cols = np.ascontiguousarray(
-            np.concatenate([agg.pos_patterns, agg.neg_patterns]).T, dtype=np.int64)
-        leaf_steps, self.start = exact_steps(units, n_pos)
-        # float64, as curve_plan takes them, so no call converts them again
-        self.leaf_steps = leaf_steps.astype(np.float64)
         # a conflict pair costs its cheaper side from the positive's step,
         # where the positive stops being surely lost, to the negative's,
         # where the negative becomes surely lost
         s = agg.conflict_pairs[:, 0]
-        t = agg.conflict_pairs[:, 1] + n_pos
-        pair = np.minimum(units[s], units[t])
-        self.bound_steps = self.leaf_steps.copy()
+        t = agg.conflict_pairs[:, 1] + self.n_pos
+        pair = np.minimum(self.units[s], self.units[t])
+        self.bound_steps = self.steps.copy()
         self.bound_steps[s] += pair
         self.bound_steps[t] -= pair
 
-        self.order = self._feature_order()
         self.values = [self._value_order(j) for j in range(p)]
 
-        # the intercept grid of every curve, clipped where no curve changes
-        self.grid_half = min(lattice.intercept_bound, int(self.bounds.sum()) + 1)
-        lo, width = -self.grid_half, 2 * self.grid_half + 1
-        self.lam0_grid = np.arange(lo, lo + width)
-        self.lam0_order = intercept_order(self.lam0_grid)
-        self.dtype = units_dtype(units)
-        # a node's own leaf and the root's bound: siblings over no coefficient
-        whole = np.zeros(len(units), dtype=np.int64)
-        self.leaf_plan = sibling_plan(self.leaf_steps, self.start, whole, [(0,)], (), lo, width)
-        bound_plan = sibling_plan(self.bound_steps, self.start, whole, [(0,)], (), lo, width)
-        # edge: the highest score a completion of the root can give a
-        # positive row, the lowest it can give a negative one
+        # the root's bound: siblings over no coefficient at the edge scores,
+        # the highest a completion of the root can give a positive row and
+        # the lowest it can give a negative one
         reach = self.bounds @ self.cols
-        self.edge = np.concatenate([reach[:n_pos], -reach[n_pos:]])
+        self.edge = np.concatenate([reach[:self.n_pos], -reach[self.n_pos:]])
+        bound_plan = sibling_plan(self.bound_steps, self.start, np.zeros_like(self.base),
+                                  [(0,)], (), -self.grid_half, len(self.lam0_grid))
         self.root_units = int(sibling_curves(bound_plan, self.edge, self.dtype).min())
 
-        # the values of the widest coefficient, for the grouped rule
+        # the values of the widest coefficient, for the grouped rule, which
+        # refuses every depth above the first one it refuses
         self.block = 2 * int(self.bounds.max(initial=0)) + 1
-        # the groupings by the free features order[d:] of every depth d the
-        # rule admits; refining by the reversed order meets the depths from
-        # the deepest up, and the rule refuses every depth above the first
-        # one it refuses
-        self.groupings = {}
-        for d, grouping in zip(range(p, -1, -1),
-                               refined_groups(self.cols, self.order[::-1], self.bounds)):
-            if not self._fits(grouping[1]):
-                break
-            self.groupings[d] = grouping
-        self.grouped_plans = {}  # depth: see _grouped_plan
+        self.branch(self._feature_order(), self._fits)
 
         # the penalty a value of feature j adds to its node's total
         self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
                            for vals in self.values]
-        self.sibling_plans = {}  # j: see _sibling_plan
 
-        # base: scores of the fixed coefficients
-        self.base = np.zeros(len(units), dtype=np.int64)
-        self.row = np.empty(len(units), dtype=np.int64)  # scratch for _move
         self.fixed = np.zeros(p, dtype=bool)
         self.terms = ()  # the nonzero fixed coefficients as model terms
         self.n_nonzero = 0
@@ -424,8 +392,7 @@ class _Search:
     def _move(self, j, v, sign):
         """Fix coefficient j to v (sign 1), or free it again (sign -1)."""
         if v:
-            np.multiply(self.cols[j], sign * v, out=self.row)
-            self.base += self.row
+            self.move(j, sign * v)
             self.n_nonzero += sign
             self.l1_fixed += sign * abs(v)
             self.terms = self._with(j, v) if sign > 0 \
@@ -480,9 +447,9 @@ class _Search:
         root's interval bound, the loss of the edge scores."""
         grouping = self._grouping(np.flatnonzero(~self.fixed).tolist())
         if grouping is not None:
-            lo, width = (-self.grid_half, 2 * self.grid_half + 1) if lam0 is None \
+            lo, width = (-self.grid_half, len(self.lam0_grid)) if lam0 is None \
                 else (int(lam0), 1)
-            plan = grouped_plan(self.leaf_steps, self.start, *grouping,
+            plan = grouped_plan(self.steps, self.start, *grouping,
                                 np.zeros_like(self.base), 0, lo, width)
             units = grouped_bounds(plan, self.base, self.dtype)[0]
         elif lam0 is None:
@@ -496,42 +463,17 @@ class _Search:
     def leaf(self):
         """(units, lam0): the loss of the current coefficients at their
         canonical intercept; unfixed coefficients are zero here."""
-        units, lam0 = least_loss(sibling_curves(self.leaf_plan, self.base, self.dtype),
-                                 self.lam0_grid, self.lam0_order)
+        units, lam0 = least_loss(self.leaf_curves(()), self.lam0_grid, self.lam0_order)
         return int(units), int(lam0)
-
-    def _sibling_plan(self, j):
-        """The loss.sibling_plan of the leaves of every value v of feature
-        j, built on first use: the rows with x_j = 1 move by v."""
-        plan = self.sibling_plans.get(j)
-        if plan is None:
-            plan = self.sibling_plans[j] = sibling_plan(
-                self.leaf_steps, self.start, self.cols[j], [(0, 0), (1, 0)],
-                (int(self.bounds[j]),), -self.grid_half, len(self.lam0_grid))
-        return plan
 
     def child_leaves(self, j, at):
         """leaf() of every child that sets the free coefficient j to
         values[j][c], for each position c in at: (units, lam0) lists."""
-        units, lam0 = least_loss(
-            sibling_curves(self._sibling_plan(j), self.base, self.dtype),
-            self.lam0_grid, self.lam0_order)
+        units, lam0 = least_loss(self.leaf_curves((j,)), self.lam0_grid, self.lam0_order)
         pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
         return units[pos].tolist(), lam0[pos].tolist()
 
-    def _grouped_plan(self, depth):
-        """The loss.grouped_plan that bounds the children of a node at
-        depth, built on first use: the grouping of depth + 1, with feature
-        order[depth] taking each of its values."""
-        plan = self.grouped_plans.get(depth)
-        if plan is None:
-            j = self.order[depth]
-            plan = self.grouped_plans[depth] = grouped_plan(
-                self.leaf_steps, self.start, *self.groupings[depth + 1], self.cols[j],
-                int(self.bounds[j]), -self.grid_half, 2 * self.grid_half + 1)
-        return plan
-
-    def child_bounds(self, depth, at):
+    def sibling_bounds(self, depth, at):
         """bound() of every child that sets the free coefficient j =
         order[depth] to values[j][c], for each position c in at; only the
         grouped bound makes a pass."""
@@ -540,8 +482,8 @@ class _Search:
             # the children's free features are order[depth + 1:]
             pos = [self.values[j][c] + int(self.bounds[j]) for c in at]
             first = min(pos)
-            units = grouped_bounds(self._grouped_plan(depth), self.base, self.dtype, first,
-                                   max(pos) - first + 1)[[i - first for i in pos]].tolist()
+            units = self.child_bounds(depth, first, max(pos) - first + 1)[
+                [i - first for i in pos]].tolist()
         else:
             units = [self.root_units] * len(at)
         fixed, cost = self._total(0, self.n_nonzero, self.l1_fixed), self.value_cost[j]
@@ -565,7 +507,7 @@ class _Search:
             for c, u, lam in zip(leaves, units, lam0):
                 kids[c] = (True, u, lam)
         if inner:
-            for c, bound in zip(inner, self.child_bounds(depth, inner)):
+            for c, bound in zip(inner, self.sibling_bounds(depth, inner)):
                 kids[c] = (False, bound, None)
         return kids
 
@@ -634,6 +576,8 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     if agg.source_n < 1:
         raise ValueError("dataset is empty")
     cfg.validate_for(agg.source_n, agg.p, lattice)
+    if feature_names is not None and len(feature_names) != agg.p:
+        raise ValueError(f"dataset has {agg.p} features, feature_names has {len(feature_names)}")
 
     search = _Search(agg, cfg, lattice, scfg, feature_names)
     started = time.monotonic()

@@ -331,12 +331,12 @@ def restricted_bound_units(search, depth):
     half = (np.bitwise_and.outer(gid, weights) > 0).astype(np.int64) @ search.bounds[free]
     pad = int(half.max())
     plan = curve_plan(search.steps, search.start, inverse.ravel(), len(gid),
-                      -(search.l0b + pad), search.grid_len + 2 * pad)
+                      -(search.grid_half + pad), len(search.lam0_grid) + 2 * pad)
     curves = loss_curves(plan, search.base)
-    profile = np.zeros(search.grid_len)
+    profile = np.zeros(len(search.lam0_grid))
     for s in np.unique(half).tolist():
         window_min = sliding_min(curves[half == s], 2 * s + 1)
-        profile += window_min[:, pad - s:pad - s + search.grid_len].sum(axis=0)
+        profile += window_min[:, pad - s:pad - s + len(search.lam0_grid)].sum(axis=0)
     return int(profile.min())
 
 

@@ -162,6 +162,14 @@ class TestPolish:
         with pytest.raises(ValueError, match="polish cap 12"):
             polish(m, agg, cfg, lattice)
 
+    def test_model_of_another_width_rejected(self):
+        ds, agg, cfg, lattice = random_instance(3)
+        assert ds.p == 2
+        for width in (1, 4):
+            m = ScoringSystem(0, ((0, 1),), ("f0",), width)
+            with pytest.raises(ValueError, match=f"dataset has 2 features, model expects {width}"):
+                polish(m, agg, cfg, lattice)
+
     def test_pool_polishing_on_oracle_instances(self):
         for seed in (0, 4, 9):
             ds, agg, cfg, lattice = random_instance(seed)
@@ -267,7 +275,7 @@ def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
                            for j in s.order[:depth]]
                 for j, v in applied:
                     s._apply(j, v)
-                batched = s._child_bounds(depth)
+                batched = s.child_bounds(depth)
                 j = s.order[depth]
                 b = int(bounds[j])
                 for v in range(-b, b + 1):

@@ -644,6 +644,13 @@ class TestEndpointsAndErrors:
         with pytest.raises(ValueError):
             solve(agg, bad, lattice, quick_cfg())
 
+    def test_feature_names_of_another_length_rejected(self):
+        ds, agg, cfg, lattice = random_instance(3)
+        names = list(ds.feature_names)
+        for wrong in (names[:-1], names + ["extra"]):
+            with pytest.raises(ValueError, match=f"feature_names has {len(wrong)}"):
+                solve(agg, cfg, lattice, quick_cfg(), feature_names=wrong)
+
     def test_brute_force_lattice_guard(self):
         rng = np.random.default_rng(0)
         X = (rng.random((10, 8)) < 0.5).astype(np.uint8)
