@@ -40,7 +40,7 @@ from .evaluation import (
     roc_svg,
     sweep,
 )
-from .manifest import RunManifest, TOOL_VERSION, sha256_file
+from .manifest import RunManifest, TOOL_VERSION, sha256_file, timestamp
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, trivial_model
 from .mps import VARIANTS, export_mps
 from .polish import ActiveSet
@@ -79,7 +79,9 @@ def _lattice_flags(p):
 def _solver_flags(p):
     p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--pool", type=int, default=500)
+    p.add_argument("--pool", type=int, default=500,
+                   help="solution pool capacity; the best model at each term count "
+                        "is kept beyond it")
     p.add_argument("--max-terms", type=int, default=8)
 
 
@@ -212,8 +214,9 @@ def _write(path, text):
         fh.write(text)
 
 
-def _manifest(args, inputs, outputs, config, seed=None, path=None):
-    manifest = RunManifest.begin(args, config, inputs, seed)
+def _manifest(args, argv, inputs, outputs, config, seed=None, path=None):
+    """Write the manifest of a command that main started at args.started."""
+    manifest = RunManifest.begin(argv, config, inputs, args.started, seed)
     manifest.finish()
     target = path or f"{outputs[0]}.manifest.json"
     manifest.write(target)
@@ -282,7 +285,7 @@ def _cmd_encode(args, argv):
     write_csv(ds, args.output, label_column=label_col)
     specs_path = args.specs or f"{args.output}.specs.json"
     _write(specs_path, json.dumps([s.to_json() for s in ds.features], indent=2) + "\n")
-    _manifest(argv, [args.raw, args.rules], [args.output],
+    _manifest(args, argv, [args.raw, args.rules], [args.output],
               {"command": "encode", "rules": args.rules})
     print(f"encoded {ds.n} rows x {ds.p} features -> {args.output}")
     return EXIT_OK
@@ -339,7 +342,7 @@ def _cmd_train(args, argv):
                                       provenance=provenance))
     report_path = args.report or f"{args.output}.report.json"
     _write(report_path, json.dumps(report_doc, sort_keys=True, indent=2) + "\n")
-    _manifest(argv, [args.dataset], [args.output],
+    _manifest(args, argv, [args.dataset], [args.output],
               {"command": "train", "w_plus": frac_str(w_plus),
                "max_terms": args.max_terms, "time_limit": args.time_limit,
                "node_limit": args.node_limit, "pool": args.pool,
@@ -385,7 +388,7 @@ def _cmd_sweep(args, argv):
                    point.model.to_json(lattice=lattice))
     if args.plot:
         _write(outdir / "curve.svg", roc_svg(curve))
-    _manifest(argv, [args.dataset], [outdir / "curve.json"],
+    _manifest(args, argv, [args.dataset], [outdir / "curve.json"],
               {"command": "sweep", "grid": [frac_str(w) for w in grid],
                "test_ratio": frac_str(as_fraction(args.test_ratio)),
                "max_terms": args.max_terms, "pool": args.pool,
@@ -421,7 +424,7 @@ def _cmd_evaluate(args, argv):
         _write(args.output, text)
         if args.calibration_csv:
             _write(args.calibration_csv, table.to_csv())
-        _manifest(argv, [args.model, args.dataset], [args.output],
+        _manifest(args, argv, [args.model, args.dataset], [args.output],
                   {"command": "evaluate", "calib_bins": args.calib_bins})
     else:
         sys.stdout.write(text)
@@ -437,7 +440,7 @@ def _cmd_rules(args, argv):
     text = rules_csv(mined)
     if args.output:
         _write(args.output, text)
-        _manifest(argv, [args.dataset], [args.output],
+        _manifest(args, argv, [args.dataset], [args.output],
                   {"command": "rules", "min_support": args.min_support,
                    "min_confidence": args.min_confidence,
                    "max_vars": args.max_vars})
@@ -465,7 +468,7 @@ def _cmd_export_mps(args, argv):
         active = ActiveSet(tuple(index[n] for n in names))
     text = export_mps(aggregate(ds), cfg, lattice, args.variant, active)
     _write(args.output, text)
-    _manifest(argv, [args.dataset], [args.output],
+    _manifest(args, argv, [args.dataset], [args.output],
               {"command": "export-mps", "variant": args.variant,
                "w_plus": frac_str(w_plus), "max_terms": args.max_terms})
     print(f"wrote {args.variant} MPS model -> {args.output}")
@@ -477,7 +480,7 @@ def _cmd_print(args, argv):
         model = ScoringSystem.from_json(fh.read())
     sys.stdout.write(format_sheet(model, args.outcome_label))
     if args.manifest:
-        _manifest(argv, [args.model], [args.manifest],
+        _manifest(args, argv, [args.model], [args.manifest],
                   {"command": "print"}, path=args.manifest)
     return EXIT_OK
 
@@ -489,7 +492,7 @@ def _cmd_synth(args, argv):
         raise UsageError("--marginals and --weights must have equal length")
     ds = synth_generate(marginals, weights, args.n, args.seed, bias=args.bias)
     write_csv(ds, args.output)
-    _manifest(argv, [], [args.output],
+    _manifest(args, argv, [], [args.output],
               {"command": "synth", "marginals": marginals, "weights": weights,
                "bias": args.bias, "n": args.n},
               seed=args.seed)
@@ -526,6 +529,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args)
+        args.started = timestamp()
         return _COMMANDS[args.cmd](args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .model import (
     ScoringSystem,
     trivial_model,
 )
-from .polish import polish
+from .polish import POLISH_CAP, polish
 from .solver import SolutionPool, SolveConfig, solve
 
 logger = logging.getLogger(__name__)
@@ -135,6 +135,8 @@ class SweepProtocol:
             raise ValueError("sparsity grid must contain positive term counts")
         if self.cv_folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
         object.__setattr__(self, "w_plus_grid", grid)
         object.__setattr__(self, "sparsity_grid", ks)
 
@@ -296,6 +298,9 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
         raise ValueError(f"fold assignment has {folds.n_folds} folds, not {protocol.cv_folds}")
     if not any(k <= max_terms for k in protocol.sparsity_grid):
         raise ValueError(f"no term count in the sparsity grid is at most max_terms={max_terms}")
+    if min(max_terms, dataset.p) > POLISH_CAP:
+        raise ValueError(f"max_terms={max_terms} on {dataset.p} features exceeds the polish cap "
+                         f"{POLISH_CAP}")
     args = [(dataset, folds, protocol, lattice, scfg, max_terms, w)
             for w in protocol.w_plus_grid]
     if jobs > 1:

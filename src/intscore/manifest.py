@@ -11,6 +11,10 @@ from typing import Optional
 TOOL_VERSION = "0.1.0"
 
 
+def timestamp() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -30,17 +34,17 @@ class RunManifest:
     finished: str = ""
 
     @staticmethod
-    def begin(command, config, inputs, seed=None) -> "RunManifest":
+    def begin(command, config, inputs, started, seed=None) -> "RunManifest":
         return RunManifest(
             command=list(command),
             config=dict(config),
             input_hashes={str(p): sha256_file(p) for p in inputs},
             seed=seed,
-            started=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            started=started,
         )
 
     def finish(self) -> "RunManifest":
-        self.finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        self.finished = timestamp()
         return self
 
     def to_json(self) -> str:

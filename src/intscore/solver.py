@@ -56,11 +56,11 @@ bound, and only a child the search descends into is applied to base, so
 pruned and leaf children never touch the state. Greedy seeding scores
 every value of every free feature the same way, one pass per feature.
 
-Pruning keeps one incumbent per sparsity budget: a subtree is cut only
-when its bound exceeds the best total found within the smallest term
-budget the subtree could still fit. This costs some pruning power but
-leaves the solution pool holding the best model at every sparsity level,
-which the cross-validation pipeline consumes directly.
+Pruning keeps one incumbent per sparsity budget, read off the solution
+pool: a subtree is cut only when its bound exceeds the best total found
+within the smallest term budget the subtree could still fit. This costs
+some pruning power but leaves the pool holding the best model at every
+sparsity level, which the cross-validation pipeline consumes directly.
 
 All bookkeeping is in integers, so results are exact. Losses are whole
 units of 1/(c*N), c being the common denominator of the class weights, and
@@ -123,12 +123,15 @@ class SolveConfig:
 class SolutionPool:
     """Best distinct feasible solutions, ascending by (total, coefficients).
 
-    Eviction protects the sparsity frontier: the best entry at each term
-    count survives even when denser models dominate the top of the pool,
-    so downstream term-count tuning always has a candidate per level.
-    The frontier entries, those with fewer terms than every entry before
-    them, are tracked as entries come and go, so rejecting a candidate and
-    choosing a victim walk the frontier, not the pool.
+    The sparsity frontier is indexed by term budget: _level[k] is the best
+    entry with at most k terms, for k up to the largest term count offered.
+    A new entry updates the levels from its own term count upward and stops
+    at the first it does not lead. An entry is on the frontier exactly when
+    it leads its own level, and eviction never removes one: a pool over
+    capacity drops its last entry off the frontier, or none when all are on
+    it. So the best entry at each term count survives at every capacity,
+    for downstream term-count tuning, and a pool holds at most
+    max(capacity, frontier size) entries.
 
     An entry is held as (total, key, l0, build) and its (model, value) is
     built the first time a caller reads it, once; an entry evicted unread
@@ -142,8 +145,7 @@ class SolutionPool:
         self._entries = []  # (total, key, l0, build)
         self._keys = set()
         self._built = {}  # key -> (ScoringSystem, ObjectiveValue) of entries read
-        self._frontier = []  # frontier entries, in pool order
-        self._frontier_keys = set()
+        self._level = []  # the best entry with at most k terms, k = 0, 1, ...
 
     def __len__(self):
         return len(self._entries)
@@ -152,9 +154,14 @@ class SolutionPool:
         return self.offer(value.total, model.key(), model.l0, lambda: (model, value))
 
     def _at_level(self, l0):
-        """The best entry with at most l0 terms: the first such frontier
-        entry, or None."""
-        return next((e for e in self._frontier if e[2] <= l0), None)
+        """The best entry with at most l0 terms, or None."""
+        level = self._level
+        return level[min(l0, len(level) - 1)] if level else None
+
+    def best_total(self, k: int):
+        """The least total with at most k terms, or None."""
+        entry = self._at_level(k)
+        return None if entry is None else entry[0]
 
     def rejects(self, total, l0: int) -> bool:
         """True when offer() would surely turn away any candidate with this
@@ -175,10 +182,9 @@ class SolutionPool:
         objective value, or (as the solver passes it) that value times one
         common denominator, an int. One pool takes one kind of total.
 
-        It walks the frontier once: a full pool turns the candidate away
-        when an entry with at most l0 terms has no larger total and the
-        candidate does not precede the last entry, a rule that holds
-        wherever rejects() does."""
+        A full pool turns the candidate away when an entry with at most l0
+        terms has no larger total and the candidate does not precede the
+        last entry, a rule that holds wherever rejects() does."""
         if key in self._keys:
             return False
         head = (total, key)
@@ -189,22 +195,20 @@ class SolutionPool:
         item = (total, key, l0, build)
         insort(self._entries, item)
         self._keys.add(key)
-        if at_level is None or head < at_level[:2]:
-            # on the frontier: it displaces the later ones it has no fewer terms than
-            self._frontier = [e for e in self._frontier if e[:2] < head or e[2] < l0]
-            insort(self._frontier, item)
-            self._frontier_keys = {e[1] for e in self._frontier}
+        level = self._level
+        level.extend([level[-1] if level else None] * (l0 + 1 - len(level)))
+        for k in range(l0, len(level)):
+            if level[k] is not None and not head < level[k][:2]:
+                break
+            level[k] = item
         if len(self._entries) > self.capacity:
-            victim = len(self._entries) - 1
-            while victim >= 0 and self._entries[victim][1] in self._frontier_keys:
-                victim -= 1
-            # the last entry off the frontier, or the last one if all are on it
-            worst = self._entries.pop(victim)
-            self._keys.discard(worst[1])
-            self._built.pop(worst[1], None)
-            if victim < 0:
-                self._frontier.pop()
-                self._frontier_keys.discard(worst[1])
+            for victim in range(len(self._entries) - 1, -1, -1):
+                worst = self._entries[victim]
+                if level[worst[2]] is not worst:  # the last entry off the frontier
+                    del self._entries[victim]
+                    self._keys.discard(worst[1])
+                    self._built.pop(worst[1], None)
+                    break
         return True
 
     def _read(self, entry):
@@ -354,8 +358,6 @@ class _Search(Rows):
         self.l1_fixed = 0
 
         self.pool = SolutionPool(scfg.pool_size)
-        # best total found within each term budget 0..cap (at most k terms)
-        self.best_leq = [None] * (self.cap + 1)
         self.nodes = 0
 
     # -- branching order ----------------------------------------------------
@@ -513,24 +515,16 @@ class _Search(Rows):
 
     def record(self, j, v, units, lam0):
         """Offer the leaf that adds coefficient j = v to the fixed ones (v
-        = 0 adds none), with intercept lam0 and loss units, to the pool and
-        to best_leq; return its total."""
+        = 0 adds none), with intercept lam0 and loss units, to the pool;
+        return its total."""
         l0, l1 = self.n_nonzero + (v != 0), self.l1_fixed + abs(v)
         total = self._total(units, l0, l1)
-        # a leaf the pool turns away by total has one with at most l0 terms
-        # and no larger total before it, so best_leq has no use for it either
         if self.pool.rejects(total, l0):
             return total
         terms = self._with(j, v)
         build = functools.partial(_build_entry, self.names, self.p, self.unit_den, self.den,
                                   terms, lam0, units, l0, l1, total)
         self.pool.offer(total, (lam0,) + terms, l0, build)
-        # best_leq never increases with k, so the first budget not improved
-        # ends the update
-        for k in range(l0, self.cap + 1):
-            if self.best_leq[k] is not None and not total < self.best_leq[k]:
-                break
-            self.best_leq[k] = total
         return total
 
     def greedy_seed(self, deadline):
@@ -561,7 +555,7 @@ class _Search(Rows):
 
     @property
     def incumbent_total(self):
-        return self.best_leq[self.cap]
+        return self.pool.best_total(self.cap)
 
 
 def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
@@ -594,6 +588,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     # "applied" is the value of the child being descended into, the only
     # child ever pushed onto the shared incremental state
     frames = [{"bound": search.bound(), "next": 0, "applied": None, "kids": None}]
+    levels = search.pool._level  # pool.best_total(k), unwrapped for the loop below
     status = "optimal"
 
     def lower_bound():
@@ -652,7 +647,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
                 emit()
             continue
 
-        if score > search.best_leq[search.n_nonzero + (v != 0)]:
+        if score > levels[min(search.n_nonzero + (v != 0), len(levels) - 1)][0]:
             continue
         search.apply(j, v)
         frame["applied"] = v

@@ -341,9 +341,9 @@ def restricted_bound_units(search, depth):
 
 
 class ReferencePool:
-    """The solution pool as first written: every add walks the whole pool
+    """The solution pool written plainly: every add walks the whole pool
     for the best entry at its term level, and every eviction recomputes
-    the sparsity frontier from scratch."""
+    the sparsity frontier from scratch and removes no entry on it."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -377,14 +377,13 @@ class ReferencePool:
         insort(self._entries, item)
         self._keys.add(key)
         if len(self._entries) > self.capacity:
+            # the last entry off the frontier; none when all are on it
             flags = self._frontier_flags()
-            victim = len(self._entries) - 1
             for i in range(len(self._entries) - 1, -1, -1):
                 if not flags[i]:
-                    victim = i
+                    _, worst_key, _, _ = self._entries.pop(i)
+                    self._keys.discard(worst_key)
                     break
-            _, worst_key, _, _ = self._entries.pop(victim)
-            self._keys.discard(worst_key)
         return True
 
     @property

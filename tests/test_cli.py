@@ -1,8 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from intscore import cli
 from intscore.cli import main
 from intscore.data import load_csv, synth_generate, write_csv
 from intscore.model import ScoringSystem
@@ -160,6 +162,18 @@ class TestSweepCommand:
         assert (outdir / "manifest.json").exists()
         doc = json.loads((outdir / "curve.json").read_text())
         assert len(doc["points"]) == 3
+
+    def test_pool_smaller_than_term_cap(self, tmp_path, capsys):
+        # a pool of 2 under a cap of 3 terms used to lose the sparse levels
+        # that model selection reads, and every point failed
+        ds = synth_generate([0.5, 0.3, 0.6, 0.4], [2.0, -2.0, 0.5, 1.0], n=600, seed=7,
+                            bias=-0.3)
+        data = tmp_path / "d.csv"
+        write_csv(ds, data)
+        code = run("sweep", data, "--grid", "1/2,1", "--pool", "2", "--max-terms", "3",
+                   "--node-limit", "200", "--outdir", tmp_path / "out")
+        assert code == 0
+        assert "(0 failed)" in capsys.readouterr().out
 
     def test_preset_names(self, tmp_path, capsys):
         # unknown preset falls through the fraction parser and fails as usage
@@ -338,3 +352,27 @@ def test_sweep_parallel_jobs(tmp_path, capsys):
     assert code == 0
     doc = json.loads((outdir / "curve.json").read_text())
     assert len(doc["points"]) == 2
+
+
+def test_manifest_times_the_command(tmp_path, capsys, monkeypatch):
+    # started is read when main dispatches the command, finished after the
+    # command's work
+    events = []
+
+    def clock(fmt, *rest):
+        events.append("clock")
+        return str(len(events) - 1)
+
+    generate = cli.synth_generate
+
+    def generating(*args, **kwargs):
+        events.append("run")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(time, "strftime", clock)
+    monkeypatch.setattr(cli, "synth_generate", generating)
+    out = tmp_path / "d.csv"
+    assert run("synth", "--marginals", "0.5,0.3", "--weights", "1.0,-1.0", "--n", "50",
+               "--output", out) == 0
+    doc = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert int(doc["started"]) < events.index("run") < int(doc["finished"])

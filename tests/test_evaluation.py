@@ -290,6 +290,60 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep(ds, folds, protocol, LatticeSpec(2, 4), self.scfg(), max_terms=max_terms)
 
+    def test_empty_pool_rejected(self):
+        # every point would fail in its first solve
+        with pytest.raises(ValueError, match="pool_size"):
+            SweepProtocol((1,), pool_size=0)
+
+    def test_term_cap_beyond_polish_cap_rejected_before_any_solve(self, monkeypatch):
+        # a fit polishes models of up to min(max_terms, P) terms, and polish
+        # refuses more than POLISH_CAP, so every point would fail after its
+        # solves; a cap the features cannot reach is still accepted
+        solves = []
+
+        def stopped_solve(*args, **kwargs):
+            solves.append(args)
+            raise RuntimeError("solve called")
+
+        monkeypatch.setattr(evaluation, "solve", stopped_solve)
+        rng = np.random.default_rng(4)
+        X = (rng.random((200, 14)) < 0.5).astype(np.uint8)
+        y = np.where(X[:, 0] + X[:, 1] > X[:, 2], 1, -1)
+        wide = BinaryDataset(tuple(FeatureSpec(f"x{j}") for j in range(14)), X, y)
+        protocol = SweepProtocol((1,), pool_size=20, sparsity_grid=(1, 2))
+        with pytest.raises(ValueError, match="polish cap 12"):
+            sweep(wide, make_folds(wide, seed=1), protocol, LatticeSpec(1, 4), self.scfg(),
+                  max_terms=13)
+        assert solves == []
+        narrow, _ = planted_dataset()
+        for ds, max_terms in ((wide, 12), (narrow, 13)):
+            result = sweep(ds, make_folds(ds, seed=1), protocol, LatticeSpec(1, 4),
+                           self.scfg(), max_terms=max_terms)
+            assert result.points[0].error == "RuntimeError: solve called"
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    def test_pool_smaller_than_term_cap(self, monkeypatch, pool_size):
+        # a pool with room for fewer entries than there are term counts
+        # still keeps the best model at each, so every fit has a model at
+        # every term count of the grid and no point fails
+        fit, fits = evaluation._polished_fit, []
+
+        def recording_fit(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(evaluation, "_polished_fit", recording_fit)
+        ds, _ = planted_dataset(n=200)
+        protocol = SweepProtocol((Fraction(1, 2), 1), pool_size=pool_size,
+                                 sparsity_grid=(1, 2, 3, 4))
+        result = sweep(ds, make_folds(ds, seed=1), protocol, LatticeSpec(2, 4),
+                       self.scfg(), max_terms=4)
+        assert [p.status for p in result.points] == ["ok", "ok"]
+        assert len(fits) == 12
+        for polished in fits:
+            for k in protocol.sparsity_grid:
+                assert polished.best_with_at_most(k)[0].l0 <= k
+
     def test_no_workers_rejected_before_any_solve(self, monkeypatch):
         # jobs=0 used to run serially without a word
         def no_solve(*args, **kwargs):

@@ -468,6 +468,24 @@ class TestPool:
                 for k in range(5):
                     assert pool.best_with_at_most(k) == ref.best_with_at_most(k)
 
+    def test_capacity_one_keeps_every_level(self):
+        # seeded offers with 0 to 4 terms: a pool of one must keep, for
+        # every k, the least-total entry with at most k terms among all
+        # offers, however many entries that leaves it holding
+        rng = np.random.default_rng(17)
+        pool, offered = SolutionPool(1), []
+        for i in range(400):
+            coefs = rng.integers(-1, 2, size=4) * (rng.random(4) < rng.random())
+            model = ScoringSystem.from_dense(int(rng.integers(-3, 4)), coefs, list("abcd"))
+            total = int(rng.integers(0, 60))
+            offered.append((total, model.key(), model.l0))
+            pool.offer(total, model.key(), model.l0, lambda m=model, t=total: (m, t))
+            for k in range(5):
+                want = min(((t, key) for t, key, l0 in offered if l0 <= k), default=None)
+                got = pool.best_with_at_most(k)
+                assert (None if got is None else (got[1], got[0].key())) == want
+                assert pool.best_total(k) == (None if want is None else want[0])
+
     @pytest.mark.parametrize("capacity", [1, 3, 500])
     def test_builds_only_entries_read(self, capacity):
         # counting builders: offers build nothing, a read builds each entry
@@ -495,7 +513,8 @@ class TestPool:
                 assert built == read_midway
         assert built == read_midway
         built.clear()
-        assert len(pool) == capacity
+        frontier = {id(e) for e in pool._level if e is not None}
+        assert len(pool) == max(capacity, len(frontier))
 
         first = pool.best()[0].key()
         assert built == ([] if [first] == read_midway else [first])
@@ -526,8 +545,8 @@ def test_early_rejection_is_exact(monkeypatch):
     # the search drops a leaf the pool rejects by total before making its
     # key; without that shortcut every leaf reaches offer(), and each solve
     # must come out the same. Wider instances under a pool of one or two
-    # lose sparse levels from the pool, where the rule's at-level clause
-    # decides
+    # fill it with their sparsity frontier, where the rule's at-level
+    # clause decides
     cases = [(random_instance(seed)[1:], pool_size, node_limit)
              for seed in range(30) for pool_size in (1, 2, 3, 5) for node_limit in (None, 7, 40)]
     cases += [(wide_instance(seed)[1:], pool_size, None)
@@ -536,6 +555,24 @@ def test_early_rejection_is_exact(monkeypatch):
     monkeypatch.setattr(SolutionPool, "rejects", lambda self, total, l0: False)
     for (inst, pool_size, node_limit), got in zip(cases, fast):
         assert got == _solve_outputs(*inst, pool_size, node_limit), (pool_size, node_limit)
+
+
+def test_pool_size_leaves_solve_unchanged():
+    # pruning reads the pool's best total at each term budget, which the
+    # pool keeps at every capacity: reports and per-level picks must not
+    # depend on the pool size
+    cases = [random_instance(seed)[1:] for seed in range(20)]
+    cases += [wide_instance(seed)[1:] for seed in range(8)]
+    for agg, cfg, lattice in cases:
+        for node_limit in (None, 40):
+            outputs = []
+            for pool_size in (1, 2, 3, 500):
+                report, pool = solve(agg, cfg, lattice, SolveConfig(
+                    time_limit=60, pool_size=pool_size, node_limit=node_limit))
+                outputs.append((replace(report, wall_time=None),
+                                [pool.best_with_at_most(k)[0].key()
+                                 for k in range(cfg.max_terms + 1)]))
+            assert all(out == outputs[-1] for out in outputs), node_limit
 
 
 def test_solve_leaves_no_cycle():
@@ -874,7 +911,8 @@ class TestSiblingBatching:
             searches[0].greedy_seed(float("inf"))
             per_leaf_greedy_seed(searches[1])
             batched, per_leaf = searches
-            assert batched.best_leq == per_leaf.best_leq
+            assert [batched.pool.best_total(k) for k in range(batched.cap + 1)] == \
+                [per_leaf.pool.best_total(k) for k in range(per_leaf.cap + 1)]
             assert [(m.key(), v) for m, v in batched.pool.entries] == \
                 [(m.key(), v) for m, v in per_leaf.pool.entries]
             assert not batched.base.any() and batched.terms == ()
