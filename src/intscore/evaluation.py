@@ -223,25 +223,26 @@ def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
     polish(S) is the least key over the lattice of S. Supports are polished
     largest first, and S is skipped when a superset T polished to a model
     M supported within S: M lies in S's lattice, which lies in T's, so
-    polish(S) is M, which the pool already holds."""
+    polish(S) is M, which the pool already holds. Supports are ordered and
+    skipped by the pool's keys, so only the entries polished are built."""
     agg = aggregate(train)
     cfg = PenaltyConfig.auto(w_plus, train.n, train.p, lattice, max_terms)
     _, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
     supports = pool.first_per_support()
     polished = SolutionPool(len(supports))
     done = []  # (support, polished support) of each polish call, as bit masks
-    for model, _ in sorted(supports, key=lambda mv: -mv[0].l0):
-        support = _mask(model)
+    for features, read in sorted(supports, key=lambda sr: -len(sr[0])):
+        support = _mask(features)
         if any(got & ~support == 0 and support & ~sup == 0 for sup, got in done):
             continue
-        out, value = polish(model, agg, cfg, lattice)
+        out, value = polish(read()[0], agg, cfg, lattice)
         polished.add(out, value)
-        done.append((support, _mask(out)))
+        done.append((support, _mask(j for j, _ in out.terms)))
     return polished
 
 
-def _mask(model: ScoringSystem) -> int:
-    return sum(1 << j for j, _ in model.terms)
+def _mask(features) -> int:
+    return sum(1 << j for j in features)
 
 
 def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,

@@ -91,10 +91,20 @@ def exact_steps(units, n_pos: int):
     return np.where(is_pos, -units, units), np.where(is_pos, units, 0)
 
 
+def intercept_grid(intercept_bound: int, bounds):
+    """(grid, order): the intercepts -h .. h, h = min(intercept_bound, sum
+    of the coefficient bounds + 1), as the module docstring clips them, and
+    their tie order for least_loss: the smallest magnitude first, a
+    negative intercept before a positive one."""
+    half = min(intercept_bound, int(np.sum(bounds)) + 1)
+    grid = np.arange(-half, half + 1)
+    return grid, np.argsort(np.abs(grid) * 2 + (grid > 0), kind="stable")
+
+
 def least_loss(curves: np.ndarray, grid: np.ndarray, order: np.ndarray):
     """(units, lam0) arrays: the least loss of each curve along its last
     axis, an intercept grid, and the canonical intercept, the first in
-    order (Rows.lam0_order) among those reaching it."""
+    order (intercept_grid's) among those reaching it."""
     return curves.min(axis=-1), grid[order[np.argmin(curves[..., order], axis=-1)]]
 
 
@@ -289,8 +299,8 @@ class Rows:
     unit_den are loss_units', cols holds the features by column, and steps
     (float64, as curve_plan takes them) and start are exact_steps'. dtype
     is the narrowest integer type that holds every sum of the units. Every
-    curve reads lam0_grid, the intercepts -grid_half .. grid_half clipped as
-    the module docstring says, and least_loss ranks them by lam0_order.
+    curve reads lam0_grid, the intercepts -grid_half .. grid_half of
+    intercept_grid, and least_loss ranks them by its lam0_order.
 
     base holds every row's score under the coefficients the search has
     fixed: move(j, v) fixes coefficient j at v and move(j, -v) frees it
@@ -310,12 +320,8 @@ class Rows:
         self.steps = steps.astype(np.float64)
         total = int(self.units.sum())
         self.dtype = np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
-        self.grid_half = min(intercept_bound, int(self.bounds.sum()) + 1)
-        self.lam0_grid = np.arange(-self.grid_half, self.grid_half + 1)
-        # tie order: the smallest magnitude first, a negative intercept
-        # before a positive one
-        self.lam0_order = np.argsort(np.abs(self.lam0_grid) * 2 + (self.lam0_grid > 0),
-                                     kind="stable")
+        self.lam0_grid, self.lam0_order = intercept_grid(intercept_bound, self.bounds)
+        self.grid_half = int(self.lam0_grid[-1])
         self.base = np.zeros(len(self.units), dtype=np.int64)
         self._row = np.empty_like(self.base)  # scratch for move
         self._leaf_plans, self._child_plans = {}, {}

@@ -6,17 +6,35 @@ are re-optimized; every other coefficient stays zero. Dropping penalties,
 the restricted problem minimizes the weighted 0-1 loss alone; ties are
 resolved by (smaller coefficient-magnitude sum, lexicographically smaller
 coefficient tuple, then the intercept of smallest magnitude with negative
-preferred). The data is first projected onto the active columns, which
-collapses it to at most 2^|A| distinct patterns per class, so the search
-is fast even when the original dataset is large.
+preferred). On k active features the data falls into the 2^k cells of
+{0,1}^k, so the problem is small even when the dataset is large.
 
-All loss curves and bounds come from the kernel in loss.py, over segments
-of the projected patterns. The search prunes with the grouped relaxation
-(loss.grouped_bounds), the bound the main solver uses at its deep nodes:
-patterns sharing the same mask over the still-free coefficients share one
-unknown offset, so each group contributes the sliding-window minimum of its
-exact loss curve. Conflicting label pairs always share a group and are
-costed exactly by its curve.
+Up to TABLE_TERMS terms the optimum is read off a table. A model scores
+each cell and labels it positive when the score reaches 1, so its loss
+depends only on which cells it labels positive. The labelings an integer
+model can produce are the threshold functions of k inputs, 2, 4, 14, 104
+and 1,882 of them for k = 0 .. 4 (OEIS A000609). labeling_table(k) holds
+the least (l1, coefficient tuple) realization of each, found once per
+process by scanning integer tuples in that order. A lattice admits the
+table when every entry lies in it: each |c_i| within its bound, and the
+intercepts that produce the entry's labeling meeting the clipped grid of
+loss.intercept_grid. Every lattice point then produces some labeling
+whose entry is a lattice point with no larger (l1, tuple), so the least
+key over the lattice is the least (loss, entry) over the table: one
+matrix-vector product of the labelings with the cells' loss units, and
+the canonical intercept of the winning coefficients from one loss curve.
+Five terms would need 94,572 entries, so the table stops at four.
+
+Wider supports, and lattices that do not admit the table, are searched.
+The data is first projected onto the active columns, which collapses it to
+at most 2^|A| distinct patterns per class. All loss curves and bounds come
+from the kernel in loss.py, over segments of the projected patterns. The
+search prunes with the grouped relaxation (loss.grouped_bounds), the bound
+the main solver uses at its deep nodes: patterns sharing the same mask
+over the still-free coefficients share one unknown offset, so each group
+contributes the sliding-window minimum of its exact loss curve.
+Conflicting label pairs always share a group and are costed exactly by its
+curve.
 
 Expanding a node bounds all 2b+1 children at once, from one kernel call
 over an offset grid widened by the bound b of the feature branched on. The
@@ -37,18 +55,26 @@ leaf batch that prunes nothing, so it runs alone and without an incumbent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import Rows, least_loss
+from .loss import (Rows, curve_plan, exact_steps, intercept_grid, least_loss, loss_curves,
+                   loss_units)
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 # the largest support polish accepts; its projection has up to 2^cap patterns per class
 POLISH_CAP = 12
 # the smallest support on which the halved-bounds warm search runs first
 WARM_TERMS = 6
+# the number of threshold functions of k inputs, k = 0, 1, .. (OEIS A000609)
+THRESHOLD_FUNCTIONS = (2, 4, 14, 104, 1882)
+# the largest support polished by table lookup
+TABLE_TERMS = len(THRESHOLD_FUNCTIONS) - 1
+# stands in for an unbounded end of an entry's intercept interval
+_UNBOUNDED = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -180,23 +206,107 @@ class _RestrictedSearch(Rows):
             self._undo(j, v)
 
 
-def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
-           lattice: LatticeSpec):
-    """Re-optimize the model's nonzero coefficients to proven optimality.
+@dataclass(frozen=True)
+class LabelingTable:
+    """The least realization of every threshold labeling of 2^k cells.
 
-    Returns (polished ScoringSystem, its ObjectiveValue under cfg). The
-    output support is contained in the input support and the objective
-    never increases. Models of more than POLISH_CAP terms are refused.
+    Cell x, 0 <= x < 2^k, is the pattern whose support position i is bit i
+    of x; cells[x] holds those bits. Entry e labels positive the cells in
+    the bit mask masks[e] (labels[e, x] is 1 for them, 0 for the others).
+    coefs[e] is the least (l1, coefficient tuple) integer model producing
+    that labeling, with the intercepts lo[e] .. hi[e] (+-_UNBOUNDED for an
+    open end). Entries ascend by that key.
     """
-    if model.n_features != agg.p:
-        raise ValueError(f"dataset has {agg.p} features, model expects {model.n_features}")
-    model.validate_lattice(lattice)
-    active = ActiveSet.of(model)
-    if len(active) > POLISH_CAP:
-        raise ValueError(f"active set of size {len(active)} exceeds the polish cap {POLISH_CAP}")
 
+    cells: np.ndarray
+    masks: np.ndarray
+    labels: np.ndarray
+    coefs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        # labeling_table hands one table to every caller
+        for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi):
+            arr.setflags(write=False)
+
+    def admits(self, bounds, half: int) -> bool:
+        """True when every entry lies in the lattice of coefficient bounds
+        (position order) and intercepts -half .. half."""
+        return bool((np.abs(self.coefs) <= bounds).all()
+                    and self.lo.max() <= half and self.hi.min() >= -half)
+
+
+def _shell(k: int, l1: int) -> list:
+    """Every integer k-tuple of l1 norm l1, in lexicographic order."""
+    if k == 0:
+        return [()] if l1 == 0 else []
+    return [(c,) + rest for c in range(-l1, l1 + 1) for rest in _shell(k - 1, l1 - abs(c))]
+
+
+@functools.lru_cache(maxsize=None)
+def labeling_table(k: int) -> LabelingTable:
+    """The LabelingTable of k <= TABLE_TERMS terms, built on first use:
+    integer tuples are scanned by ascending l1 norm, lexicographically
+    within one, and each labeling keeps its first realization, until every
+    threshold function of k inputs has one."""
+    n = 1 << k
+    cells = (np.arange(n)[:, None] >> np.arange(k)) & 1
+    seen = np.zeros(1 << n, dtype=bool)  # by labeling mask
+    parts = []  # the masks, coefs, lo and hi of each shell's new labelings
+    count, l1 = 0, 0
+    while count < THRESHOLD_FUNCTIONS[k]:
+        shell = np.array(_shell(k, l1), dtype=np.int64)
+        scores = shell @ cells.T
+        # cells by descending score between two sentinels: the top t cells,
+        # t = 0 .. n, are the labeling of the intercepts 1 - ranked[t] ..
+        # -ranked[t + 1], which is empty where t splits a tie
+        by_score = np.argsort(-scores, axis=1, kind="stable")
+        edge = np.full((len(shell), 1), _UNBOUNDED)
+        ranked = np.hstack([edge, np.take_along_axis(scores, by_score, axis=1), -edge])
+        masks = np.hstack([0 * edge, np.cumsum(1 << by_score, axis=1)])
+        rows, tops = np.nonzero(ranked[:, :-1] > ranked[:, 1:])
+        found = masks[rows, tops]
+        # each labeling's first position in scan order, where it is new
+        by_mask = np.argsort(found, kind="stable")
+        lead = by_mask[np.diff(found[by_mask], prepend=-1) != 0]
+        new = np.sort(lead[~seen[found[lead]]])
+        seen[found] = True
+        rows, tops = rows[new], tops[new]
+        parts.append((found[new], shell[rows], 1 - ranked[rows, tops], -ranked[rows, tops + 1]))
+        count += len(new)
+        l1 += 1
+    masks, coefs, lo, hi = (np.concatenate(column) for column in zip(*parts))
+    labels = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    return LabelingTable(cells, masks, labels, coefs, lo, hi)
+
+
+def _table_optimum(table: LabelingTable, agg: AggregatedDataset, cfg: PenaltyConfig,
+                   cols: list, grid: np.ndarray, order: np.ndarray):
+    """(lam0, coefs) of the least key over a lattice that admits table,
+    for the support cols; grid and order are the lattice's intercept_grid."""
+    units, _ = loss_units(agg, cfg)
+    n_pos, n = agg.n_pos_patterns, len(table.cells)
+    bits = 1 << np.arange(len(cols))
+    # the loss units of the positive and the negative rows in each cell
+    a = np.bincount(agg.pos_patterns[:, cols] @ bits, weights=units[:n_pos], minlength=n)
+    b = np.bincount(agg.neg_patterns[:, cols] @ bits, weights=units[n_pos:], minlength=n)
+    # a labeling loses a on the cells it labels negative and b on the rest:
+    # sum(a) + labels @ (b - a), least at the first least entry. The float64
+    # sums are exact, since loss_units keeps all units below 2**53.
+    coefs = table.coefs[int(np.argmin(table.labels @ (b - a)))]
+    scores = table.cells @ coefs
+    steps, start = exact_steps(np.concatenate([a, b]), n)
+    plan = curve_plan(steps, start, np.zeros(2 * n, dtype=np.int64), 1, int(grid[0]), len(grid))
+    _, lam0 = least_loss(loss_curves(plan, np.concatenate([scores, scores]))[0], grid, order)
+    return int(lam0), coefs.tolist()
+
+
+def _search_optimum(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
+                    lattice: LatticeSpec, active: ActiveSet, bounds: np.ndarray):
+    """(lam0, coefs) of the least key over the lattice of the support
+    active, by branch and bound over the projected data."""
     proj = project_active(agg, active)
-    bounds = lattice.bounds_for(agg.p)[list(active.indices)]
     start = [dict(model.terms)[j] for j in active.indices]
     # On WARM_TERMS or more terms, the search over coefficients capped at
     # half their bounds is cheap and usually ends near the optimum; from its
@@ -215,9 +325,35 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
     if len(active) > 2:
         search.seed(start)
     search.run()
+    _, _, coefs, lam0 = search.best
+    return lam0, coefs
 
-    units, _, coefs, lam0 = search.best
+
+def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
+           lattice: LatticeSpec):
+    """Re-optimize the model's nonzero coefficients to proven optimality.
+
+    Returns (polished ScoringSystem, its ObjectiveValue under cfg). The
+    output support is contained in the input support and the objective
+    never increases. Models of more than POLISH_CAP terms are refused.
+    """
+    if model.n_features != agg.p:
+        raise ValueError(f"dataset has {agg.p} features, model expects {model.n_features}")
+    model.validate_lattice(lattice)
+    active = ActiveSet.of(model)
+    if len(active) > POLISH_CAP:
+        raise ValueError(f"active set of size {len(active)} exceeds the polish cap {POLISH_CAP}")
+
+    cols = list(active.indices)
+    bounds = lattice.bounds_for(agg.p)[cols]
+    grid, order = intercept_grid(lattice.intercept_bound, bounds)
+    table = labeling_table(len(cols)) if len(cols) <= TABLE_TERMS else None
+    if table is not None and table.admits(bounds, int(grid[-1])):
+        lam0, coefs = _table_optimum(table, agg, cfg, cols, grid, order)
+    else:
+        lam0, coefs = _search_optimum(model, agg, cfg, lattice, active, bounds)
+
     names = dict(zip((j for j, _ in model.terms), model.term_names))
-    terms = tuple((j, c) for j, c in zip(active.indices, coefs) if c)
+    terms = tuple((j, c) for j, c in zip(cols, coefs) if c)
     polished = ScoringSystem(lam0, terms, tuple(names[j] for j, _ in terms), agg.p)
     return polished, objective(polished, agg, cfg)

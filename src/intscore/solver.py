@@ -154,13 +154,13 @@ class SolutionPool:
         return self.offer(value.total, model.key(), model.l0, lambda: (model, value))
 
     def _at_level(self, l0):
-        """The best entry with at most l0 terms, or None."""
+        """The best entry with at most l0 >= 0 terms, or None."""
         level = self._level
         return level[min(l0, len(level) - 1)] if level else None
 
     def best_total(self, k: int):
         """The least total with at most k terms, or None."""
-        entry = self._at_level(k)
+        entry = self._at_level(k) if k >= 0 else None
         return None if entry is None else entry[0]
 
     def rejects(self, total, l0: int) -> bool:
@@ -228,19 +228,21 @@ class SolutionPool:
         return [self._read(e) for e in self._entries]
 
     def first_per_support(self):
-        """The first (model, value) of each distinct support (the features
-        with nonzero coefficients), in pool order; only these are built."""
+        """(support, read) for the first entry of each distinct support (the
+        sorted features with nonzero coefficients), in pool order. read()
+        returns the entry's (model, value), built on the first read; an
+        entry no caller reads is never built."""
         seen, out = set(), []
         for e in self._entries:
             support = tuple(j for j, _ in e[1][1:])
             if support not in seen:
                 seen.add(support)
-                out.append(self._read(e))
+                out.append((support, functools.partial(self._read, e)))
         return out
 
     def best_with_at_most(self, k: int):
         """Best (model, value) using at most k terms, or None."""
-        entry = self._at_level(k)
+        entry = self._at_level(k) if k >= 0 else None
         return None if entry is None else self._read(entry)
 
 

@@ -186,13 +186,16 @@ def filter_rules_any(rules, indices):
 def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bound):
     """Exhaustive optimum of the penalty-free restricted problem.
 
-    Minimizes (loss, sum|coef|, coefficient tuple, (|intercept|, intercept))
+    coef_bound is one bound for every feature or a sequence of them, one
+    per feature. Minimizes (loss, sum|coef|, coefficient tuple, (|intercept|, intercept))
     over all assignments to the support positions, everything else zero.
     Each coefficient tuple's row scores are computed once; the rows each
     intercept misclassifies are then counted by bisection on the sorted
     scores of each class, in integers, and each key's loss is one Fraction.
     """
     p, n = len(X[0]), len(y)
+    bounds = [coef_bound] * len(support) if isinstance(coef_bound, int) \
+        else [coef_bound[j] for j in support]
     w_plus, w_minus = Fraction(w_plus), Fraction(w_minus)
     den = w_plus.denominator * w_minus.denominator
     a, b = int(w_plus * den), int(w_minus * den)
@@ -200,7 +203,7 @@ def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bou
     neg_rows = [[int(row[j]) for j in support] for row, label in zip(X, y) if label == -1]
     best_key = None
     best = None
-    for coefs in product(*[range(-coef_bound, coef_bound + 1)] * len(support)):
+    for coefs in product(*[range(-b, b + 1) for b in bounds]):
         pos = sorted(sum(c * x for c, x in zip(coefs, row)) for row in pos_rows)
         neg = sorted(sum(c * x for c, x in zip(coefs, row)) for row in neg_rows)
         l1 = sum(abs(c) for c in coefs)
@@ -217,6 +220,31 @@ def restricted_optimum(X, y, w_plus, w_minus, support, coef_bound, intercept_bou
                     dense[j] = c
                 best = (lam0, tuple(dense))
     return best_key, best
+
+
+def lattice_labelings(bounds, intercept_bound):
+    """The least (l1, coefficient tuple) model of each labeling of the 2^k
+    cells of {0,1}^k that the lattice of coefficient bounds bounds (one
+    per position) and intercepts -intercept_bound .. intercept_bound
+    produces, by enumerating every lattice point: {bit mask of the cells
+    scored >= 1: coefficient tuple}. Cell x has bit i of x on position i.
+    An intercept beyond sum(bounds) + 1 labels every cell alike, so the
+    intercepts are tried only up to there. Unlike the rest of this module
+    it uses numpy, one intercept at a time over every tuple, so that the
+    21^4 tuples of a 4-term 10/100 lattice take a second or two."""
+    k = len(bounds)
+    tuples = sorted(product(*[range(-b, b + 1) for b in bounds]),
+                    key=lambda c: (sum(map(abs, c)), c))
+    cells = np.array([[(x >> i) & 1 for i in range(k)] for x in range(1 << k)])
+    scores = np.array(tuples, dtype=np.int64) @ cells.T
+    weights = 1 << np.arange(1 << k)
+    half = min(intercept_bound, sum(bounds) + 1)
+    first = {}  # mask -> the least rank of a tuple producing it
+    for lam0 in range(-half, half + 1):
+        masks, rank = np.unique((scores + lam0 >= 1) @ weights, return_index=True)
+        for mask, r in zip(masks.tolist(), rank.tolist()):
+            first[mask] = min(first.get(mask, r), r)
+    return {mask: tuples[r] for mask, r in first.items()}
 
 
 def pattern_relaxation(coefs, intercept, agg, cfg, lattice):
@@ -405,8 +433,8 @@ def _polished_pool(pool, agg, cfg, lattice):
     entry is built.
     """
     seen = {}
-    for model, _ in pool.first_per_support():
-        out, value = polish(model, agg, cfg, lattice)
+    for _, read in pool.first_per_support():
+        out, value = polish(read()[0], agg, cfg, lattice)
         key = out.key()
         if key not in seen or value.total < seen[key][1].total:
             seen[key] = (out, value)

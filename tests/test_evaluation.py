@@ -145,11 +145,14 @@ class TestSweep:
         assert "Traceback" in caplog.text
 
     def test_point_builds_one_entry_per_support(self, monkeypatch):
-        # model selection polishes the first pool entry of each support; no
-        # other entry of a solve's pool is ever built
+        # model selection polishes the first pool entry of each support it
+        # does not skip; no other entry of a solve's pool is ever built, not
+        # even the first entry of a skipped support, but the best entry,
+        # which the solve's report reads
         solver_module = sys.modules["intscore.solver"]
-        build_entry, solve = solver_module._build_entry, evaluation.solve
-        built, pools = [], []
+        build_entry, solve, polish = solver_module._build_entry, evaluation.solve, \
+            evaluation.polish
+        built, polished, pools = [], [], []
 
         def counting_build(names, p, unit_den, den, terms, *rest):
             built[-1].append(tuple(j for j, _ in terms))
@@ -157,20 +160,30 @@ class TestSweep:
 
         def counting_solve(*args, **kwargs):
             built.append([])
+            polished.append([])
             report, pool = solve(*args, **kwargs)
-            pools.append(pool)
+            pools.append((report, pool))
             return report, pool
+
+        def counting_polish(model, *rest):
+            polished[-1].append(tuple(j for j, _ in model.terms))
+            return polish(model, *rest)
 
         monkeypatch.setattr(solver_module, "_build_entry", counting_build)
         monkeypatch.setattr(evaluation, "solve", counting_solve)
+        monkeypatch.setattr(evaluation, "polish", counting_polish)
         ds, _ = planted_dataset()
         result = sweep(ds, make_folds(ds, seed=2), self.protocol((1,)), LatticeSpec(2, 4),
                        self.scfg(), max_terms=3)
         assert result.points[0].status == "ok"
         assert len(built) == 6  # five folds, then the final model
-        for supports, pool in zip(built, pools):
-            assert len(supports) == len(set(supports))
-            assert len(set(supports)) == len(pool.first_per_support()) < len(pool)
+        skipped = 0
+        for supports, calls, (report, pool) in zip(built, polished, pools):
+            assert len(set(supports)) == len(supports)
+            assert set(supports) == set(calls) | {tuple(j for j, _ in report.best.terms)}
+            assert len(calls) <= len(pool.first_per_support()) < len(pool)
+            skipped += len(pool.first_per_support()) - len(calls)
+        assert skipped > 0
 
     @staticmethod
     def _assert_pool_as_reference(fit, want, max_terms):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
-from intscore.loss import curve_plan, loss_curves
+from intscore.loss import curve_plan, intercept_grid, loss_curves
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
-from intscore.polish import WARM_TERMS, ActiveSet, polish, project_active
+from intscore.polish import (TABLE_TERMS, WARM_TERMS, ActiveSet, labeling_table, polish,
+                             project_active)
 from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
-from oracles import brute_force_solve, restricted_bound_units, restricted_optimum
+from oracles import (brute_force_solve, lattice_labelings, restricted_bound_units,
+                     restricted_optimum)
 
 
 class TestActiveSet:
@@ -414,3 +416,109 @@ def test_ties_on_loss_and_l1_are_not_pruned():
     assert s.best[:3] == (0, 1, (0, -1, 0))
     s.run()
     assert s.best == (0, 1, dense, lam0)
+
+
+def _universal(k):
+    table = labeling_table(k)
+    return dict(zip(table.masks.tolist(), map(tuple, table.coefs.tolist())))
+
+
+def test_table_holds_the_least_model_of_every_threshold_function():
+    # on 10/100 every threshold function of k inputs (OEIS A000609) is
+    # produced, and the table holds its least (l1, tuple) model
+    for k, count in zip(range(1, TABLE_TERMS + 1), (4, 14, 104, 1882)):
+        want = lattice_labelings([10] * k, 100)
+        assert len(want) == count
+        assert _universal(k) == want
+        assert labeling_table(k).admits(np.full(k, 10), int(intercept_grid(100, [10] * k)[0][-1]))
+
+
+def test_table_entries_hold_on_their_intercepts():
+    # each entry's model labels its cells by its mask at both ends of its
+    # intercept interval, and differently just outside a finite end
+    for k in range(TABLE_TERMS + 1):
+        table = labeling_table(k)
+        for mask, coefs, lo, hi in zip(table.masks.tolist(), table.coefs, table.lo.tolist(),
+                                       table.hi.tolist()):
+            scores = (table.cells @ coefs).tolist()
+
+            def label(lam0):
+                return sum(1 << x for x, s in enumerate(scores) if s + lam0 >= 1)
+
+            assert label(lo) == label(hi) == mask
+            if abs(lo) <= 100:
+                assert label(lo - 1) != mask
+            if abs(hi) <= 100:
+                assert label(hi + 1) != mask
+
+
+@pytest.mark.parametrize("bounds, intercept_bound, admitted", [
+    ((3, 3, 3, 3), 5, True), ((3, 3, 3, 3), 4, False), ((2, 2, 2, 2), 9, False),
+    ((3, 3, 3, 2), 12, False), ((2, 2, 2), 3, True), ((2, 2, 2), 2, False),
+    ((1, 2, 2), 9, False), ((1, 1), 2, True), ((1, 1), 1, False), ((1,), 1, True)])
+def test_table_admitted_exactly_where_it_is_the_lattices(bounds, intercept_bound, admitted):
+    # a lattice admits the table exactly when the least model of each
+    # labeling it produces is the table's
+    grid, _ = intercept_grid(intercept_bound, bounds)
+    table = labeling_table(len(bounds))
+    assert table.admits(np.array(bounds), int(grid[-1])) == admitted
+    assert (lattice_labelings(list(bounds), intercept_bound) == _universal(len(bounds))) \
+        == admitted
+
+
+def test_table_polish_matches_restricted_enumeration(monkeypatch):
+    # supports of one to four terms, on data with conflicting pairs and
+    # empty cells, on lattices on both sides of the admission rule: polish
+    # reads the table exactly where the lattice admits it, searches
+    # elsewhere, and returns the exhaustive optimum either way
+    polish_module = sys.modules["intscore.polish"]
+    searches = []
+
+    class CountedSearch(polish_module._RestrictedSearch):
+        def __init__(self, *args):
+            searches.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(polish_module, "_RestrictedSearch", CountedSearch)
+    lattices = [LatticeSpec(3, 5), LatticeSpec(3, 4), LatticeSpec(2, 9), LatticeSpec(2, 3),
+                LatticeSpec((3, 3, 3, 2, 1), 12), LatticeSpec((1, 2, 1, 2, 1), 4),
+                LatticeSpec(1, 2), LatticeSpec(1, 1)]
+    rng = np.random.default_rng(43)
+    paths, conflicted, sparse = set(), 0, 0
+    for case in range(96):
+        n, p = int(rng.integers(6, 30)), 5
+        X = (rng.random((n, p)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        y = np.where(rng.random(n) < rng.uniform(0.3, 0.7), 1, -1).astype(np.int8)
+        flips = int(rng.integers(0, 4))  # rows repeated with the other label
+        X, y = np.concatenate([X, X[:flips]]), np.concatenate([y, -y[:flips]])
+        ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(p)), X, y)
+        agg = aggregate(ds)
+        lattice = lattices[case % len(lattices)]
+        bounds = lattice.bounds_for(p)
+        k = 1 + (case // len(lattices)) % TABLE_TERMS
+        support = sorted(rng.choice(p, size=k, replace=False).tolist())
+        dense = np.zeros(p, dtype=np.int64)
+        dense[support] = [int(rng.choice([-1, 1]) * rng.integers(1, bounds[j] + 1))
+                          for j in support]
+        cfg = PenaltyConfig.auto(Fraction(int(rng.integers(1, 4)), 2), ds.n, p, lattice)
+        model = ScoringSystem.from_dense(
+            int(rng.integers(-lattice.intercept_bound, lattice.intercept_bound + 1)),
+            dense, ds.feature_names)
+
+        searches.clear()
+        out, value = polish(model, agg, cfg, lattice)
+        grid, _ = intercept_grid(lattice.intercept_bound, bounds[support])
+        admitted = labeling_table(k).admits(bounds[support], int(grid[-1]))
+        assert (not searches) == admitted
+        paths.add((k, admitted))
+        conflicted += len(agg.conflict_pairs) > 0
+        cells = {tuple(row) for row in X[:, support].tolist()}
+        sparse += len(cells) < 2 ** k
+
+        _, (lam0, want) = restricted_optimum(
+            X.tolist(), y.tolist(), cfg.w_plus, cfg.w_minus, support,
+            lattice.coef_bound, lattice.intercept_bound)
+        assert (out.intercept, tuple(out.coef_vector())) == (lam0, want)
+        assert value == objective(out, agg, cfg)
+    assert paths == {(1, True)} | {(k, a) for k in (2, 3, 4) for a in (True, False)}
+    assert conflicted > 40 and sparse > 40

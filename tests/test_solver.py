@@ -439,6 +439,17 @@ class TestPool:
         model, _ = pool.best_with_at_most(2)
         assert model.l0 == 2
 
+    def test_negative_budget_has_no_model(self):
+        # no model has fewer than zero terms, however many the pool holds
+        pool = SolutionPool(10)
+        for coefs, total in (([0, 0], Fraction(3, 10)), ([1, 1], Fraction(1, 10))):
+            pool.add(ScoringSystem.from_dense(0, coefs, ["a", "b"]),
+                     ObjectiveValue(total, sum(coefs), sum(coefs), total))
+        assert pool.best_with_at_most(0)[0].l0 == 0
+        assert pool.best_with_at_most(-1) is None
+        assert pool.best_total(-1) is None
+        assert pool.best_total(-3) is None
+
     @pytest.mark.parametrize("capacity", [1, 2, 3, 500])
     def test_matches_reference_pool(self, capacity):
         # seeded add sequences with repeated keys, equal totals and every
