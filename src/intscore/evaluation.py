@@ -6,11 +6,14 @@ training set; a fit solves, polishes the first pooled solution of each
 support, and keeps the polished models in a SolutionPool, whose best model
 with at most k terms is the candidate at term count k. A support is not
 polished when a superset of it already polished to a model inside it,
-which is then its polished model too. The term count is tuned by mean
-weighted validation error, and the chosen full-training model is
-evaluated on the held-out test rows. Weight endpoints 0 and 2 are served
-by the constant classifiers directly since no validated penalty
-configuration exists there.
+which is then its polished model too. A fit solved by the support search
+is not polished again: its pool already holds every support's polished
+model. The term count is tuned by mean weighted validation error, and the
+chosen full-training model is evaluated on the held-out test rows. Each
+point keeps the search, status, gap and nodes of its fits' solves, so a
+curve shows whether it rests on certified models. Weight endpoints 0 and
+2 are served by the constant classifiers directly since no validated
+penalty configuration exists there.
 """
 
 from __future__ import annotations
@@ -158,6 +161,9 @@ class SweepPoint:
     val_fpr: Optional[Fraction]
     val_weighted_error: Optional[Fraction]
     error: Optional[str] = None
+    # (search, status, gap, nodes) of the solve of each fit: the folds',
+    # then the full training set's
+    fits: tuple = ()
 
     @property
     def model_id(self) -> str:
@@ -173,6 +179,9 @@ class SweepPoint:
             doc["val_tpr"] = frac_str(self.val_tpr)
             doc["val_fpr"] = frac_str(self.val_fpr)
             doc["val_weighted_error"] = frac_str(self.val_weighted_error)
+        if self.fits:
+            doc["fits"] = [{"search": search, "status": status, "gap": frac_str(gap),
+                            "nodes": nodes} for search, status, gap, nodes in self.fits]
         if self.error:
             doc["error"] = self.error
         return doc
@@ -213,21 +222,28 @@ class SweepResult:
 
 
 def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
-                  scfg: SolveConfig, max_terms: int) -> SolutionPool:
+                  scfg: SolveConfig, max_terms: int):
     """Solve the training set at weight w_plus and polish the first pool
     entry of each support, the polished result being determined by the
-    support alone. Returns the distinct polished models as a pool, which
-    has room for all of them and so never evicts one; its best entry with
-    at most k terms is the fit's model at term count k.
+    support alone. Returns (pool, the solve's SolveReport): the pool holds
+    the distinct polished models and has room for all of them, so it never
+    evicts one; its best entry with at most k terms is the fit's model at
+    term count k.
 
     polish(S) is the least key over the lattice of S. Supports are polished
     largest first, and S is skipped when a superset T polished to a model
     M supported within S: M lies in S's lattice, which lies in T's, so
     polish(S) is M, which the pool already holds. Supports are ordered and
-    skipped by the pool's keys, so only the entries polished are built."""
+    skipped by the pool's keys, so only the entries polished are built.
+
+    A solve by support search offered polish(S) of every support S, so its
+    pool is returned as it is: its best entry with at most k terms is the
+    optimum with at most k terms."""
     agg = aggregate(train)
     cfg = PenaltyConfig.auto(w_plus, train.n, train.p, lattice, max_terms)
-    _, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
+    report, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
+    if report.search == "support":
+        return pool, report
     supports = pool.first_per_support()
     polished = SolutionPool(len(supports))
     done = []  # (support, polished support) of each polish call, as bit masks
@@ -238,7 +254,7 @@ def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
         out, value = polish(read()[0], agg, cfg, lattice)
         polished.add(out, value)
         done.append((support, _mask(j for j, _ in out.terms)))
-    return polished
+    return polished, report
 
 
 def _mask(features) -> int:
@@ -263,9 +279,11 @@ def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
         ks = [k for k in protocol.sparsity_grid if k <= max_terms]
 
         sums = {k: (Fraction(0),) * 3 for k in ks}  # weighted error, TPR, FPR
+        reports = []
         for f in range(protocol.cv_folds):
-            fit = _polished_fit(dataset.subset(folds.fold_train_mask(f)), w_plus,
-                                lattice, scfg, max_terms)
+            fit, report = _polished_fit(dataset.subset(folds.fold_train_mask(f)), w_plus,
+                                        lattice, scfg, max_terms)
+            reports.append(report)
             valid = dataset.subset(folds.fold_valid_mask(f))
             for k in ks:
                 model, _ = fit.best_with_at_most(k)
@@ -275,11 +293,14 @@ def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
                            tpr + (counts.tpr or 0), fpr + (counts.fpr or 0))
 
         chosen_k = min(ks, key=lambda k: (sums[k][0], k))
-        final, _ = _polished_fit(dataset.subset(folds.train_mask()), w_plus,
-                                 lattice, scfg, max_terms).best_with_at_most(chosen_k)
+        fit, report = _polished_fit(dataset.subset(folds.train_mask()), w_plus,
+                                    lattice, scfg, max_terms)
+        reports.append(report)
+        final, _ = fit.best_with_at_most(chosen_k)
         err, tpr, fpr = (s / protocol.cv_folds for s in sums[chosen_k])
+        fits = tuple((r.search, r.status, r.gap, r.nodes_explored) for r in reports)
         return SweepPoint(w_plus, "ok", final, chosen_k, confusion(final, test_ds),
-                          tpr, fpr, err)
+                          tpr, fpr, err, fits=fits)
     except Exception as exc:  # a failed grid point is recorded, not fatal
         logger.exception("sweep point w+=%s failed", frac_str(w_plus))
         return SweepPoint(w_plus, "failed", None, None, None, None, None, None,

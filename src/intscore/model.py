@@ -77,7 +77,10 @@ class LatticeSpec:
 
 def derive_c0_bound(w_plus, w_minus, n: int, p: int) -> Fraction:
     """Largest sparsity penalty that never trades accuracy for sparsity:
-    min(W+, W-) / (N * P). Valid c0 values are strictly below this."""
+    weight_quantum(W+, W-) / (N * P), so that the penalty of P terms stays
+    below the least difference in weighted error between two models. Valid
+    c0 values are strictly below this. At a weight endpoint (one weight 0)
+    it is 0: no c0 is valid there, and the constant classifiers serve it."""
     wp, wm = as_fraction(w_plus), as_fraction(w_minus)
     if wp < 0 or wm < 0:
         raise ValueError("class weights must be nonnegative")
@@ -85,7 +88,9 @@ def derive_c0_bound(w_plus, w_minus, n: int, p: int) -> Fraction:
         raise ValueError("class weights cannot both be zero")
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
-    return min(wp, wm) / (n * p)
+    if wp == 0 or wm == 0:
+        return Fraction(0)
+    return weight_quantum(wp, wm) / (n * p)
 
 
 def derive_epsilon_bound(c0, n: int, lattice: LatticeSpec, p: int) -> Fraction:

@@ -18,12 +18,16 @@ the least (l1, coefficient tuple) realization of each, found once per
 process by scanning integer tuples in that order. A lattice admits the
 table when every entry lies in it: each |c_i| within its bound, and the
 intercepts that produce the entry's labeling meeting the clipped grid of
-loss.intercept_grid. Every lattice point then produces some labeling
+loss.intercept_grid. Table k reaches |c| = TABLE_REACH[k] in every
+position and needs intercepts up to TABLE_HALF[k], so table_admits decides
+without building it. Every lattice point then produces some labeling
 whose entry is a lattice point with no larger (l1, tuple), so the least
 key over the lattice is the least (loss, entry) over the table: one
-matrix-vector product of the labelings with the cells' loss units, and
-the canonical intercept of the winning coefficients from one loss curve.
-Five terms would need 94,572 entries, so the table stops at four.
+product of the labelings with the cells' loss units, and the canonical
+intercept of the winning coefficients from one loss curve.
+table_optima does this for many supports of one size at once, which is
+how the solver's support search scores every support; polish calls it on
+one. Five terms would need 94,572 entries, so the table stops at four.
 
 Wider supports, and lattices that do not admit the table, are searched.
 The data is first projected onto the active columns, which collapses it to
@@ -61,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import (Rows, curve_plan, exact_steps, intercept_grid, least_loss, loss_curves,
-                   loss_units)
+from .loss import Rows, curve_plan, intercept_grid, least_loss, loss_curves, loss_units
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 # the largest support polish accepts; its projection has up to 2^cap patterns per class
@@ -71,8 +74,16 @@ POLISH_CAP = 12
 WARM_TERMS = 6
 # the number of threshold functions of k inputs, k = 0, 1, .. (OEIS A000609)
 THRESHOLD_FUNCTIONS = (2, 4, 14, 104, 1882)
+# the largest |c| that labeling_table(k) holds, the same in every position,
+# and the intercept half-width its entries need, k = 0, 1, ..
+TABLE_REACH = (0, 1, 1, 2, 3)
+TABLE_HALF = (1, 1, 2, 3, 5)
 # the largest support polished by table lookup
 TABLE_TERMS = len(THRESHOLD_FUNCTIONS) - 1
+# the most elements one block of table_optima works on (rows times set
+# columns for the cells' units, supports times labelings to score them),
+# which caps its temporaries
+_BLOCK_ELEMENTS = 1 << 16
 # stands in for an unbounded end of an entry's intercept interval
 _UNBOUNDED = 1 << 40
 
@@ -230,11 +241,14 @@ class LabelingTable:
         for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi):
             arr.setflags(write=False)
 
-    def admits(self, bounds, half: int) -> bool:
-        """True when every entry lies in the lattice of coefficient bounds
-        (position order) and intercepts -half .. half."""
-        return bool((np.abs(self.coefs) <= bounds).all()
-                    and self.lo.max() <= half and self.hi.min() >= -half)
+
+def table_admits(bounds, half: int) -> bool:
+    """True when every entry of labeling_table(k), k = len(bounds), lies in
+    the lattice of coefficient bounds (position order) and intercepts -half
+    .. half. It reads TABLE_REACH and TABLE_HALF, so it builds no table."""
+    k = len(bounds)
+    return k <= TABLE_TERMS and bool(np.all(np.asarray(bounds) >= TABLE_REACH[k])) \
+        and half >= TABLE_HALF[k]
 
 
 def _shell(k: int, l1: int) -> list:
@@ -281,25 +295,129 @@ def labeling_table(k: int) -> LabelingTable:
     return LabelingTable(cells, masks, labels, coefs, lo, hi)
 
 
-def _table_optimum(table: LabelingTable, agg: AggregatedDataset, cfg: PenaltyConfig,
-                   cols: list, grid: np.ndarray, order: np.ndarray):
-    """(lam0, coefs) of the least key over a lattice that admits table,
-    for the support cols; grid and order are the lattice's intercept_grid."""
+def _set_columns(x: np.ndarray, width: int) -> np.ndarray:
+    """One column per set of at most two columns of x, 1 on the rows that
+    set every column of the set: the empty set, each column, then each
+    pair a < b in np.triu_indices order; only the first width of them,
+    width being 1, 1 + f or all 1 + f + f (f - 1) / 2."""
+    n, f = x.shape
+    cols = np.empty((n, width))
+    cols[:, 0] = 1
+    cols[:, 1:1 + f] = x[:, :width - 1]
+    at = 1 + f
+    for a in range(f - 1):
+        if at >= width:
+            break
+        np.multiply(x[:, a:a + 1], x[:, a + 1:], out=cols[:, at:at + f - 1 - a])
+        at += f - 1 - a
+    return cols
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(k: int):
+    """(positions, mobius) for the bit masks t < 2^k of k support
+    positions: positions[t] holds t's set positions, then k for none, four
+    in all; mobius[t, c] is (-1)^|t - c| where c lies within t, else 0."""
+    n = 1 << k
+    positions = np.full((n, 4), k)
+    for t in range(n):
+        bits = [i for i in range(k) if t >> i & 1]
+        positions[t, :len(bits)] = bits
+    masks = np.arange(n)
+    parity = ((masks[:, None] ^ masks)[..., None] >> np.arange(k)).sum(axis=-1) & 1
+    mobius = np.where((masks[:, None] & masks) == masks, 1 - 2 * parity, 0)
+    for arr in (positions, mobius):
+        arr.setflags(write=False)
+    return positions, mobius
+
+
+def _cell_units(agg: AggregatedDataset, units: np.ndarray, supports: np.ndarray):
+    """[a, b]: the loss units of the positive and of the negative rows in
+    each cell of every support, (m, 2^k) int64 arrays for the (m, k) array
+    supports, k <= 4.
+
+    A set t of support positions, a bit mask, is the union of its first
+    two positions and the rest, two at most, so the units of the rows that
+    set all of t are one entry of the matrix of such sums over pairs of
+    sets of at most two of the features the supports use (the rows'
+    _set_columns, one matmul per class, in blocks of rows). Those sums are
+    float64 and exact, each at most the total units. A cell c collects the
+    rows whose bits on the support are exactly c: by Moebius inversion,
+    the sum over t containing c of (-1)^|t - c| times the units of t, in
+    int64."""
+    m, k = supports.shape
+    used = np.flatnonzero(np.bincount(supports.ravel(), minlength=agg.p))
+    f = len(used)
+    position = np.zeros(agg.p, dtype=np.int64)
+    position[used] = np.arange(f)
+    # each support's used-feature positions, then f for none
+    local = np.hstack([position[supports], np.full((m, 1), f)])
+    # column[a, b]: the set column of used features a < b, of a alone (b =
+    # f) and of none (a = b = f)
+    column = np.zeros((f + 1, f + 1), dtype=np.int64)
+    column[:f, f] = 1 + np.arange(f)
+    pair_a, pair_b = np.triu_indices(f, 1)
+    column[pair_a, pair_b] = 1 + f + np.arange(len(pair_a))
+    positions, mobius = _subsets(k)
+    left = column[local[:, positions[:, 0]], local[:, positions[:, 1]]]
+    right = column[local[:, positions[:, 2]], local[:, positions[:, 3]]]
+
+    x = np.concatenate([agg.pos_patterns, agg.neg_patterns])[:, used].astype(np.float64)
+    widths = (1, 1 + f, 1 + f + len(pair_a))
+    n_left, n_right = widths[min(k, 2)], widths[max(k - 2, 0)]
+    # a block's columns and their weighted copy take _BLOCK_ELEMENTS
+    step = max(1, _BLOCK_ELEMENTS // (n_left + n_right))
+    out = []
+    for lo, hi in ((0, agg.n_pos_patterns), (agg.n_pos_patterns, len(units))):
+        sums = np.zeros((n_left, n_right))
+        for r in range(lo, hi, step):
+            cols = _set_columns(x[r:min(r + step, hi)], n_left)
+            sums += cols.T @ (units[r:min(r + step, hi), None] * cols[:, :n_right])
+        out.append(sums[left, right].astype(np.int64) @ mobius)
+    return out
+
+
+def table_optima(agg: AggregatedDataset, cfg: PenaltyConfig, intercept_bound: int,
+                 supports):
+    """polish's result on every support of k <= TABLE_TERMS features at
+    once: supports is an (m, k) array of sorted feature positions, each of
+    whose lattices admits labeling_table(k) (table_admits). Returns arrays
+    of the least loss units (m), the canonical intercepts (m) and the
+    coefficients (m, k), in position order.
+
+    The cells' loss units a and b come from _cell_units. Then, in blocks
+    of at most _BLOCK_ELEMENTS labelings times supports:
+    - a labeling loses a on the cells it labels negative and b on the
+      rest: sum(a) + labels @ (b - a), least at the first least entry;
+    - one loss_curves pass, with one segment of 2^k cells per support,
+      gives every canonical intercept (least_loss). A support's curve is
+      flat beyond the sum of its |c| plus one, at most k TABLE_REACH[k] +
+      1, so that grid, clipped to the intercept bound, serves every
+      support of one size.
+    Every float64 sum is exact: it is at most the total units, below 2**53
+    (loss_units), and a block holds so few supports that the curve pass's
+    running sum over them stays below 2**53 too."""
     units, _ = loss_units(agg, cfg)
-    n_pos, n = agg.n_pos_patterns, len(table.cells)
-    bits = 1 << np.arange(len(cols))
-    # the loss units of the positive and the negative rows in each cell
-    a = np.bincount(agg.pos_patterns[:, cols] @ bits, weights=units[:n_pos], minlength=n)
-    b = np.bincount(agg.neg_patterns[:, cols] @ bits, weights=units[n_pos:], minlength=n)
-    # a labeling loses a on the cells it labels negative and b on the rest:
-    # sum(a) + labels @ (b - a), least at the first least entry. The float64
-    # sums are exact, since loss_units keeps all units below 2**53.
-    coefs = table.coefs[int(np.argmin(table.labels @ (b - a)))]
-    scores = table.cells @ coefs
-    steps, start = exact_steps(np.concatenate([a, b]), n)
-    plan = curve_plan(steps, start, np.zeros(2 * n, dtype=np.int64), 1, int(grid[0]), len(grid))
-    _, lam0 = least_loss(loss_curves(plan, np.concatenate([scores, scores]))[0], grid, order)
-    return int(lam0), coefs.tolist()
+    supports = np.asarray(supports, dtype=np.int64)
+    k = supports.shape[1]
+    table = labeling_table(k)
+    n = len(table.cells)
+    a, b = (cells.astype(np.float64) for cells in _cell_units(agg, units, supports))
+    grid, order = intercept_grid(intercept_bound, np.full(k, TABLE_REACH[k]))
+    block = max(1, min(_BLOCK_ELEMENTS // len(table.labels),
+                       (2 ** 53 - 1) // max(1, int(units.sum()))))
+    parts = []
+    for first in range(0, len(supports), block):
+        a_part, b_part = a[first:first + block], b[first:first + block]
+        size = len(a_part)
+        coefs = table.coefs[np.argmin((b_part - a_part) @ table.labels.T, axis=1)]
+        scores = coefs @ table.cells.T
+        plan = curve_plan(np.hstack([-a_part, b_part]).ravel(),
+                          np.hstack([a_part, 0 * b_part]).ravel(),
+                          np.repeat(np.arange(size), 2 * n), size, int(grid[0]), len(grid))
+        curves = loss_curves(plan, np.hstack([scores, scores]).ravel())
+        parts.append(least_loss(curves, grid, order) + (coefs,))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _search_optimum(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
@@ -346,10 +464,10 @@ def polish(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,
 
     cols = list(active.indices)
     bounds = lattice.bounds_for(agg.p)[cols]
-    grid, order = intercept_grid(lattice.intercept_bound, bounds)
-    table = labeling_table(len(cols)) if len(cols) <= TABLE_TERMS else None
-    if table is not None and table.admits(bounds, int(grid[-1])):
-        lam0, coefs = _table_optimum(table, agg, cfg, cols, grid, order)
+    grid, _ = intercept_grid(lattice.intercept_bound, bounds)
+    if table_admits(bounds, int(grid[-1])):
+        _, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, [cols])
+        lam0, coefs = int(lam0[0]), coefs[0].tolist()
     else:
         lam0, coefs = _search_optimum(model, agg, cfg, lattice, active, bounds)
 

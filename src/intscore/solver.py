@@ -1,6 +1,25 @@
-"""Exact branch-and-bound minimization of the scoring-system objective.
+"""Exact minimization of the scoring-system objective, by one of two searches.
 
-The search branches on feature coefficients only. Features are branched in
+A rule on the input alone (_support_search_fits) picks the support search
+when supports are few: cap = min(max_terms, P) is at most
+polish.TABLE_TERMS, every support of at most cap features has a lattice
+that admits its labeling table, the support count fits the node limit,
+and the work fits _SUPPORT_ELEMENTS. It scores every support at once, one
+batch per support size (polish.table_optima), and offers each support's
+optimum, its polish result, to the pool. That is exact: let m* be an
+optimum with at most k terms, on support T. polish(T) loses no more than
+m*, and if it loses less, it loses at least one weight quantum over N less,
+while its penalty exceeds m*'s by less than min(1/N, c0), which is below
+that quantum over N for any c0 validate_for accepts; at equal loss it has
+no larger l1 and no more terms. So the least total over the supports of
+at most k features is the optimum with at most k terms, and the pool's
+frontier is exact. An optimum that sets a coefficient to 0 is a smaller
+support's optimum too, so it is offered from there. One support scored is
+one node, and the search never stops part way: a partial enumeration has
+no lower bound. It ends optimal with gap 0.
+
+Every other input is searched by branch and bound, the tree search. It
+branches on feature coefficients only. Features are branched in
 descending order of class signal |P(y=+1 | x_j=1) - P(y=+1)|, with
 candidate values tried outward from 0. The intercept is never branched on:
 the loss as a function of a shared offset added to every score is a step
@@ -76,6 +95,7 @@ before its terms and key are made.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from bisect import insort
@@ -87,7 +107,7 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (Rows, grouped_bounds, grouped_plan, least_loss, refined_groups,
+from .loss import (Rows, grouped_bounds, grouped_plan, least_loss, loss_units, refined_groups,
                    sibling_curves, sibling_plan)
 from .model import (
     LatticeSpec,
@@ -95,12 +115,17 @@ from .model import (
     PenaltyConfig,
     ScoringSystem,
 )
+from .polish import TABLE_TERMS, THRESHOLD_FUNCTIONS, table_admits, table_optima
 
 _TINY = Fraction(1, 10**12)
 
 # the most curve elements (groups x offset grid x values of one coefficient)
 # a sibling block may cost for the grouped bound to bound it
 _GROUPED_ELEMENTS = 1 << 14
+# the most work the support search may take on: supports x (distinct
+# patterns + labelings of the widest table), each unit about 9 ns on a
+# 2-vCPU VM, so about 0.6 s
+_SUPPORT_ELEMENTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -255,6 +280,7 @@ class SolveReport:
     nodes_explored: int
     wall_time: float
     status: str  # optimal | time_limit | node_limit
+    search: str  # tree | support
 
     def to_json(self) -> dict:
         return {
@@ -264,6 +290,7 @@ class SolveReport:
             "nodes_explored": self.nodes_explored,
             "wall_time": self.wall_time,
             "status": self.status,
+            "search": self.search,
         }
 
 
@@ -305,6 +332,83 @@ def _build_entry(names, p, unit_den, den, terms, lam0, units, l0, l1, total):
             ObjectiveValue(Fraction(units, unit_den), l0, l1, Fraction(total, den)))
 
 
+def _names(feature_names, p):
+    return list(feature_names) if feature_names is not None else [f"f{j}" for j in range(p)]
+
+
+def _scales(cfg, unit_den):
+    """(den, unit_scale, c0_units, eps_units): a total is an int over den,
+    unit_scale per loss unit (of 1/unit_den), c0_units per term and
+    eps_units per unit of coefficient magnitude."""
+    den = math.lcm(unit_den, cfg.c0.denominator, cfg.epsilon.denominator)
+    return (den, den // unit_den, cfg.c0.numerator * (den // cfg.c0.denominator),
+            cfg.epsilon.numerator * (den // cfg.epsilon.denominator))
+
+
+def _support_search_fits(agg, cfg, lattice, scfg) -> bool:
+    """The rule that picks the support search over the tree search, from
+    the input alone: cap = min(max_terms, P) is at most TABLE_TERMS, every
+    support of k <= cap features admits labeling_table(k), the supports fit
+    the node limit, and the work is at most _SUPPORT_ELEMENTS, each support
+    being scored against every distinct pattern (polish._cell_units) and
+    every labeling of its table. Table k needs every bound of the support
+    to reach TABLE_REACH[k] and its clipped intercept half-width min(L, sum
+    of its bounds + 1) to reach TABLE_HALF[k], so the k features of least
+    bounds decide for every support of size k."""
+    cap = min(cfg.max_terms, agg.p)
+    if cap > TABLE_TERMS:
+        return False
+    supports = sum(math.comb(agg.p, k) for k in range(cap + 1))
+    if scfg.node_limit is not None and supports > scfg.node_limit:
+        return False
+    patterns = agg.n_pos_patterns + agg.n_neg_patterns
+    if supports * (patterns + THRESHOLD_FUNCTIONS[cap]) > _SUPPORT_ELEMENTS:
+        return False
+    least = np.sort(lattice.bounds_for(agg.p))
+    return all(table_admits(least[:k], min(lattice.intercept_bound, int(least[:k].sum()) + 1))
+               for k in range(cap + 1))
+
+
+def _support_search(agg, cfg, lattice, scfg, telemetry, names):
+    """solve() by scoring every support of at most cap features with its
+    labeling table, one batch per support size (polish.table_optima), and
+    offering each support's optimum to the pool. It never stops part way,
+    so it always ends optimal."""
+    started = time.monotonic()
+    p, cap = agg.p, min(cfg.max_terms, agg.p)
+    _, unit_den = loss_units(agg, cfg)
+    den, unit_scale, c0_units, eps_units = _scales(cfg, unit_den)
+    pool = SolutionPool(scfg.pool_size)
+    nodes = 0
+    for k in range(cap + 1):
+        supports = np.array(list(itertools.combinations(range(p), k)),
+                            dtype=np.int64).reshape(math.comb(p, k), k)
+        units, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, supports)
+        nodes += len(supports)
+        # an optimum that sets a coefficient to 0 is a smaller support's too
+        full = (coefs != 0).all(axis=1)
+        for feats, u, lam, c, l1 in zip(supports[full].tolist(), units[full].tolist(),
+                                        lam0[full].tolist(), coefs[full].tolist(),
+                                        np.abs(coefs[full]).sum(axis=1).tolist()):
+            total = u * unit_scale + c0_units * k + eps_units * l1
+            if pool.rejects(total, k):
+                continue
+            terms = tuple(zip(feats, c))
+            pool.offer(total, (lam,) + terms, k, functools.partial(
+                _build_entry, names, p, unit_den, den, terms, lam, u, k, l1, total))
+        if telemetry is not None:
+            incumbent = Fraction(pool.best_total(cap), den)
+            telemetry({"time": time.monotonic() - started, "nodes": nodes,
+                       "incumbent": frac_str(incumbent),
+                       "bound": frac_str(incumbent if k == cap else Fraction(0))})
+    best_model, best_value = pool.best()
+    report = SolveReport(best=best_model, best_objective=best_value.total,
+                         lower_bound=best_value.total, gap=Fraction(0), nodes_explored=nodes,
+                         wall_time=time.monotonic() - started, status="optimal",
+                         search="support")
+    return report, pool
+
+
 class _Search(Rows):
     """Mutable state shared across the branch-and-bound recursion."""
 
@@ -312,18 +416,11 @@ class _Search(Rows):
         super().__init__(agg, cfg, lattice.bounds_for(agg.p), lattice.intercept_bound)
         self.agg = agg
         self.cfg = cfg
-        self.names = list(feature_names) if feature_names is not None \
-            else [f"f{j}" for j in range(agg.p)]
+        self.names = _names(feature_names, agg.p)
 
         p = self.p = agg.p
         self.cap = min(cfg.max_terms, p)
-
-        # a total is an int over den: unit_scale per loss unit, c0_units per
-        # term and eps_units per unit of coefficient magnitude
-        self.den = math.lcm(self.unit_den, cfg.c0.denominator, cfg.epsilon.denominator)
-        self.unit_scale = self.den // self.unit_den
-        self.c0_units = cfg.c0.numerator * (self.den // cfg.c0.denominator)
-        self.eps_units = cfg.epsilon.numerator * (self.den // cfg.epsilon.denominator)
+        self.den, self.unit_scale, self.c0_units, self.eps_units = _scales(cfg, self.unit_den)
         # a conflict pair costs its cheaper side from the positive's step,
         # where the positive stops being surely lost, to the negative's,
         # where the negative becomes surely lost
@@ -563,17 +660,22 @@ class _Search(Rows):
 def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
           scfg: SolveConfig, telemetry: Optional[Callable] = None,
           feature_names=None):
-    """Minimize the objective over the coefficient lattice.
+    """Minimize the objective over the coefficient lattice, by the support
+    search where the rule admits the input and by the tree search elsewhere
+    (see the module docstring); report.search says which.
 
     Returns (SolveReport, SolutionPool). Deterministic for fixed inputs when
     limited by node count; a wall-clock limit returns a valid incumbent and
-    bound but may cut the tree at a machine-dependent point.
+    bound but may cut the tree at a machine-dependent point. A node is one
+    tree node, or one support scored.
     """
     if agg.source_n < 1:
         raise ValueError("dataset is empty")
     cfg.validate_for(agg.source_n, agg.p, lattice)
     if feature_names is not None and len(feature_names) != agg.p:
         raise ValueError(f"dataset has {agg.p} features, feature_names has {len(feature_names)}")
+    if _support_search_fits(agg, cfg, lattice, scfg):
+        return _support_search(agg, cfg, lattice, scfg, telemetry, _names(feature_names, agg.p))
 
     search = _Search(agg, cfg, lattice, scfg, feature_names)
     started = time.monotonic()
@@ -670,6 +772,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         nodes_explored=search.nodes,
         wall_time=time.monotonic() - started,
         status=status,
+        search="tree",
     )
     if telemetry is not None:
         telemetry({"time": report.wall_time, "nodes": search.nodes,

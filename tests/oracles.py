@@ -74,14 +74,10 @@ def exhaustive_optimum(X, y, cfg, coef_bound, intercept_bound):
     return best, best_model
 
 
-def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
-                      lattice: LatticeSpec):
-    """Exhaustive lattice enumeration; the reference answer for solve().
-
-    Iterates (intercept, coef_1, ..., coef_P) in ascending lexicographic
-    order keeping strict improvements, so ties resolve to the smallest
-    tuple. Guarded to 10^7 lattice points.
-    """
+def _lattice_objectives(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec):
+    """(total, (lam0, coefs, werr, l0, l1)) of every lattice model with at
+    most max_terms terms, in ascending lexicographic order of (intercept,
+    coef_1, ..., coef_P). Guarded to 10^7 lattice points."""
     p = agg.p
     bounds = lattice.bounds_for(p)
     size = 2 * lattice.intercept_bound + 1
@@ -93,9 +89,6 @@ def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
     pos = agg.pos_patterns.astype(np.int64)
     neg = agg.neg_patterns.astype(np.int64)
     n = agg.source_n
-
-    best_total = None
-    best = None
     coef_ranges = [range(-int(b), int(b) + 1) for b in bounds]
     for lam0 in range(-lattice.intercept_bound, lattice.intercept_bound + 1):
         for coefs in product(*coef_ranges):
@@ -107,14 +100,35 @@ def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
             neg_wrong = int(agg.neg_counts[(neg @ cvec + lam0) >= 1].sum()) if len(neg) else 0
             werr = cfg.w_plus * Fraction(pos_wrong, n) + cfg.w_minus * Fraction(neg_wrong, n)
             l1 = sum(abs(c) for c in coefs)
-            total = werr + cfg.c0 * l0 + cfg.epsilon * l1
-            if best_total is None or total < best_total:
-                best_total = total
-                best = (lam0, coefs, werr, l0, l1)
+            yield werr + cfg.c0 * l0 + cfg.epsilon * l1, (lam0, coefs, werr, l0, l1)
 
+
+def brute_force_solve(agg: AggregatedDataset, cfg: PenaltyConfig,
+                      lattice: LatticeSpec):
+    """Exhaustive lattice enumeration; the reference answer for solve().
+
+    Keeps strict improvements in _lattice_objectives' order, so ties
+    resolve to the smallest (intercept, coefficients) tuple.
+    """
+    best_total, best = None, None
+    for total, model in _lattice_objectives(agg, cfg, lattice):
+        if best_total is None or total < best_total:
+            best_total, best = total, model
     lam0, coefs, werr, l0, l1 = best
-    model = ScoringSystem.from_dense(lam0, coefs, [f"f{j}" for j in range(p)])
+    model = ScoringSystem.from_dense(lam0, coefs, [f"f{j}" for j in range(agg.p)])
     return model, ObjectiveValue.build(werr, l0, l1, cfg)
+
+
+def brute_force_frontier(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec):
+    """The least objective with at most k terms, for k = 0 .. min(max_terms,
+    P), by exhaustive lattice enumeration."""
+    best = [None] * (min(cfg.max_terms, agg.p) + 1)
+    for total, (_, _, _, l0, _) in _lattice_objectives(agg, cfg, lattice):
+        if best[l0] is None or total < best[l0]:
+            best[l0] = total
+    for k in range(1, len(best)):
+        best[k] = min(best[k - 1], best[k])
+    return best
 
 
 def conflict_lower_bound(agg: AggregatedDataset, cfg: PenaltyConfig) -> Fraction:

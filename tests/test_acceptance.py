@@ -54,16 +54,22 @@ def criterion(num, label):
 
 @pytest.fixture(scope="module")
 def oracle_suite():
-    """Solve + brute force on the 50 seeded instances, timed."""
+    """Solve + brute force on the 50 seeded instances, timed. Each instance
+    is solved as the rule picks its search, and again by the tree search
+    (tree_report), whose support-search work budget of 0 refuses every
+    input."""
     runs = []
     started = time.monotonic()
+    scfg = SolveConfig(time_limit=30, pool_size=25)
     for seed in range(N_ORACLE_INSTANCES):
         ds, agg, cfg, lattice = random_instance(seed)
-        report, pool = solve(agg, cfg, lattice,
-                             SolveConfig(time_limit=30, pool_size=25))
+        report, pool = solve(agg, cfg, lattice, scfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["intscore.solver"], "_SUPPORT_ELEMENTS", 0)
+            tree_report, _ = solve(agg, cfg, lattice, scfg)
         bf_model, bf_value = brute_force_solve(agg, cfg, lattice)
         runs.append({"ds": ds, "agg": agg, "cfg": cfg, "lattice": lattice,
-                     "report": report, "pool": pool,
+                     "report": report, "pool": pool, "tree_report": tree_report,
                      "bf_model": bf_model, "bf_value": bf_value})
     elapsed = time.monotonic() - started
     return runs, elapsed
@@ -71,12 +77,15 @@ def oracle_suite():
 
 def test_01_oracle_equivalence(oracle_suite):
     runs, elapsed = oracle_suite
-    with criterion(1, f"solve() equals brute force on {len(runs)} instances "
-                      f"({elapsed:.1f}s <= 30s)"):
+    with criterion(1, f"solve() equals brute force on {len(runs)} instances, by both "
+                      f"searches ({elapsed:.1f}s <= 30s)"):
         assert len(runs) == N_ORACLE_INSTANCES
         for run in runs:
-            assert run["report"].status == "optimal"
-            assert run["report"].best_objective == run["bf_value"].total
+            for report in (run["report"], run["tree_report"]):
+                assert report.status == "optimal"
+                assert report.best_objective == run["bf_value"].total
+            assert run["tree_report"].search == "tree"
+        assert {run["report"].search for run in runs} == {"support", "tree"}
         assert elapsed <= 30.0
 
 

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,10 +129,10 @@ class TestSweep:
         assert {0, 1} in supports
 
     def test_failed_point_recorded(self, monkeypatch, caplog):
-        def failing_polish(*args):
-            raise RuntimeError("polish failed")
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("solve failed")
 
-        monkeypatch.setattr(evaluation, "polish", failing_polish)
+        monkeypatch.setattr(evaluation, "solve", failing_solve)
         ds, _ = planted_dataset(n=60)
         result = sweep(ds, make_folds(ds, seed=1), self.protocol((1,)), LatticeSpec(2, 4),
                        self.scfg(), max_terms=2)
@@ -144,11 +145,11 @@ class TestSweep:
         assert "w+=1 failed" in failed[0].getMessage()
         assert "Traceback" in caplog.text
 
-    def test_point_builds_one_entry_per_support(self, monkeypatch):
-        # model selection polishes the first pool entry of each support it
-        # does not skip; no other entry of a solve's pool is ever built, not
-        # even the first entry of a skipped support, but the best entry,
-        # which the solve's report reads
+    def test_point_builds_one_entry_per_support(self, monkeypatch, tree_search):
+        # model selection after a tree search polishes the first pool entry
+        # of each support it does not skip; no other entry of a solve's pool
+        # is ever built, not even the first entry of a skipped support, but
+        # the best entry, which the solve's report reads
         solver_module = sys.modules["intscore.solver"]
         build_entry, solve, polish = solver_module._build_entry, evaluation.solve, \
             evaluation.polish
@@ -179,6 +180,7 @@ class TestSweep:
         assert len(built) == 6  # five folds, then the final model
         skipped = 0
         for supports, calls, (report, pool) in zip(built, polished, pools):
+            assert report.search == "tree"
             assert len(set(supports)) == len(supports)
             assert set(supports) == set(calls) | {tuple(j for j, _ in report.best.terms)}
             assert len(calls) <= len(pool.first_per_support()) < len(pool)
@@ -204,7 +206,7 @@ class TestSweep:
 
         def recording_solve(agg, cfg, lattice, scfg, **kwargs):
             report, pool = solve(agg, cfg, lattice, scfg, **kwargs)
-            solves.append((agg, cfg, pool))
+            solves.append((agg, cfg, pool, report))
             return report, pool
 
         def counting_polish(model, *rest):
@@ -215,11 +217,11 @@ class TestSweep:
         monkeypatch.setattr(evaluation, "polish", counting_polish)
         return solves, calls
 
-    def test_polished_fit_selects_as_reference(self, monkeypatch):
-        # model selection reads the polished pool; it must hold what polishing
-        # the first entry of every support, a dedupe, a sort and a walk give,
-        # though supports go largest first and one that a superset polished
-        # into is skipped
+    def test_polished_fit_selects_as_reference(self, monkeypatch, tree_search):
+        # after a tree search, model selection reads the polished pool; it
+        # must hold what polishing the first entry of every support, a
+        # dedupe, a sort and a walk give, though supports go largest first
+        # and one that a superset polished into is skipped
         solves, calls = self._record_fit(monkeypatch, evaluation.solve)
         scfg = SolveConfig(time_limit=60, pool_size=20, node_limit=2000)
         skipped = 0
@@ -228,8 +230,10 @@ class TestSweep:
             for w_plus in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
                 solves.clear()
                 calls.clear()
-                fit = evaluation._polished_fit(ds, w_plus, lattice, scfg, cfg.max_terms)
-                (agg, fit_cfg, pool), = solves
+                fit, report = evaluation._polished_fit(ds, w_plus, lattice, scfg,
+                                                       cfg.max_terms)
+                (agg, fit_cfg, pool, solved), = solves
+                assert report is solved and report.search == "tree"
                 want = oracles._polished_pool(pool, agg, fit_cfg, lattice)
                 sizes = [model.l0 for model in calls]
                 assert sizes == sorted(sizes, reverse=True)
@@ -251,17 +255,47 @@ class TestSweep:
             pool = SolutionPool(len(models))
             for model in models:
                 pool.add(model, objective(model, agg, cfg))
-            return None, pool
+            return SimpleNamespace(search="tree"), pool
 
         solves, calls = self._record_fit(monkeypatch, pooled_solve)
-        fit = evaluation._polished_fit(ds, Fraction(1), lattice, self.scfg(), 3)
-        (agg, cfg, pool), = solves
+        fit, _ = evaluation._polished_fit(ds, Fraction(1), lattice, self.scfg(), 3)
+        (agg, cfg, pool, _), = solves
         want = oracles._polished_pool(pool, agg, cfg, lattice)
         assert len(pool.first_per_support()) == 3
         assert [model.l0 for model in calls] == [3, 1]
         assert [[j for j, _ in model.terms] for model, _ in want] == [[0, 1], []]
         assert want[0][1].weighted_error == 0
         self._assert_pool_as_reference(fit, want, 3)
+
+    def test_points_report_how_their_fits_were_solved(self, monkeypatch):
+        # every fit of a point is solved by the support search where the
+        # rule admits the lattice, and polishes nothing after it; a
+        # coefficient bound of 1 refuses table 3, so the tree search runs
+        polish = evaluation.polish
+        calls = []
+
+        def counting_polish(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(evaluation, "polish", counting_polish)
+        ds, _ = planted_dataset()
+        folds = make_folds(ds, seed=2)
+        protocol = self.protocol((Fraction(1, 2), 1))
+        supports = 1 + 4 + 6 + 4  # at most three of four features
+        result = sweep(ds, folds, protocol, LatticeSpec(2, 4), self.scfg(), max_terms=3)
+        for point in result.points:
+            assert point.status == "ok"
+            assert point.fits == (("support", "optimal", 0, supports),) * 6
+            assert point.to_json()["fits"] == \
+                [{"search": "support", "status": "optimal", "gap": "0", "nodes": supports}] * 6
+        assert calls == []
+
+        result = sweep(ds, folds, protocol, LatticeSpec(1, 4), self.scfg(), max_terms=3)
+        for point in result.points:
+            assert [fit[0] for fit in point.fits] == ["tree"] * 6
+            assert [doc["search"] for doc in point.to_json()["fits"]] == ["tree"] * 6
+        assert calls
 
     def test_presets(self):
         assert len(PRESET_GRIDS["balanced"]) == 19
@@ -353,7 +387,7 @@ class TestSweep:
                        self.scfg(), max_terms=4)
         assert [p.status for p in result.points] == ["ok", "ok"]
         assert len(fits) == 12
-        for polished in fits:
+        for polished, _ in fits:
             for k in protocol.sparsity_grid:
                 assert polished.best_with_at_most(k)[0].l0 <= k
 

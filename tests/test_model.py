@@ -19,6 +19,7 @@ from intscore.model import (
     objective,
     trivial_model,
 )
+from intscore.solver import SolveConfig, solve
 
 from oracles import row_weighted_error
 from test_data import small_dataset
@@ -162,6 +163,25 @@ class TestParameterBounds:
         assert derive_c0_bound(1, 1, 100, 5) == Fraction(1, 500)
         assert derive_c0_bound(Fraction("1.9"), Fraction("0.1"), 10, 2) == Fraction(1, 200)
         assert derive_c0_bound(1, 1, 1, 1) == 1
+
+    def test_c0_bound_never_trades_accuracy_for_a_term(self):
+        # x = (1, 1, 1, 0), y = (+, +, -, -), w+ = 4/5: the model x -> +
+        # errs by 3/10 and the best intercept-only model by 2/5, one weight
+        # quantum (2/5) over N = 4 apart. min(W+, W-)/(N P) = 1/5 let c0 =
+        # 3/20 pay for dropping the term, and solve returned the
+        # intercept-only model; the quantum caps c0 at 1/10
+        ds = small_dataset([((1,), 1), ((1,), 1), ((1,), -1), ((0,), -1)])
+        lattice = LatticeSpec(1, 2)
+        w_plus, w_minus = Fraction(4, 5), Fraction(6, 5)
+        assert derive_c0_bound(w_plus, w_minus, 4, 1) == Fraction(1, 10)
+        bad = PenaltyConfig(w_plus, w_minus, Fraction(3, 20), Fraction(1, 100), max_terms=1)
+        with pytest.raises(ValueError, match="c0=3/20 must be below 1/10"):
+            bad.validate_for(4, 1, lattice)
+        cfg = PenaltyConfig.auto(w_plus, 4, 1, lattice, max_terms=1)
+        cfg.validate_for(4, 1, lattice)
+        report, _ = solve(aggregate(ds), cfg, lattice, SolveConfig(time_limit=10))
+        assert report.best.terms == ((0, 1),)
+        assert objective(report.best, aggregate(ds), cfg).weighted_error == Fraction(3, 10)
 
     def test_c0_bound_rejects_zero_weights(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,17 @@
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
 
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
-from intscore.loss import curve_plan, intercept_grid, loss_curves
+from intscore.loss import curve_plan, intercept_grid, loss_curves, loss_units
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
-from intscore.polish import (TABLE_TERMS, WARM_TERMS, ActiveSet, labeling_table, polish,
-                             project_active)
+from intscore.polish import (TABLE_HALF, TABLE_REACH, TABLE_TERMS, WARM_TERMS, ActiveSet,
+                             labeling_table, polish, project_active, table_admits)
 from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
@@ -430,7 +431,69 @@ def test_table_holds_the_least_model_of_every_threshold_function():
         want = lattice_labelings([10] * k, 100)
         assert len(want) == count
         assert _universal(k) == want
-        assert labeling_table(k).admits(np.full(k, 10), int(intercept_grid(100, [10] * k)[0][-1]))
+        assert table_admits(np.full(k, 10), int(intercept_grid(100, [10] * k)[0][-1]))
+
+
+def test_table_reach_and_half_match_the_tables():
+    # table_admits reads these instead of building the table: every
+    # position of table k reaches |c| = TABLE_REACH[k], and its entries
+    # need the intercepts -TABLE_HALF[k] .. TABLE_HALF[k]
+    for k in range(TABLE_TERMS + 1):
+        table = labeling_table(k)
+        assert np.abs(table.coefs).max(axis=0, initial=0).tolist() == [TABLE_REACH[k]] * k
+        assert max(int(table.lo.max()), -int(table.hi.min())) == TABLE_HALF[k]
+        bounds = np.full(k, TABLE_REACH[k])
+        assert table_admits(bounds, TABLE_HALF[k])
+        assert not table_admits(bounds, TABLE_HALF[k] - 1)
+        if k:
+            assert not table_admits(bounds - np.eye(k, dtype=np.int64)[k - 1], TABLE_HALF[k])
+    assert not table_admits(np.full(TABLE_TERMS + 1, 10), 100)
+
+
+@pytest.mark.parametrize("block_elements", [None, 1])
+def test_batched_table_optima_match_polish(block_elements, monkeypatch):
+    # table_optima on every support of each size at once, in one block or
+    # (block_elements=1) one support and one row per block, equals polish
+    # of each support on its own, on data with conflicting pairs and empty
+    # cells, on per-feature-bound lattices that admit every table, at
+    # three weights and at one whose loss units near 2**53
+    polish_module = sys.modules["intscore.polish"]
+    if block_elements is not None:
+        monkeypatch.setattr(polish_module, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(71)
+    checked, conflicted, sparse = 0, 0, 0
+    for case in range(12):
+        n, p = int(rng.integers(6, 40)), 6
+        X = (rng.random((n, p)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        y = np.where(rng.random(n) < rng.uniform(0.3, 0.7), 1, -1).astype(np.int8)
+        flips = int(rng.integers(0, 4))  # rows repeated with the other label
+        X, y = np.concatenate([X, X[:flips]]), np.concatenate([y, -y[:flips]])
+        ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(p)), X, y)
+        agg = aggregate(ds)
+        conflicted += len(agg.conflict_pairs) > 0
+        lattice = LatticeSpec(tuple(int(b) for b in rng.integers(3, 6, size=p)),
+                              int(rng.integers(5, 30)))
+        weights = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+        if case == 0:
+            weights.append(1 + Fraction(1, (2 ** 53 - 1) // (2 * ds.n)))
+        for w_plus in weights:
+            cfg = PenaltyConfig.auto(w_plus, ds.n, p, lattice)
+            for k in range(TABLE_TERMS + 1):
+                supports = np.array(list(combinations(range(p), k)),
+                                    dtype=np.int64).reshape(comb(p, k), k)
+                units, lam0, coefs = polish_module.table_optima(agg, cfg, lattice.intercept_bound,
+                                                                supports)
+                for support, u, lam, c in zip(supports.tolist(), units, lam0, coefs):
+                    dense = np.zeros(p, dtype=np.int64)
+                    dense[support] = 1
+                    out, value = polish(ScoringSystem.from_dense(0, dense, ds.feature_names),
+                                        agg, cfg, lattice)
+                    dense[support] = c
+                    assert (out.intercept, out.coef_vector().tolist()) == (lam, dense.tolist())
+                    assert value.weighted_error == Fraction(int(u), loss_units(agg, cfg)[1])
+                    sparse += len({tuple(row) for row in X[:, support].tolist()}) < 2 ** k
+                    checked += 1
+    assert checked == 12 * 3 * 57 + 57 and conflicted > 4 and sparse > 500
 
 
 def test_table_entries_hold_on_their_intercepts():
@@ -460,8 +523,7 @@ def test_table_admitted_exactly_where_it_is_the_lattices(bounds, intercept_bound
     # a lattice admits the table exactly when the least model of each
     # labeling it produces is the table's
     grid, _ = intercept_grid(intercept_bound, bounds)
-    table = labeling_table(len(bounds))
-    assert table.admits(np.array(bounds), int(grid[-1])) == admitted
+    assert table_admits(np.array(bounds), int(grid[-1])) == admitted
     assert (lattice_labelings(list(bounds), intercept_bound) == _universal(len(bounds))) \
         == admitted
 
@@ -508,7 +570,7 @@ def test_table_polish_matches_restricted_enumeration(monkeypatch):
         searches.clear()
         out, value = polish(model, agg, cfg, lattice)
         grid, _ = intercept_grid(lattice.intercept_bound, bounds[support])
-        admitted = labeling_table(k).admits(bounds[support], int(grid[-1]))
+        admitted = table_admits(bounds[support], int(grid[-1]))
         assert (not searches) == admitted
         paths.add((k, admitted))
         conflicted += len(agg.conflict_pairs) > 0

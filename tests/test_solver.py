@@ -1,4 +1,6 @@
 import gc
+import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -10,18 +12,20 @@ from intscore.common import frac_str
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.loss import exact_steps, loss_units, sibling_curves, sibling_plan
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
-from intscore.polish import polish
+from intscore.polish import TABLE_HALF, TABLE_REACH, polish
 from intscore.solver import (
     SolutionPool,
     SolveConfig,
     _Search,
+    _support_search_fits,
     node_bound,
     solve,
 )
 
 from instances import a1a2_dataset, random_instance, wide_instance
-from oracles import (ReferencePool, brute_force_solve, conflict_lower_bound, grouped_relaxation,
-                     grouped_rule_admits, pattern_relaxation, per_leaf_greedy_seed)
+from oracles import (ReferencePool, brute_force_frontier, brute_force_solve, conflict_lower_bound,
+                     grouped_relaxation, grouped_rule_admits, pattern_relaxation,
+                     per_leaf_greedy_seed)
 
 
 def quick_cfg(pool=20, **kw):
@@ -87,6 +91,16 @@ class TestOracleAgreement:
         assert report.best_objective == want.total
         assert report.lower_bound == want.total
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tree_search_matches_brute_force(self, seed, tree_search):
+        ds, agg, cfg, lattice = random_instance(seed)
+        report, pool = solve(agg, cfg, lattice, quick_cfg())
+        _, want = brute_force_solve(agg, cfg, lattice)
+        assert report.search == "tree"
+        assert report.status == "optimal"
+        assert report.best_objective == want.total
+        assert report.lower_bound == want.total
+
     def test_pool_objectives_rederivable(self):
         ds, agg, cfg, lattice = random_instance(99)
         _, pool = solve(agg, cfg, lattice, quick_cfg())
@@ -106,6 +120,85 @@ class TestOracleAgreement:
         report, pool = solve(agg, replace(cfg, max_terms=1), lattice, quick_cfg())
         for model, _ in pool.entries:
             assert model.l0 <= 1
+
+
+def _admitted_instances():
+    """random_instance 0..19, and each again on a per-feature-bound lattice
+    that admits every table up to its term cap, with one bound above the
+    others and its penalties derived for that lattice."""
+    rng = np.random.default_rng(61)
+    out = []
+    for seed in range(20):
+        ds, agg, cfg, lattice = random_instance(seed)
+        out.append((agg, cfg, lattice))
+        cap = min(cfg.max_terms, ds.p)
+        bounds = [TABLE_REACH[cap]] * ds.p
+        bounds[int(rng.integers(ds.p))] += 1
+        uneven = LatticeSpec(tuple(bounds), TABLE_HALF[cap] + int(rng.integers(0, 2)))
+        out.append((agg, PenaltyConfig.auto(cfg.w_plus, ds.n, ds.p, uneven, cfg.max_terms),
+                    uneven))
+    return out
+
+
+class TestSupportSearch:
+    def test_rule_refusals(self, monkeypatch):
+        # cap 5, a coefficient bound of 2 at four terms, an intercept
+        # half-width below table 4's, a node limit below the support count
+        # and work above the budget each refuse the support search
+        solver_module = sys.modules["intscore.solver"]
+        ds = synth_generate([0.3, 0.5, 0.4, 0.6, 0.2, 0.5], [1.0, -1.0, 0.5, 0.8, -0.6, 0.3],
+                            300, seed=1)
+        agg = aggregate(ds)
+        supports = 1 + 6 + 15 + 20 + 15  # at most four of six features
+        work = supports * (agg.n_pos_patterns + agg.n_neg_patterns + 1882)
+
+        def fits(bound, intercept_bound=100, max_terms=4, node_limit=None):
+            lattice = LatticeSpec(bound, intercept_bound)
+            cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms)
+            return _support_search_fits(agg, cfg, lattice, quick_cfg(node_limit=node_limit))
+
+        assert fits(10) and fits(3) and fits(10, intercept_bound=5)
+        assert not fits(10, max_terms=5)
+        assert not fits((10, 10, 2, 10, 10, 10)) and fits((10, 10, 2, 10, 10, 10), max_terms=3)
+        assert not fits(10, intercept_bound=4)
+        # at four terms the narrowest support's half-width min(L, 1 + 1 +
+        # 1 + 2 + 1) = 5 would do, but table 4 needs every bound to be 3
+        assert not fits((1, 1, 1, 2, 3, 3), max_terms=4)
+        assert fits((1, 1, 3, 3, 3, 3), max_terms=2)
+        assert fits(10, node_limit=supports) and not fits(10, node_limit=supports - 1)
+        monkeypatch.setattr(solver_module, "_SUPPORT_ELEMENTS", work)
+        assert fits(10)
+        monkeypatch.setattr(solver_module, "_SUPPORT_ELEMENTS", work - 1)
+        assert not fits(10)
+
+    def test_frontier_matches_brute_force(self):
+        # the pool's best objective with at most k terms is the least over
+        # the lattice, for every k up to the cap
+        searches = []
+        for agg, cfg, lattice in _admitted_instances():
+            report, pool = solve(agg, cfg, lattice, quick_cfg())
+            searches.append(report.search)
+            want = brute_force_frontier(agg, cfg, lattice)
+            assert [pool.best_with_at_most(k)[1].total for k in range(len(want))] == want
+            assert report.best_objective == want[-1]
+        assert searches.count("support") > 25 and "tree" in searches
+
+    def test_report_and_telemetry(self):
+        # one node per support scored, optimal with gap 0, and one
+        # telemetry record per support size, whose bound is 0 until the last
+        ds, agg, cfg, lattice = random_instance(4)
+        cap = min(cfg.max_terms, ds.p)
+        telemetry = []
+        report, pool = solve(agg, cfg, lattice, quick_cfg(), telemetry=telemetry.append)
+        assert report.search == "support"
+        assert (report.status, report.gap) == ("optimal", 0)
+        assert report.lower_bound == report.best_objective == pool.best()[1].total
+        assert report.nodes_explored == sum(math.comb(ds.p, k) for k in range(cap + 1))
+        assert report.to_json()["search"] == "support"
+        assert [r["nodes"] for r in telemetry] == \
+            [sum(math.comb(ds.p, k) for k in range(m + 1)) for m in range(cap + 1)]
+        assert [r["bound"] for r in telemetry] == ["0"] * cap + [frac_str(report.best_objective)]
+        assert telemetry[-1]["incumbent"] == frac_str(report.best_objective)
 
 
 class TestConflictBound:
@@ -355,7 +448,7 @@ class TestExactUnits:
         assert value.total <= report.best_objective
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_penalty_denominators_beyond_int64(self, seed, monkeypatch):
+    def test_penalty_denominators_beyond_int64(self, seed, monkeypatch, tree_search):
         # the solver keeps totals as ints over lcm(unit_den, c0's and
         # epsilon's denominators); here that denominator is past 2**84, so
         # totals held in int64 would wrap or refuse to convert. Every child
@@ -390,6 +483,7 @@ class TestExactUnits:
         monkeypatch.setattr(_Search, "children", checked_children)
         report, pool = solve(agg, cfg, lattice, quick_cfg())
         _, want = brute_force_solve(agg, cfg, lattice)
+        assert report.search == "tree"
         assert report.status == "optimal"
         assert report.best_objective == want.total
         assert report.lower_bound == want.total
@@ -400,6 +494,7 @@ class TestExactUnits:
         agg, wide, lattice = _uneven_instances()[seed % 3 + 2]
         wide = replace(cfg, max_terms=wide.max_terms)
         report, _ = solve(agg, wide, lattice, quick_cfg(node_limit=60))
+        assert report.search == "tree"
         assert objective(report.best, agg, wide).total == report.best_objective
         assert set(checked) == {"grouped", "interval"}
 
@@ -552,7 +647,7 @@ def _solve_outputs(agg, cfg, lattice, pool_size, node_limit):
             [{k: v for k, v in r.items() if k != "time"} for r in telemetry])
 
 
-def test_early_rejection_is_exact(monkeypatch):
+def test_early_rejection_is_exact(monkeypatch, tree_search):
     # the search drops a leaf the pool rejects by total before making its
     # key; without that shortcut every leaf reaches offer(), and each solve
     # must come out the same. Wider instances under a pool of one or two
@@ -563,12 +658,13 @@ def test_early_rejection_is_exact(monkeypatch):
     cases += [(wide_instance(seed)[1:], pool_size, None)
               for seed in range(10) for pool_size in (1, 2)]
     fast = [_solve_outputs(*inst, pool_size, node_limit) for inst, pool_size, node_limit in cases]
+    assert {report.search for report, *_ in fast} == {"tree"}
     monkeypatch.setattr(SolutionPool, "rejects", lambda self, total, l0: False)
     for (inst, pool_size, node_limit), got in zip(cases, fast):
         assert got == _solve_outputs(*inst, pool_size, node_limit), (pool_size, node_limit)
 
 
-def test_pool_size_leaves_solve_unchanged():
+def test_pool_size_leaves_solve_unchanged(tree_search):
     # pruning reads the pool's best total at each term budget, which the
     # pool keeps at every capacity: reports and per-level picks must not
     # depend on the pool size
@@ -580,6 +676,7 @@ def test_pool_size_leaves_solve_unchanged():
             for pool_size in (1, 2, 3, 500):
                 report, pool = solve(agg, cfg, lattice, SolveConfig(
                     time_limit=60, pool_size=pool_size, node_limit=node_limit))
+                assert report.search == "tree"
                 outputs.append((replace(report, wall_time=None),
                                 [pool.best_with_at_most(k)[0].key()
                                  for k in range(cfg.max_terms + 1)]))
@@ -602,7 +699,7 @@ def test_solve_leaves_no_cycle():
         gc.enable()
 
 
-def test_intercept_grid_clipped_to_coefficient_reach():
+def test_intercept_grid_clipped_to_coefficient_reach(tree_search):
     # past the coefficients' reach every score has the intercept's sign, so
     # no curve changes there: the search reads 2 min(L, sum(b) + 1) + 1
     # intercepts, and an intercept bound far past sum(b) + 1 = 16 gives the
@@ -618,6 +715,7 @@ def test_intercept_grid_clipped_to_coefficient_reach():
         outputs.append(_solve_outputs(agg, cfg, lattice, 20, 200))
     assert outputs[1] == outputs[2]
     assert outputs[1][0].status == "node_limit"
+    assert outputs[1][0].search == "tree"
 
 
 class TestLimits:
@@ -804,6 +902,7 @@ def _uneven_instances():
     return [(agg, replace(cfg, max_terms=cap), lattice) for cap in range(1, 8)]
 
 
+@pytest.mark.usefixtures("tree_search")
 class TestSiblingBatching:
     def test_sibling_curves_count_every_offset(self):
         # every sibling's curve against a direct count at every offset, for
@@ -890,9 +989,10 @@ class TestSiblingBatching:
             return kids
 
         monkeypatch.setattr(_Search, "children", checked)
+        searches = set()
         for seed in range(12):
             _, agg, cfg, lattice = random_instance(seed)
-            solve(agg, cfg, lattice, quick_cfg())
+            searches.add(solve(agg, cfg, lattice, quick_cfg())[0].search)
         # unit totals that need 16-, 32- and 64-bit loss curves
         uneven = _uneven_instances()
         for w_plus in (Fraction(10001, 10000), Fraction(10**7 + 1, 10**7)):
@@ -900,7 +1000,7 @@ class TestSiblingBatching:
             uneven.append((agg, PenaltyConfig.auto(w_plus, agg.source_n, agg.p, lattice,
                                                    max_terms=4), lattice))
         for agg, cfg, lattice in uneven:
-            solve(agg, cfg, lattice, quick_cfg(node_limit=2000))
+            searches.add(solve(agg, cfg, lattice, quick_cfg(node_limit=2000))[0].search)
         # a wider instance, whose shallow nodes the rule leaves to the
         # root's interval bound
         rng = np.random.default_rng(1)
@@ -908,7 +1008,8 @@ class TestSiblingBatching:
                             seed=1, bias=-0.2)
         lattice = LatticeSpec((2, 1, 2, 2, 1, 2, 2, 1, 2, 2), 10)
         cfg = PenaltyConfig.auto(Fraction(1, 5), ds.n, ds.p, lattice, max_terms=4)
-        solve(aggregate(ds), cfg, lattice, quick_cfg(node_limit=300))
+        searches.add(solve(aggregate(ds), cfg, lattice, quick_cfg(node_limit=300))[0].search)
+        assert searches == {"tree"}
         assert seen["leaf"] > 1000 and seen["bound"] > 1000
         assert seen["grouped"] and seen["interval"]
         assert dtypes == {2, 4, 8}
@@ -979,7 +1080,7 @@ PINNED_TELEMETRY = [
 ]
 
 
-def test_pinned_node_limited_solve():
+def test_pinned_node_limited_solve(tree_search):
     rng = np.random.default_rng(1)
     ds = synth_generate(rng.uniform(0.1, 0.8, 10), rng.normal(0, 0.8, 10), 2000,
                         seed=1, bias=-0.2)
@@ -991,7 +1092,7 @@ def test_pinned_node_limited_solve():
     report, pool = solve(agg, cfg, lattice,
                          SolveConfig(time_limit=60, pool_size=30, node_limit=5000),
                          telemetry=telemetry.append)
-    assert (report.nodes_explored, report.status) == (5000, "node_limit")
+    assert (report.nodes_explored, report.status, report.search) == (5000, "node_limit", "tree")
     assert (report.best_objective, report.lower_bound) == \
         (Fraction(10963, 34000), Fraction(123, 500))
     assert [(m.key(), frac_str(v.total)) for m, v in pool.entries] == PINNED_POOL
