@@ -206,6 +206,11 @@ class AggregatedDataset:
 
     conflict_pairs lists (positive-pattern index, negative-pattern index)
     for every pattern that occurs with both labels.
+
+    set_counts is polish's memo of the rows' weight-free set-count
+    matrices, built on first use and kept for every later solve on these
+    rows, at any weight; it takes no part in construction, comparison or
+    repr.
     """
 
     pos_patterns: np.ndarray
@@ -214,6 +219,7 @@ class AggregatedDataset:
     neg_counts: np.ndarray
     conflict_pairs: np.ndarray
     source_n: int
+    set_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("pos_patterns", "neg_patterns"):

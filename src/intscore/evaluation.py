@@ -2,7 +2,10 @@
 
 A sweep traces out an ROC curve by re-training at a grid of positive-class
 weights. For each weight it fits the five fold-training sets plus the full
-training set; a fit solves, polishes the first pooled solution of each
+training set. Each training set is aggregated once per sweep, and every
+weight's fit of it solves on that one aggregate, which keeps the
+weight-free cell counts of its first support search for the rest (see
+polish). A fit solves, polishes the first pooled solution of each
 support, and keeps the polished models in a SolutionPool, whose best model
 with at most k terms is the candidate at term count k. A support is not
 polished when a superset of it already polished to a model inside it,
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .common import as_fraction, frac_float, frac_str
-from .data import BinaryDataset, FoldAssignment, aggregate
+from .data import AggregatedDataset, BinaryDataset, FoldAssignment, aggregate
 from .model import (
     LatticeSpec,
     PenaltyConfig,
@@ -221,9 +224,9 @@ class SweepResult:
                 "auc": frac_str(self.curve().auc)}
 
 
-def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
-                  scfg: SolveConfig, max_terms: int):
-    """Solve the training set at weight w_plus and polish the first pool
+def _polished_fit(agg: AggregatedDataset, w_plus: Fraction, lattice: LatticeSpec,
+                  scfg: SolveConfig, max_terms: int, feature_names):
+    """Solve the aggregated training set at weight w_plus and polish the first pool
     entry of each support, the polished result being determined by the
     support alone. Returns (pool, the solve's SolveReport): the pool holds
     the distinct polished models and has room for all of them, so it never
@@ -239,9 +242,8 @@ def _polished_fit(train: BinaryDataset, w_plus: Fraction, lattice: LatticeSpec,
     A solve by support search offered polish(S) of every support S, so its
     pool is returned as it is: its best entry with at most k terms is the
     optimum with at most k terms."""
-    agg = aggregate(train)
-    cfg = PenaltyConfig.auto(w_plus, train.n, train.p, lattice, max_terms)
-    report, pool = solve(agg, cfg, lattice, scfg, feature_names=train.feature_names)
+    cfg = PenaltyConfig.auto(w_plus, agg.source_n, agg.p, lattice, max_terms)
+    report, pool = solve(agg, cfg, lattice, scfg, feature_names=feature_names)
     if report.search == "support":
         return pool, report
     supports = pool.first_per_support()
@@ -263,7 +265,10 @@ def _mask(features) -> int:
 
 def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
                  protocol: SweepProtocol, lattice: LatticeSpec,
-                 scfg: SolveConfig, max_terms: int, w_plus) -> SweepPoint:
+                 scfg: SolveConfig, max_terms: int, w_plus, trains: tuple) -> SweepPoint:
+    """The SweepPoint of weight w_plus. trains holds the aggregates of the
+    folds' training sets, then of the full one, which every weight
+    shares."""
     w_plus = as_fraction(w_plus)
     w_minus = 2 - w_plus
     test_ds = dataset.subset(folds.test_mask)
@@ -281,8 +286,8 @@ def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
         sums = {k: (Fraction(0),) * 3 for k in ks}  # weighted error, TPR, FPR
         reports = []
         for f in range(protocol.cv_folds):
-            fit, report = _polished_fit(dataset.subset(folds.fold_train_mask(f)), w_plus,
-                                        lattice, scfg, max_terms)
+            fit, report = _polished_fit(trains[f], w_plus, lattice, scfg, max_terms,
+                                        dataset.feature_names)
             reports.append(report)
             valid = dataset.subset(folds.fold_valid_mask(f))
             for k in ks:
@@ -293,8 +298,8 @@ def _sweep_point(dataset: BinaryDataset, folds: FoldAssignment,
                            tpr + (counts.tpr or 0), fpr + (counts.fpr or 0))
 
         chosen_k = min(ks, key=lambda k: (sums[k][0], k))
-        fit, report = _polished_fit(dataset.subset(folds.train_mask()), w_plus,
-                                    lattice, scfg, max_terms)
+        fit, report = _polished_fit(trains[-1], w_plus, lattice, scfg, max_terms,
+                                    dataset.feature_names)
         reports.append(report)
         final, _ = fit.best_with_at_most(chosen_k)
         err, tpr, fpr = (s / protocol.cv_folds for s in sums[chosen_k])
@@ -311,7 +316,8 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
           lattice: LatticeSpec, scfg: SolveConfig, max_terms: int = 8,
           jobs: int = 1) -> SweepResult:
     """Train one model per weight in the grid and evaluate it on the test
-    split; grid points are independent and may run in parallel."""
+    split; grid points are independent and may run in parallel. Each
+    training set is aggregated once, here, for every weight."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if folds.n != dataset.n:
@@ -323,7 +329,10 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
     if min(max_terms, dataset.p) > POLISH_CAP:
         raise ValueError(f"max_terms={max_terms} on {dataset.p} features exceeds the polish cap "
                          f"{POLISH_CAP}")
-    args = [(dataset, folds, protocol, lattice, scfg, max_terms, w)
+    trains = tuple(aggregate(dataset.subset(mask)) for mask in
+                   [folds.fold_train_mask(f) for f in range(protocol.cv_folds)]
+                   + [folds.train_mask()])
+    args = [(dataset, folds, protocol, lattice, scfg, max_terms, w, trains)
             for w in protocol.w_plus_grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

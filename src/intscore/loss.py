@@ -51,7 +51,7 @@ are, so every row is lost or kept alike and no curve or bound changes out
 there. A plan depends on the rows, the bounds and the branching order but
 not on the scores, so Rows builds each one on its first use and keeps it.
 
-All sums are taken in float64 and are exact: loss_units rejects a weight
+All sums are taken in float64 and are exact: class_units rejects a weight
 denominator for which the total units could reach 2**53.
 """
 
@@ -67,20 +67,27 @@ from .model import PenaltyConfig
 _EXACT = 2 ** 53
 
 
-def loss_units(agg: AggregatedDataset, cfg: PenaltyConfig):
-    """(units, unit_den): the integer cost of misclassifying each row,
-    positives first, and the denominator that turns units into weighted
-    error. Since w+ + w- = 2, all units sum to at most 2 * den * N, which
-    must stay below 2**53 for float64 sums to be exact."""
+def class_units(agg: AggregatedDataset, cfg: PenaltyConfig):
+    """((unit_pos, unit_neg), unit_den): the integer cost of misclassifying
+    one positive and one negative row, w+ den and w- den, and the
+    denominator den N that turns units into weighted error. Since w+ + w- =
+    2, all units sum to at most 2 * den * N, which must stay below 2**53
+    for float64 sums to be exact."""
     den = math.lcm(cfg.w_plus.denominator, cfg.w_minus.denominator)
     n = agg.source_n
     if 2 * den * n >= _EXACT:
         raise ValueError(
             f"class weight denominator {den} is too large for exact loss sums "
             f"over {n} rows; the largest allowed is {(_EXACT - 1) // (2 * n)}")
-    units = np.concatenate([agg.pos_counts * int(cfg.w_plus * den),
-                            agg.neg_counts * int(cfg.w_minus * den)])
-    return units, den * n
+    return (int(cfg.w_plus * den), int(cfg.w_minus * den)), den * n
+
+
+def loss_units(agg: AggregatedDataset, cfg: PenaltyConfig):
+    """(units, unit_den): the integer cost of misclassifying each row,
+    positives first, its count times its class_units, and the denominator
+    that turns units into weighted error."""
+    (unit_pos, unit_neg), unit_den = class_units(agg, cfg)
+    return np.concatenate([agg.pos_counts * unit_pos, agg.neg_counts * unit_neg]), unit_den
 
 
 def exact_steps(units, n_pos: int):

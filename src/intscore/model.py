@@ -146,13 +146,22 @@ class PenaltyConfig:
             object.__setattr__(self, name, val)
 
     def validate_for(self, n: int, p: int, lattice: LatticeSpec) -> None:
-        """Check the penalties against the closed-form validity bounds."""
+        """Check the penalties against the closed-form validity bounds, and
+        their sum: the largest penalty a model can carry, c0 P + epsilon
+        max_l1, must stay below the least weighted-error difference between
+        two models, weight_quantum / N, so that no penalty pays for an
+        accuracy loss. Each cap alone lets the sum reach about 2 c0."""
         c0_cap = derive_c0_bound(self.w_plus, self.w_minus, n, p)
         if not self.c0 < c0_cap:
             raise ValueError(f"c0={self.c0} must be below {c0_cap} for N={n}, P={p}")
         eps_cap = derive_epsilon_bound(self.c0, n, lattice, p)
         if not self.epsilon < eps_cap:
             raise ValueError(f"epsilon={self.epsilon} must be below {eps_cap}")
+        most = self.c0 * p + self.epsilon * lattice.max_l1(p)
+        quantum = weight_quantum(self.w_plus, self.w_minus) / n
+        if not most < quantum:
+            raise ValueError(f"c0 P + epsilon max_l1 = {most} must be below the weight "
+                             f"quantum over N, {quantum}, for N={n}, P={p}")
 
     @staticmethod
     def auto(w_plus, n: int, p: int, lattice: LatticeSpec,

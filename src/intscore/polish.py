@@ -29,6 +29,22 @@ table_optima does this for many supports of one size at once, which is
 how the solver's support search scores every support; polish calls it on
 one. Five terms would need 94,572 entries, so the table stops at four.
 
+A cell's loss units are its row count in each class times that class's
+units, so the counts hold no weight. They come from one set-count matrix
+per class over the rows (_cell_counts). Built over every feature, for the
+widest support a solve scores, the matrices serve every support at every
+weight, so the aggregate keeps them: a sweep builds them once per
+training set, not once per weight and support size. One support's polish
+sums over its own features and keeps nothing. The product itself is often
+not needed. With d = b - a the cells' loss differences, a labeling loses
+sum(a) plus d summed over its positive cells. Where no d is 0, the sign
+labeling {c : d_c < 0} alone reaches the least sum, so if some integer
+model produces it, its table entry is the one least entry, read off an
+index. Only the other supports, with a d of 0 or a sign labeling no model
+produces, take the product. Two block budgets, both from _BLOCK_ELEMENTS,
+bound the temporaries: one for the labels product and a smaller one for
+the loss-curve pass that finds the intercepts.
+
 Wider supports, and lattices that do not admit the table, are searched.
 The data is first projected onto the active columns, which collapses it to
 at most 2^|A| distinct patterns per class. All loss curves and bounds come
@@ -65,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AggregatedDataset, aggregate_counts
-from .loss import Rows, curve_plan, intercept_grid, least_loss, loss_curves, loss_units
+from .loss import Rows, class_units, curve_plan, intercept_grid, least_loss, loss_curves
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
 # the largest support polish accepts; its projection has up to 2^cap patterns per class
@@ -81,7 +97,8 @@ TABLE_HALF = (1, 1, 2, 3, 5)
 # the largest support polished by table lookup
 TABLE_TERMS = len(THRESHOLD_FUNCTIONS) - 1
 # the most elements one block of table_optima works on (rows times set
-# columns for the cells' units, supports times labelings to score them),
+# columns for the cells' counts, supports times labelings to score them,
+# and 8 times supports times cells and intercepts for their loss curves),
 # which caps its temporaries
 _BLOCK_ELEMENTS = 1 << 16
 # stands in for an unbounded end of an entry's intercept interval
@@ -226,7 +243,9 @@ class LabelingTable:
     the bit mask masks[e] (labels[e, x] is 1 for them, 0 for the others).
     coefs[e] is the least (l1, coefficient tuple) integer model producing
     that labeling, with the intercepts lo[e] .. hi[e] (+-_UNBOUNDED for an
-    open end). Entries ascend by that key.
+    open end). Entries ascend by that key. entry[mask], over every mask of
+    2^k bits, is the index of the mask's entry, or -1 for a labeling no
+    integer model produces.
     """
 
     cells: np.ndarray
@@ -235,10 +254,12 @@ class LabelingTable:
     coefs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    entry: np.ndarray
 
     def __post_init__(self):
         # labeling_table hands one table to every caller
-        for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi):
+        for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi,
+                    self.entry):
             arr.setflags(write=False)
 
 
@@ -292,7 +313,9 @@ def labeling_table(k: int) -> LabelingTable:
         l1 += 1
     masks, coefs, lo, hi = (np.concatenate(column) for column in zip(*parts))
     labels = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    return LabelingTable(cells, masks, labels, coefs, lo, hi)
+    entry = np.full(1 << n, -1, dtype=np.int16)
+    entry[masks] = np.arange(len(masks))
+    return LabelingTable(cells, masks, labels, coefs, lo, hi, entry)
 
 
 def _set_columns(x: np.ndarray, width: int) -> np.ndarray:
@@ -317,7 +340,8 @@ def _set_columns(x: np.ndarray, width: int) -> np.ndarray:
 def _subsets(k: int):
     """(positions, mobius) for the bit masks t < 2^k of k support
     positions: positions[t] holds t's set positions, then k for none, four
-    in all; mobius[t, c] is (-1)^|t - c| where c lies within t, else 0."""
+    in all; mobius[t, c] is (-1)^|t - c| where c lies within t, else 0,
+    in float64."""
     n = 1 << k
     positions = np.full((n, 4), k)
     for t in range(n):
@@ -325,56 +349,104 @@ def _subsets(k: int):
         positions[t, :len(bits)] = bits
     masks = np.arange(n)
     parity = ((masks[:, None] ^ masks)[..., None] >> np.arange(k)).sum(axis=-1) & 1
-    mobius = np.where((masks[:, None] & masks) == masks, 1 - 2 * parity, 0)
+    mobius = np.where((masks[:, None] & masks) == masks, 1 - 2 * parity, 0).astype(np.float64)
     for arr in (positions, mobius):
         arr.setflags(write=False)
     return positions, mobius
 
 
-def _cell_units(agg: AggregatedDataset, units: np.ndarray, supports: np.ndarray):
-    """[a, b]: the loss units of the positive and of the negative rows in
+@functools.lru_cache(maxsize=None)
+def _set_column_index(f: int) -> np.ndarray:
+    """column[a, b]: the _set_columns column of features a < b of f, of a
+    alone (b = f) and of none (a = b = f); read-only."""
+    column = np.zeros((f + 1, f + 1), dtype=np.int64)
+    column[:f, f] = 1 + np.arange(f)
+    pair_a, pair_b = np.triu_indices(f, 1)
+    column[pair_a, pair_b] = 1 + f + np.arange(len(pair_a))
+    column.setflags(write=False)
+    return column
+
+
+def _set_sums(agg: AggregatedDataset, used: np.ndarray, k: int):
+    """[pos, neg]: for each class, the matrix of the summed counts of the
+    rows that set every feature of a left and of a right set of the
+    features used, as _cell_counts splits the sets of k-term supports:
+    sets of up to min(k, 2) features on the left, of up to k - 2 on the
+    right. One matmul of the rows' _set_columns per class, in blocks of
+    rows; the sums are float64 and exact, each at most N, and hold no
+    class weight."""
+    f = len(used)
+    widths = (1, 1 + f, 1 + f + f * (f - 1) // 2)
+    n_left, n_right = widths[min(k, 2)], widths[max(k - 2, 0)]
+    # a block's columns and their weighted copy take _BLOCK_ELEMENTS
+    step = max(1, _BLOCK_ELEMENTS // (n_left + n_right))
+    out = []
+    for patterns, counts in ((agg.pos_patterns, agg.pos_counts),
+                             (agg.neg_patterns, agg.neg_counts)):
+        sums = np.zeros((n_left, n_right))
+        for r in range(0, len(counts), step):
+            cols = _set_columns(patterns[r:r + step, used].astype(np.float64), n_left)
+            sums += cols.T @ (counts[r:r + step, None] * cols[:, :n_right])
+        out.append(sums)
+    return out
+
+
+def _cell_counts(agg: AggregatedDataset, supports: np.ndarray, widest: int):
+    """[pos, neg]: the counts of the positive and of the negative rows in
     each cell of every support, (m, 2^k) int64 arrays for the (m, k) array
-    supports, k <= 4.
+    supports, k <= widest <= 4.
 
     A set t of support positions, a bit mask, is the union of its first
-    two positions and the rest, two at most, so the units of the rows that
-    set all of t are one entry of the matrix of such sums over pairs of
-    sets of at most two of the features the supports use (the rows'
-    _set_columns, one matmul per class, in blocks of rows). Those sums are
-    float64 and exact, each at most the total units. A cell c collects the
-    rows whose bits on the support are exactly c: by Moebius inversion,
-    the sum over t containing c of (-1)^|t - c| times the units of t, in
-    int64."""
+    two positions and the rest, two at most, so the count of the rows that
+    set all of t is one entry of a class's set-count matrix (_set_sums). A
+    cell c collects the rows whose bits on the support are exactly c: by
+    Moebius inversion, the sum over t containing c of (-1)^|t - c| times
+    the count of t, in float64 and exact: its terms are at most 2^k counts
+    of at most N each.
+
+    The matrices over every feature serve every support at every weight.
+    Supports that use every feature build them, wide enough for supports
+    of widest terms, and keep them in agg.set_counts; every later call on
+    agg reads them while they are wide enough. Otherwise, as for the one
+    support polish scores, the matrices span only the features the
+    supports use, and are not kept."""
     m, k = supports.shape
     used = np.flatnonzero(np.bincount(supports.ravel(), minlength=agg.p))
+    kept = agg.set_counts
+    if kept.get("terms", -1) < k and len(used) == agg.p:
+        # a count is at most N, so the least unsigned type holding N keeps
+        # it exactly, in a quarter of float64's bytes below 2**16 rows
+        dtype = np.min_scalar_type(agg.source_n)
+        kept.update(terms=widest,
+                    sums=[sums.astype(dtype) for sums in _set_sums(agg, used, widest)])
+    if kept.get("terms", -1) >= k:
+        used, sums = np.arange(agg.p), kept["sums"]
+    else:
+        sums = _set_sums(agg, used, k)
     f = len(used)
     position = np.zeros(agg.p, dtype=np.int64)
     position[used] = np.arange(f)
     # each support's used-feature positions, then f for none
     local = np.hstack([position[supports], np.full((m, 1), f)])
-    # column[a, b]: the set column of used features a < b, of a alone (b =
-    # f) and of none (a = b = f)
-    column = np.zeros((f + 1, f + 1), dtype=np.int64)
-    column[:f, f] = 1 + np.arange(f)
-    pair_a, pair_b = np.triu_indices(f, 1)
-    column[pair_a, pair_b] = 1 + f + np.arange(len(pair_a))
+    column = _set_column_index(f)
     positions, mobius = _subsets(k)
     left = column[local[:, positions[:, 0]], local[:, positions[:, 1]]]
     right = column[local[:, positions[:, 2]], local[:, positions[:, 3]]]
+    return [(counts[left, right] @ mobius).astype(np.int64) for counts in sums]
 
-    x = np.concatenate([agg.pos_patterns, agg.neg_patterns])[:, used].astype(np.float64)
-    widths = (1, 1 + f, 1 + f + len(pair_a))
-    n_left, n_right = widths[min(k, 2)], widths[max(k - 2, 0)]
-    # a block's columns and their weighted copy take _BLOCK_ELEMENTS
-    step = max(1, _BLOCK_ELEMENTS // (n_left + n_right))
-    out = []
-    for lo, hi in ((0, agg.n_pos_patterns), (agg.n_pos_patterns, len(units))):
-        sums = np.zeros((n_left, n_right))
-        for r in range(lo, hi, step):
-            cols = _set_columns(x[r:min(r + step, hi)], n_left)
-            sums += cols.T @ (units[r:min(r + step, hi), None] * cols[:, :n_right])
-        out.append(sums[left, right].astype(np.int64) @ mobius)
-    return out
+
+def _least_entries(table: LabelingTable, d: np.ndarray) -> np.ndarray:
+    """The first least entry of table.labels @ d_s for each row d_s of the
+    (m, 2^k) int64 array d: by its sign labeling where that is decisive
+    and a threshold labeling (table_optima), by the labels product, in
+    blocks of at most _BLOCK_ELEMENTS labelings times rows, elsewhere."""
+    entry = table.entry[(d < 0) @ (1 << np.arange(d.shape[1]))]
+    rest = np.flatnonzero((entry < 0) | (d == 0).any(axis=1))
+    block = max(1, _BLOCK_ELEMENTS // len(table.labels))
+    for first in range(0, len(rest), block):
+        rows = rest[first:first + block]
+        entry[rows] = np.argmin(d[rows] @ table.labels.T, axis=1)
+    return entry
 
 
 def table_optima(agg: AggregatedDataset, cfg: PenaltyConfig, intercept_bound: int,
@@ -385,39 +457,60 @@ def table_optima(agg: AggregatedDataset, cfg: PenaltyConfig, intercept_bound: in
     of the least loss units (m), the canonical intercepts (m) and the
     coefficients (m, k), in position order.
 
-    The cells' loss units a and b come from _cell_units. Then, in blocks
-    of at most _BLOCK_ELEMENTS labelings times supports:
-    - a labeling loses a on the cells it labels negative and b on the
-      rest: sum(a) + labels @ (b - a), least at the first least entry;
-    - one loss_curves pass, with one segment of 2^k cells per support,
-      gives every canonical intercept (least_loss). A support's curve is
-      flat beyond the sum of its |c| plus one, at most k TABLE_REACH[k] +
-      1, so that grid, clipped to the intercept bound, serves every
-      support of one size.
+    The cells' row counts come from _cell_counts and hold no weight; it
+    builds and keeps agg's all-feature matrices wide enough for the widest
+    support a solve under cfg scores, min(max_terms, P, TABLE_TERMS). The
+    weight enters only here: the loss units of the positives, a, and of
+    the negatives, b, are the counts times class_units. A labeling loses a
+    on the cells it labels negative and b on the rest: sum(a) + the sum of
+    d = b - a over its positive cells. Where no cell has d = 0, any other
+    subset of cells than the sign labeling {c : d_c < 0} adds a positive d
+    or leaves out a negative one, so the sign labeling alone reaches the
+    least sum. When it is a threshold labeling, its entry (table.entry) is
+    then the one least entry, which the product below would pick too. The
+    labels product runs only on the other supports, those with a cell of
+    d = 0 or a sign labeling that no integer model produces, in blocks of
+    at most _BLOCK_ELEMENTS labelings times supports, and takes the first
+    least entry (_least_entries).
+
+    Then one loss_curves pass per block of supports, with one segment of
+    2^k cells per support, gives every canonical intercept (least_loss).
+    Its block holds at most _BLOCK_ELEMENTS / 8 cells and grid points, its
+    own budget: its temporaries take several elements for each, and so
+    stay below the labels product's. A support's curve is flat beyond
+    the sum of its |c| plus one, at most k TABLE_REACH[k] + 1, so that
+    grid, clipped to the intercept bound, serves every support of one
+    size.
+
     Every float64 sum is exact: it is at most the total units, below 2**53
-    (loss_units), and a block holds so few supports that the curve pass's
+    (class_units), and a curve block holds so few supports that the pass's
     running sum over them stays below 2**53 too."""
-    units, _ = loss_units(agg, cfg)
+    (unit_pos, unit_neg), _ = class_units(agg, cfg)
     supports = np.asarray(supports, dtype=np.int64)
     k = supports.shape[1]
     table = labeling_table(k)
     n = len(table.cells)
-    a, b = (cells.astype(np.float64) for cells in _cell_units(agg, units, supports))
+    pos, neg = _cell_counts(agg, supports, max(k, min(cfg.max_terms, agg.p, TABLE_TERMS)))
+    a, b = pos * unit_pos, neg * unit_neg
+    coefs = table.coefs[_least_entries(table, b - a)]
+    scores = coefs @ table.cells.T
+
     grid, order = intercept_grid(intercept_bound, np.full(k, TABLE_REACH[k]))
-    block = max(1, min(_BLOCK_ELEMENTS // len(table.labels),
-                       (2 ** 53 - 1) // max(1, int(units.sum()))))
+    total = unit_pos * int(agg.pos_counts.sum()) + unit_neg * int(agg.neg_counts.sum())
+    block = max(1, min(_BLOCK_ELEMENTS // (8 * (2 * n + len(grid))),
+                       (2 ** 53 - 1) // max(1, total)))
     parts = []
     for first in range(0, len(supports), block):
         a_part, b_part = a[first:first + block], b[first:first + block]
         size = len(a_part)
-        coefs = table.coefs[np.argmin((b_part - a_part) @ table.labels.T, axis=1)]
-        scores = coefs @ table.cells.T
         plan = curve_plan(np.hstack([-a_part, b_part]).ravel(),
                           np.hstack([a_part, 0 * b_part]).ravel(),
                           np.repeat(np.arange(size), 2 * n), size, int(grid[0]), len(grid))
-        curves = loss_curves(plan, np.hstack([scores, scores]).ravel())
-        parts.append(least_loss(curves, grid, order) + (coefs,))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        part = scores[first:first + block]
+        curves = loss_curves(plan, np.hstack([part, part]).ravel())
+        parts.append(least_loss(curves, grid, order))
+    units, lam0 = (np.concatenate(column) for column in zip(*parts))
+    return units, lam0, coefs
 
 
 def _search_optimum(model: ScoringSystem, agg: AggregatedDataset, cfg: PenaltyConfig,

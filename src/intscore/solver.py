@@ -350,7 +350,7 @@ def _support_search_fits(agg, cfg, lattice, scfg) -> bool:
     the input alone: cap = min(max_terms, P) is at most TABLE_TERMS, every
     support of k <= cap features admits labeling_table(k), the supports fit
     the node limit, and the work is at most _SUPPORT_ELEMENTS, each support
-    being scored against every distinct pattern (polish._cell_units) and
+    being scored against every distinct pattern (polish._cell_counts) and
     every labeling of its table. Table k needs every bound of the support
     to reach TABLE_REACH[k] and its clipped intercept half-width min(L, sum
     of its bounds + 1) to reach TABLE_HALF[k], so the k features of least
@@ -369,6 +369,16 @@ def _support_search_fits(agg, cfg, lattice, scfg) -> bool:
                for k in range(cap + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _supports(p: int, k: int) -> np.ndarray:
+    """Every support of k of p features, an (m, k) read-only array of
+    sorted positions in lexicographic order, built once per process."""
+    supports = np.array(list(itertools.combinations(range(p), k)),
+                        dtype=np.int64).reshape(math.comb(p, k), k)
+    supports.setflags(write=False)
+    return supports
+
+
 def _support_search(agg, cfg, lattice, scfg, telemetry, names):
     """solve() by scoring every support of at most cap features with its
     labeling table, one batch per support size (polish.table_optima), and
@@ -381,8 +391,7 @@ def _support_search(agg, cfg, lattice, scfg, telemetry, names):
     pool = SolutionPool(scfg.pool_size)
     nodes = 0
     for k in range(cap + 1):
-        supports = np.array(list(itertools.combinations(range(p), k)),
-                            dtype=np.int64).reshape(math.comb(p, k), k)
+        supports = _supports(p, k)
         units, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, supports)
         nodes += len(supports)
         # an optimum that sets a coefficient to 0 is a smaller support's too

@@ -342,16 +342,22 @@ def test_parse_grid_presets():
 
 
 def test_sweep_parallel_jobs(tmp_path, capsys):
-    ds = synth_generate([0.5, 0.5], [2.5, -2.5], n=100, seed=4, bias=0.0)
+    # points computed in two worker processes, each from its own copy of
+    # the shared training-set aggregates, give the serial sweep's curve
+    ds = synth_generate([0.5, 0.5, 0.3], [2.5, -2.5, 1.0], n=100, seed=4, bias=0.0)
     data = tmp_path / "d.csv"
     write_csv(ds, data)
-    outdir = tmp_path / "par"
-    code = run("sweep", data, "--grid", "0.8,1.2", "--coef-bound", "2",
-               "--intercept-bound", "4", "--max-terms", "2", "--pool", "8",
-               "--node-limit", "1500", "--jobs", "2", "--outdir", outdir)
-    assert code == 0
-    doc = json.loads((outdir / "curve.json").read_text())
-    assert len(doc["points"]) == 2
+    curves = []
+    for jobs in ("2", "1"):
+        outdir = tmp_path / f"jobs-{jobs}"
+        code = run("sweep", data, "--grid", "0.8,1,1.2", "--coef-bound", "2",
+                   "--intercept-bound", "4", "--max-terms", "2", "--pool", "8",
+                   "--node-limit", "1500", "--jobs", jobs, "--outdir", outdir)
+        assert code == 0
+        curves.append((outdir / "curve.json").read_bytes())
+    doc = json.loads(curves[0])
+    assert [p["status"] for p in doc["points"]] == ["ok"] * 3
+    assert curves[0] == curves[1]
 
 
 def test_manifest_times_the_command(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intscore import evaluation
-from intscore.data import BinaryDataset, FeatureSpec, make_folds
+from intscore.data import BinaryDataset, FeatureSpec, aggregate, make_folds
 from intscore.evaluation import (
     PRESET_GRIDS,
     SweepProtocol,
@@ -230,8 +230,8 @@ class TestSweep:
             for w_plus in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
                 solves.clear()
                 calls.clear()
-                fit, report = evaluation._polished_fit(ds, w_plus, lattice, scfg,
-                                                       cfg.max_terms)
+                fit, report = evaluation._polished_fit(aggregate(ds), w_plus, lattice, scfg,
+                                                       cfg.max_terms, ds.feature_names)
                 (agg, fit_cfg, pool, solved), = solves
                 assert report is solved and report.search == "tree"
                 want = oracles._polished_pool(pool, agg, fit_cfg, lattice)
@@ -258,7 +258,8 @@ class TestSweep:
             return SimpleNamespace(search="tree"), pool
 
         solves, calls = self._record_fit(monkeypatch, pooled_solve)
-        fit, _ = evaluation._polished_fit(ds, Fraction(1), lattice, self.scfg(), 3)
+        fit, _ = evaluation._polished_fit(aggregate(ds), Fraction(1), lattice, self.scfg(), 3,
+                                          ds.feature_names)
         (agg, cfg, pool, _), = solves
         want = oracles._polished_pool(pool, agg, cfg, lattice)
         assert len(pool.first_per_support()) == 3
@@ -266,6 +267,36 @@ class TestSweep:
         assert [[j for j, _ in model.terms] for model, _ in want] == [[0, 1], []]
         assert want[0][1].weighted_error == 0
         self._assert_pool_as_reference(fit, want, 3)
+
+    def test_training_sets_aggregated_once_per_sweep(self, monkeypatch):
+        # the folds' training sets and the full one are aggregated once
+        # each, and every weight's fits solve on those same aggregates,
+        # which keep the set counts the first weight's support searches
+        # built
+        aggregate, solve = evaluation.aggregate, evaluation.solve
+        made, solved = [], []
+
+        def recording_aggregate(ds):
+            made.append(aggregate(ds))
+            return made[-1]
+
+        def recording_solve(agg, *args, **kwargs):
+            solved.append(agg)
+            return solve(agg, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "aggregate", recording_aggregate)
+        monkeypatch.setattr(evaluation, "solve", recording_solve)
+        ds, _ = planted_dataset()
+        folds = make_folds(ds, seed=2)
+        result = sweep(ds, folds, self.protocol((Fraction(1, 2), 1, Fraction(3, 2))),
+                       LatticeSpec(2, 4), self.scfg(), max_terms=3)
+        assert [p.status for p in result.points] == ["ok"] * 3
+        assert len(made) == 6
+        assert [id(agg) for agg in solved] == [id(agg) for agg in made] * 3
+        assert [agg.source_n for agg in made[:5]] == \
+            [int(folds.fold_train_mask(f).sum()) for f in range(5)]
+        assert made[5].source_n == int(folds.train_mask().sum())
+        assert all(agg.set_counts["terms"] == 3 for agg in made)
 
     def test_points_report_how_their_fits_were_solved(self, monkeypatch):
         # every fit of a point is solved by the support search where the

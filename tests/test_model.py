@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intscore.data import aggregate
+from intscore.evaluation import PRESET_GRIDS
 from intscore.model import (
     LatticeSpec,
     ObjectiveValue,
@@ -182,6 +183,32 @@ class TestParameterBounds:
         report, _ = solve(aggregate(ds), cfg, lattice, SolveConfig(time_limit=10))
         assert report.best.terms == ((0, 1),)
         assert objective(report.best, aggregate(ds), cfg).weighted_error == Fraction(3, 10)
+
+    def test_penalty_sum_must_stay_below_the_weight_quantum(self):
+        # on the same rows, c0 = 9/100 is below its cap 1/10 and epsilon =
+        # 8/100 below its cap min(1/N, c0)/max_l1 = 9/100, yet together the
+        # penalty of x -> + (17/100) outweighs its accuracy gain of one
+        # weight quantum over N (1/10): solve returned the intercept-only
+        # model at weighted error 2/5, where x -> + errs by 3/10
+        ds = small_dataset([((1,), 1), ((1,), 1), ((1,), -1), ((0,), -1)])
+        lattice = LatticeSpec(1, 2)
+        cfg = PenaltyConfig(Fraction(4, 5), Fraction(6, 5), Fraction(9, 100), Fraction(8, 100),
+                            max_terms=1)
+        assert cfg.c0 < derive_c0_bound(cfg.w_plus, cfg.w_minus, 4, 1)
+        assert cfg.epsilon < derive_epsilon_bound(cfg.c0, 4, lattice, 1)
+        message = "17/100 must be below the weight quantum over N, 1/10"
+        with pytest.raises(ValueError, match=message):
+            cfg.validate_for(4, 1, lattice)
+        with pytest.raises(ValueError, match=message):
+            solve(aggregate(ds), cfg, lattice, SolveConfig(time_limit=10))
+
+    @pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
+    def test_auto_penalties_valid_at_every_preset_weight(self, name):
+        shapes = ((4, 1, LatticeSpec(1, 2)), (3_000, 12, LatticeSpec(10, 100)),
+                  (33_796, 48, LatticeSpec(10, 100)), (37, 5, LatticeSpec((1, 2, 3, 4, 5), 7)))
+        for w_plus in PRESET_GRIDS[name]:
+            for n, p, lattice in shapes:
+                PenaltyConfig.auto(w_plus, n, p, lattice).validate_for(n, p, lattice)
 
     def test_c0_bound_rejects_zero_weights(self):
         with pytest.raises(ValueError):

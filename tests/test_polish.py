@@ -584,3 +584,65 @@ def test_table_polish_matches_restricted_enumeration(monkeypatch):
         assert value == objective(out, agg, cfg)
     assert paths == {(1, True)} | {(k, a) for k in (2, 3, 4) for a in (True, False)}
     assert conflicted > 40 and sparse > 40
+
+
+@pytest.mark.parametrize("block_elements", [None, 1])
+def test_sign_labeling_shortcut_picks_the_products_entry(block_elements, monkeypatch):
+    # a support whose cells all have d = b - a != 0 and whose sign
+    # labeling {c : d_c < 0} is a threshold labeling takes that entry
+    # without the labels product; on random d with empty cells (d = 0),
+    # ties and sign labelings no integer model produces, every pick is the
+    # full product's first least entry
+    polish_module = sys.modules["intscore.polish"]
+    if block_elements is not None:
+        monkeypatch.setattr(polish_module, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(83)
+    for k in range(TABLE_TERMS + 1):
+        table = labeling_table(k)
+        n = 1 << k
+        # small values: many zeros and tied sums; large ones: no zeros,
+        # with random signs, or with the signs of a random threshold
+        # labeling (negative on its positive cells)
+        large = rng.integers(1, 10 ** 6, size=(1200, n))
+        signs = np.concatenate([rng.choice([-1, 1], size=(600, n)),
+                                1 - 2 * table.labels[rng.integers(len(table.labels), size=600)]])
+        d = np.concatenate([rng.integers(-3, 4, size=(600, n)), large * signs.astype(np.int64)])
+        got = polish_module._least_entries(table, d)
+        assert got.tolist() == np.argmin(d @ table.labels.T, axis=1).tolist()
+        sign = table.entry[(d < 0) @ (1 << np.arange(n))]
+        zero = (d == 0).any(axis=1)
+        assert (~zero & (sign >= 0)).sum() >= 600 and zero.sum() > 50
+        if k >= 2:
+            assert (~zero & (sign < 0)).sum() > 0
+
+
+def test_one_support_polish_keeps_no_all_feature_counts(monkeypatch):
+    # polish of one support sums counts over that support's features alone
+    # and keeps nothing on the aggregate: over all 48 features the
+    # set-count matrices would be 1,177 x 1,177 per class
+    polish_module = sys.modules["intscore.polish"]
+    set_sums, widths = polish_module._set_sums, []
+
+    def recording_sums(agg, used, k):
+        widths.append(len(used))
+        return set_sums(agg, used, k)
+
+    monkeypatch.setattr(polish_module, "_set_sums", recording_sums)
+    rng = np.random.default_rng(48)
+    X = (rng.random((3000, 48)) < 0.3).astype(np.uint8)
+    y = np.where(X[:, 0] + X[:, 5] - X[:, 9] + rng.normal(0, 1, 3000) > 0.5, 1, -1)
+    ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(48)), X, y.astype(np.int8))
+    agg = aggregate(ds)
+    lattice = LatticeSpec(10, 100)
+    cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms=4)
+    for k in range(1, TABLE_TERMS + 1):
+        support = sorted(rng.choice(48, size=k, replace=False).tolist())
+        dense = np.zeros(48, dtype=np.int64)
+        dense[support] = 1
+        out, value = polish(ScoringSystem.from_dense(0, dense, ds.feature_names), agg, cfg,
+                            lattice)
+        assert {j for j, _ in out.terms} <= set(support)
+        assert value.total <= objective(ScoringSystem.from_dense(0, dense, ds.feature_names),
+                                        agg, cfg).total
+    assert widths == [1, 2, 3, 4]
+    assert agg.set_counts == {}

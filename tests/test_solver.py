@@ -183,6 +183,37 @@ class TestSupportSearch:
             assert report.best_objective == want[-1]
         assert searches.count("support") > 25 and "tree" in searches
 
+    def test_kept_set_counts_leave_solves_unchanged(self):
+        # an aggregate keeps the weight-free set-count matrices its first
+        # support search builds; solves on it, in a random order of
+        # weights, caps and lattices, give the pool entries, in order, of
+        # solves on a fresh aggregate of the same rows
+        rng = np.random.default_rng(29)
+        lattices = (LatticeSpec(10, 100), LatticeSpec(3, 5), None)
+        searched = 0
+        for case in range(8):
+            n, p = int(rng.integers(20, 80)), int(rng.integers(4, 8))
+            X = (rng.random((n, p)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+            y = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+            X, y = np.concatenate([X, X[:3]]), np.concatenate([y, -y[:3]])
+            ds = BinaryDataset(tuple(FeatureSpec(f"f{j}") for j in range(p)), X, y)
+            uneven = LatticeSpec(tuple(int(b) for b in rng.integers(3, 6, size=p)), 6)
+            runs = [(w_plus, cap, lattice or uneven)
+                    for w_plus in (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+                    for cap in range(1, 5) for lattice in lattices]
+            shared = aggregate(ds)
+            for i in rng.permutation(len(runs)):
+                w_plus, cap, lattice = runs[i]
+                cfg = PenaltyConfig.auto(w_plus, ds.n, p, lattice, cap)
+                scfg = quick_cfg(pool=7)
+                report, pool = solve(shared, cfg, lattice, scfg)
+                fresh_report, fresh = solve(aggregate(ds), cfg, lattice, scfg)
+                assert report.search == fresh_report.search == "support"
+                assert pool.entries == fresh.entries
+                searched += 1
+            assert shared.set_counts["terms"] == 4
+        assert searched == 8 * 36
+
     def test_report_and_telemetry(self):
         # one node per support scored, optimal with gap 0, and one
         # telemetry record per support size, whose bound is 0 until the last
