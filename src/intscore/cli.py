@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .manifest import RunManifest, TOOL_VERSION, sha256_file, timestamp
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, trivial_model
-from .mps import VARIANTS, export_mps
+from .mps import VARIANTS, mps_parts
 from .polish import ActiveSet
 from .rules import mine_rules, rules_csv
 from .sheet import format_sheet
@@ -212,6 +212,22 @@ def _write(path, text):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_parts(path, parts):
+    """Write the str parts to path as they arrive. They go to a sibling
+    file that takes path's place after the last part, so a failure part
+    way leaves no partial file at path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _manifest(args, argv, inputs, outputs, config, seed=None, path=None):
@@ -466,8 +482,7 @@ def _cmd_export_mps(args, argv):
         if missing:
             raise DataError(f"unknown feature names: {missing}")
         active = ActiveSet(tuple(index[n] for n in names))
-    text = export_mps(aggregate(ds), cfg, lattice, args.variant, active)
-    _write(args.output, text)
+    _write_parts(args.output, mps_parts(aggregate(ds), cfg, lattice, args.variant, active))
     _manifest(args, argv, [args.dataset], [args.output],
               {"command": "export-mps", "variant": args.variant,
                "w_plus": frac_str(w_plus), "max_terms": args.max_terms})

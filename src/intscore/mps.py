@@ -28,6 +28,12 @@ The text is built as fixed-width byte records, not string by string. A
 column that holds it, and each distinct cost and big-M value is formatted
 once. A column's lines are laid out two fields to a line and cut after
 their last value, so no line ends in blanks.
+
+mps_parts yields the text a section or a column at a time, each part an
+ASCII str decoded as soon as its byte records are built, so those bytes
+go straight away. export_mps joins the parts and holds the text twice at
+its peak, as the parts and their join; `intscore export-mps` writes the
+parts to its file as they come and never holds the whole text.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ def _fields(names: np.ndarray, texts, which=None) -> np.ndarray:
     return table
 
 
-def _lines(leads, table, left, right) -> bytes:
+def _lines(leads, table, left, right) -> str:
     """COLUMNS or RHS lines `    {lead:<8}  {left}   {right}`, each ending
     after its last value: leads are 8-byte names, one per line or one for
     all, and left and right index fields of table, right -1 for none."""
@@ -102,34 +108,34 @@ def _lines(leads, table, left, right) -> bytes:
     buf[:, 36:39] = pad
     buf[:, 39:61] = table[right]
     buf[:, 61] = _NL
-    return buf.tobytes().translate(None, b"\0")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _column(lead: str, table, idx) -> bytes:
+def _column(lead: str, table, idx) -> str:
     """The lines of one column (or of the RHS vector): the fields of table
     at idx, two to a line."""
     idx = np.append(idx, -1) if len(idx) % 2 else np.asarray(idx)
     return _lines(_names([lead]), table, idx[0::2], idx[1::2])
 
 
-def _short_column(lead: str, fields) -> bytes:
+def _short_column(lead: str, fields) -> str:
     """A column given as a few (row name, value) pairs."""
     names, values = zip(*fields)
     return _column(lead, _fields(_names(names), [_num(v) for v in values]),
                    np.arange(len(fields)))
 
 
-def _records(prefix: str, names: np.ndarray) -> bytes:
+def _records(prefix: str, names: np.ndarray) -> str:
     """One line `{prefix}{name}` for each 8-byte name."""
     buf = np.full((len(names), len(prefix) + 9), _NL, dtype=np.uint8)
     buf[:, :len(prefix)] = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
     buf[:, len(prefix):-1] = names
-    return buf.tobytes()
+    return buf.tobytes().decode("ascii")
 
 
-def _plain(lines) -> bytes:
+def _plain(lines) -> str:
     """Lines of text written as they are."""
-    return "".join(f"{line}\n" for line in lines).encode("ascii")
+    return "".join(f"{line}\n" for line in lines)
 
 
 class _LossRows(NamedTuple):
@@ -194,11 +200,21 @@ def _numbered(tags: bytes, which: np.ndarray, numbers: np.ndarray) -> np.ndarray
 def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
                variant: str = "aggregated", active_set=None) -> str:
     """Render the training IP as fixed-format MPS text."""
+    return "".join(mps_parts(agg, cfg, lattice, variant, active_set))
+
+
+def mps_parts(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
+              variant: str = "aggregated", active_set=None):
+    """The text of export_mps as an iterator of str parts, a section or a
+    column at a time; the arguments are checked before any part is built."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if variant == "polish" and active_set is None:
         raise ValueError("the polish variant requires an active set")
+    return _parts(agg, cfg, lattice, variant, active_set)
 
+
+def _parts(agg, cfg, lattice, variant, active_set):
     loss = _loss_rows(agg, lattice, variant, active_set)
     n, bounds = len(loss.labels), lattice.bounds_for(agg.p)
     rows = loss.names
@@ -208,15 +224,15 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         j: (f"PE{j + 1:06d}", f"L0U{j + 1:05d}", f"L0L{j + 1:05d}",
             f"L1U{j + 1:05d}", f"L1L{j + 1:05d}") for j in loss.cols}
 
-    out = [_plain([f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"]),
-           _records(" G  ", rows)]
+    yield _plain([f"NAME          SCORE{variant[:3].upper()}", "ROWS", " N  COST"])
+    yield _records(" G  ", rows)
     head = [f" E  {name}" for name in cf_names]
     if links:
         head.append(" L  CAP")
     for pe, l0u, l0l, l1u, l1l in links.values():
         head += [f" E  {pe}", f" L  {l0u}", f" G  {l0l}", f" L  {l1u}", f" G  {l1l}"]
-    out.append(_plain(head + [
-        "COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"]))
+    yield _plain(head + [
+        "COLUMNS", "    MARKER0                 'MARKER'                 'INTORG'"])
 
     # every loss row's coefficient field (+1 on positives, -1 on negatives),
     # then the four link-row fields (1) of each penalized feature
@@ -224,7 +240,7 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     which = np.zeros(n + len(link_rows), dtype=np.intp)
     which[:n] = loss.labels < 0  # the value "1" or "-1"
     table = _fields(np.vstack([rows, _names(link_rows)]), ["1", "-1"], which)
-    out.append(_column("LAM00000", table, np.arange(n)))
+    yield _column("LAM00000", table, np.arange(n))
     lams = [("LAM00000", lattice.intercept_bound)]  # the columns written, with bounds
     for k, j in enumerate(loss.cols):
         idx = np.flatnonzero(loss.pats[:, j])
@@ -232,8 +248,8 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
             idx = np.append(idx, n + 4 * k + np.arange(4))
         if len(idx):  # a column without entries cannot be written
             lams.append((f"LAM{j + 1:05d}", int(bounds[j])))
-            out.append(_column(lams[-1][0], table, idx))
-    out.append(_plain(["    MARKER1                 'MARKER'                 'INTEND'"]))
+            yield _column(lams[-1][0], table, idx)
+    yield _plain(["    MARKER1                 'MARKER'                 'INTEND'"])
 
     # Z column i: its cost and its loss row's big-M on one line, then its
     # conflict row, if any, on a second; costs depend on (label, count) only
@@ -252,27 +268,25 @@ def export_mps(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     left = np.stack([i, 2 * n + conflict], axis=1)[keep]
     right = np.stack([n + i, np.full(n, -1)], axis=1)[keep]
     zs = loss.z_names
-    out.append(_lines(zs[np.repeat(i, 1 + has_cf)], table, left, right))
+    yield _lines(zs[np.repeat(i, 1 + has_cf)], table, left, right)
     for j, (pe, l0u, l0l, l1u, l1l) in links.items():
         b = int(bounds[j])
-        out += [_short_column(f"F{j + 1:07d}", [("COST", 1), (pe, 1)]),
-                _short_column(f"A{j + 1:07d}", [(pe, -cfg.c0), (l0u, -b),
-                                                (l0l, b), ("CAP", 1)]),
-                _short_column(f"B{j + 1:07d}", [(pe, -cfg.epsilon), (l1u, -1), (l1l, 1)])]
+        yield _short_column(f"F{j + 1:07d}", [("COST", 1), (pe, 1)])
+        yield _short_column(f"A{j + 1:07d}", [(pe, -cfg.c0), (l0u, -b), (l0l, b), ("CAP", 1)])
+        yield _short_column(f"B{j + 1:07d}", [(pe, -cfg.epsilon), (l1u, -1), (l1l, 1)])
 
     cap = ["CAP"] if links else []
     rhs_names = np.vstack([rows[loss.rhs == 1], _names(cf_names + cap)])
     which = np.zeros(len(rhs_names), dtype=np.intp)
     which[len(which) - len(cap):] = 1  # CAP's right-hand side is max_terms, every other 1
-    out.append(_plain(["RHS"]))
+    yield _plain(["RHS"])
     if len(which):
-        out.append(_column("RHS", _fields(rhs_names, ["1", _num(cfg.max_terms)], which),
-                           np.arange(len(which))))
+        yield _column("RHS", _fields(rhs_names, ["1", _num(cfg.max_terms)], which),
+                      np.arange(len(which)))
 
-    out.append(_plain(["BOUNDS"] + [line for name, bound in lams for line in (
-        f" LO BND       {name:<8}  {_num(-bound)}", f" UP BND       {name:<8}  {_num(bound)}")]))
-    out.append(_records(" BV BND       ", zs))
-    out.append(_plain([line for j in links for line in (
+    yield _plain(["BOUNDS"] + [line for name, bound in lams for line in (
+        f" LO BND       {name:<8}  {_num(-bound)}", f" UP BND       {name:<8}  {_num(bound)}")])
+    yield _records(" BV BND       ", zs)
+    yield _plain([line for j in links for line in (
         f" BV BND       A{j + 1:07d}", f" UP BND       B{j + 1:07d}  {_num(int(bounds[j]))}")]
-        + ["ENDATA"]))
-    return b"".join(out).decode("ascii")
+        + ["ENDATA"])

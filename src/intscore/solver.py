@@ -440,7 +440,8 @@ class _Search(Rows):
         self.bound_steps[s] += pair
         self.bound_steps[t] -= pair
 
-        self.values = [self._value_order(j) for j in range(p)]
+        conds, prev = self._class_signals()
+        self.values = [self._value_order(j, cond, prev) for j, cond in enumerate(conds)]
 
         # the root's bound: siblings over no coefficient at the edge scores,
         # the highest a completion of the root can give a positive row and
@@ -454,7 +455,7 @@ class _Search(Rows):
         # the values of the widest coefficient, for the grouped rule, which
         # refuses every depth above the first one it refuses
         self.block = 2 * int(self.bounds.max(initial=0)) + 1
-        self.branch(self._feature_order(), self._fits)
+        self.branch(self._feature_order(conds, prev), self._fits)
 
         # the penalty a value of feature j adds to its node's total
         self.value_cost = [[self._total(0, v != 0, abs(v)) for v in vals]
@@ -470,27 +471,20 @@ class _Search(Rows):
 
     # -- branching order ----------------------------------------------------
 
-    def _class_signal(self, j):
-        n_pos = int(self.agg.pos_counts.sum())
-        prev = Fraction(n_pos, self.agg.source_n)
-        on = self.cols[j] == 1
-        active_pos = int(self.agg.pos_counts[on[:self.n_pos]].sum())
-        active = active_pos + int(self.agg.neg_counts[on[self.n_pos:]].sum())
-        if active == 0:
-            return None, prev
-        return Fraction(active_pos, active), prev
+    def _class_signals(self):
+        """The positive share of the rows that set each feature, None for a
+        feature no row sets, and the positive share of all rows."""
+        pos = (self.cols[:, :self.n_pos] @ self.agg.pos_counts).tolist()
+        neg = (self.cols[:, self.n_pos:] @ self.agg.neg_counts).tolist()
+        prev = Fraction(int(self.agg.pos_counts.sum()), self.agg.source_n)
+        return [Fraction(a, a + b) if a + b else None for a, b in zip(pos, neg)], prev
 
-    def _feature_order(self):
-        keyed = []
-        for j in range(self.p):
-            cond, prev = self._class_signal(j)
-            signal = abs(cond - prev) if cond is not None else Fraction(-1)
-            keyed.append((-signal, j))
-        keyed.sort()
-        return [j for _, j in keyed]
+    @staticmethod
+    def _feature_order(conds, prev):
+        signal = [abs(cond - prev) if cond is not None else Fraction(-1) for cond in conds]
+        return sorted(range(len(conds)), key=lambda j: (-signal[j], j))
 
-    def _value_order(self, j):
-        cond, prev = self._class_signal(j)
+    def _value_order(self, j, cond, prev):
         lead = 1 if cond is None or cond >= prev else -1
         vals = [0]
         for mag in range(1, int(self.bounds[j]) + 1):

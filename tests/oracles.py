@@ -489,6 +489,35 @@ def per_leaf_greedy_seed(search):
         search.undo(j, v)
 
 
+def class_signal(search, j):
+    """Feature j's class signal, from masked sums over the rows of a solver
+    search state: the positive share of the rows that set j (None where no
+    row does) and the positive share of all rows."""
+    agg = search.agg
+    prev = Fraction(int(agg.pos_counts.sum()), agg.source_n)
+    on = search.cols[j] == 1
+    active_pos = int(agg.pos_counts[on[:search.n_pos]].sum())
+    active = active_pos + int(agg.neg_counts[on[search.n_pos:]].sum())
+    if active == 0:
+        return None, prev
+    return Fraction(active_pos, active), prev
+
+
+def reference_branching(search):
+    """The branching order and every feature's value order, one
+    class_signal at a time: features by falling |cond - prev| (a feature
+    no row sets last), then index; values 0, then +-1, +-2, ... led by the
+    sign of cond - prev (positive where no row sets the feature)."""
+    keyed, values = [], []
+    for j in range(search.p):
+        cond, prev = class_signal(search, j)
+        keyed.append((-(abs(cond - prev) if cond is not None else Fraction(-1)), j))
+        lead = 1 if cond is None or cond >= prev else -1
+        values.append([0] + [v for mag in range(1, int(search.bounds[j]) + 1)
+                             for v in (lead * mag, -lead * mag)])
+    return [j for _, j in sorted(keyed)], values
+
+
 def reference_load_csv(path, label_column, positive_token):
     """The cell-by-cell CSV reader that data.load_csv must match: the same
     dataset, or the same exception type and message."""

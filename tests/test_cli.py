@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from intscore import cli
+from intscore import cli, mps
 from intscore.cli import main
-from intscore.data import load_csv, synth_generate, write_csv
-from intscore.model import ScoringSystem
+from intscore.data import aggregate, load_csv, synth_generate, write_csv
+from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem
+from intscore.polish import ActiveSet
 
 
 @pytest.fixture
@@ -192,12 +193,28 @@ class TestOtherCommands:
         assert out.startswith("rule,lift,support,confidence")
 
     def test_export_mps(self, dataset_csv, tmp_path, capsys):
-        out = tmp_path / "model.mps"
-        assert run("export-mps", dataset_csv, "--coef-bound", "2",
-                   "--intercept-bound", "4", "--output", out) == 0
-        text = out.read_text()
-        assert text.startswith("NAME")
-        assert "ENDATA" in text
+        # the file written part by part is the in-process text, byte for byte
+        ds = load_csv(dataset_csv, "y", "1")
+        lattice = LatticeSpec(2, 4)
+        cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, 8)
+        for variant in mps.VARIANTS:
+            out = tmp_path / f"{variant}.mps"
+            active = ("--active", "x1,x3") if variant == "polish" else ()
+            assert run("export-mps", dataset_csv, "--coef-bound", "2", "--intercept-bound", "4",
+                       "--variant", variant, *active, "--output", out) == 0
+            text = mps.export_mps(aggregate(ds), cfg, lattice, variant,
+                                  ActiveSet((0, 2)) if variant == "polish" else None)
+            assert text.startswith("NAME") and text.endswith("ENDATA\n")
+            assert out.read_bytes() == text.encode("ascii")
+
+    def test_failed_export_leaves_no_file(self, dataset_csv, tmp_path, capsys, monkeypatch):
+        # the F, A and B columns come after the LAM and Z columns are written
+        def fail(*args):
+            raise RuntimeError("column builder failed")
+        monkeypatch.setattr(mps, "_short_column", fail)
+        with pytest.raises(RuntimeError, match="column builder failed"):
+            run("export-mps", dataset_csv, "--output", tmp_path / "model.mps")
+        assert list(tmp_path.iterdir()) == [dataset_csv]
 
     def test_print_round_trip(self, dataset_csv, tmp_path, capsys):
         model_path = tmp_path / "m.json"

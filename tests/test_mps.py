@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -298,3 +299,21 @@ def test_wide_text_matches_reference(variant):
     for active in _active_sets(variant, agg.p):
         assert export_mps(agg, cfg, lattice, variant, active) == \
             reference_export_mps(agg, cfg, lattice, variant, active)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_export_holds_the_text_less_than_three_times(variant):
+    # the parts and their join, and no byte copy of either
+    rng = np.random.default_rng(6)
+    ds = synth_generate(rng.uniform(0.05, 0.9, 20), rng.normal(0, 0.6, 20), 5_000, seed=2)
+    agg = aggregate(ds)
+    lattice = LatticeSpec(10, 100)
+    cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, 8)
+    active = ActiveSet(tuple(range(ds.p))) if variant == "polish" else None
+    tracemalloc.start()
+    try:
+        text = export_mps(agg, cfg, lattice, variant, active)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)

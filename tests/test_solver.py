@@ -23,9 +23,9 @@ from intscore.solver import (
 )
 
 from instances import a1a2_dataset, random_instance, wide_instance
-from oracles import (ReferencePool, brute_force_frontier, brute_force_solve, conflict_lower_bound,
-                     grouped_relaxation, grouped_rule_admits, pattern_relaxation,
-                     per_leaf_greedy_seed)
+from oracles import (ReferencePool, brute_force_frontier, brute_force_solve, class_signal,
+                     conflict_lower_bound, grouped_relaxation, grouped_rule_admits,
+                     pattern_relaxation, per_leaf_greedy_seed, reference_branching)
 
 
 def quick_cfg(pool=20, **kw):
@@ -747,6 +747,30 @@ def test_intercept_grid_clipped_to_coefficient_reach(tree_search):
     assert outputs[1] == outputs[2]
     assert outputs[1][0].status == "node_limit"
     assert outputs[1][0].search == "tree"
+
+
+def test_branching_follows_per_feature_class_signals():
+    # the search derives every feature's class signal from one product per
+    # class; the branching order and each value order must be the ones a
+    # masked sum per feature gives, also for a feature no row sets and for
+    # one, set on every row, whose signal ties the base rate
+    instances = [random_instance(seed)[1:] for seed in range(12)] + _uneven_instances()[-1:]
+    X = np.array([[1, 0, 1, 1], [0, 0, 1, 1], [1, 0, 0, 1], [0, 0, 0, 1], [1, 0, 1, 1]],
+                 dtype=np.uint8)
+    ds = BinaryDataset(tuple(FeatureSpec(f"x{j}") for j in range(4)), X,
+                       np.array([1, -1, 1, -1, -1], dtype=np.int8))
+    lattice = LatticeSpec((2, 3, 1, 2), 4)
+    instances.append((aggregate(ds), PenaltyConfig.auto(1, ds.n, ds.p, lattice), lattice))
+    kinds = set()
+    for agg, cfg, lattice in instances:
+        search = _Search(agg, cfg, lattice, quick_cfg(), None)
+        order, values = reference_branching(search)
+        assert search.order == order
+        assert search.values == values
+        for j in range(agg.p):
+            cond, prev = class_signal(search, j)
+            kinds.add("unset" if cond is None else "tie" if cond == prev else "set")
+    assert kinds == {"unset", "tie", "set"}
 
 
 class TestLimits:
