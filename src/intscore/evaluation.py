@@ -332,14 +332,34 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
     trains = tuple(aggregate(dataset.subset(mask)) for mask in
                    [folds.fold_train_mask(f) for f in range(protocol.cv_folds)]
                    + [folds.train_mask()])
-    args = [(dataset, folds, protocol, lattice, scfg, max_terms, w, trains)
-            for w in protocol.w_plus_grid]
+    shared = (dataset, folds, protocol, lattice, scfg, max_terms)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_sweep_point, *zip(*args)))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
+                                 initargs=shared + (trains,)) as pool:
+            points = list(pool.map(_worker_point, protocol.w_plus_grid))
     else:
-        points = [_sweep_point(*a) for a in args]
+        points = [_sweep_point(*shared, w, trains) for w in protocol.w_plus_grid]
     return SweepResult(tuple(points))
+
+
+# a sweep worker process's share of its sweep: _sweep_point's arguments
+# but the weight, set once per worker by _init_sweep_worker
+_worker_shared = None
+
+
+def _init_sweep_worker(*shared):
+    """Keep what every grid point of a sweep shares in this worker, so a
+    task carries only its weight, and the training-set aggregates, with the
+    set counts their first fit keeps in them, serve every point the worker
+    runs."""
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_point(w_plus) -> SweepPoint:
+    """_sweep_point of w_plus in a sweep worker."""
+    *shared, trains = _worker_shared
+    return _sweep_point(*shared, w_plus, trains)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,18 @@ sibling's curve as a sum of strided views of the segment curves, one view
 per segment, with one axis per coefficient. The widened grid and the views
 depend only on the segments and on the moves, not on the scores, so
 sibling_plan builds them once. least_loss reads a curve's canonical
-intercept, the one rule by which every search picks it.
+intercept, the one rule by which every search picks it. feature_leaves
+scores the leaves that set one more coefficient, every value of every
+feature at once: a leaf's curve is the curve of all rows minus that of
+the rows setting the feature plus the latter read v columns on, and one
+product of the rows' feature columns with their step weights, grouped by
+step column, gives the histograms of all of them.
+
+loss_curves, sibling_curves and grouped_bounds take the scores of many
+nodes stacked on a leading node axis, as one pass: a search that expands
+a whole depth of nodes pays the numpy calls once per block of nodes, not
+once per node. Each node's histogram is summed on its own, so a node's
+sums are as exact as when it is alone.
 
 grouped_bounds bounds every completion of a node by a relaxation tighter
 than letting each row's free coefficients reach their limits on their own.
@@ -65,6 +76,14 @@ from .data import AggregatedDataset
 from .model import PenaltyConfig
 
 _EXACT = 2 ** 53
+# elements per block of child or sibling curves: siblings, and the nodes
+# whose siblings are scored together, are bounded in blocks of this size,
+# which caps the memory of many groups or nodes on a wide grid
+_CHUNK_ELEMENTS = 1 << 18
+# the most elements one block of feature_leaves works on: rows times
+# (features + step groups) for its product, features times values times
+# intercepts for its curves
+_LEAF_ELEMENTS = 1 << 16
 
 
 def class_units(agg: AggregatedDataset, cfg: PenaltyConfig):
@@ -135,17 +154,28 @@ def curve_plan(steps, start, seg, n_seg: int, lo: int, width: int) -> dict:
 def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Row s, column q: the loss units of segment s when every member score
     is scores + lo + q. Steps below the grid are clipped to column 0, those
-    above it to a spill column that is dropped."""
+    above it to a spill column that is dropped. scores of shape (n, rows)
+    hold n nodes' scores, and the curves then gain a leading node axis;
+    each node's histogram is summed on its own, so its sums stay as exact
+    as one node's."""
     width, n_seg = plan["width"], plan["n_seg"]
     col = (1 - plan["lo"]) - scores
     # two ufuncs: np.clip's Python wrapper costs more than the clipping
     np.maximum(col, 0, out=col)
     np.minimum(col, width, out=col)
     col += plan["seg_col"]
-    hist = np.bincount(col, weights=plan["steps"], minlength=n_seg * (width + 1))
-    cum = np.cumsum(hist).reshape(n_seg, width + 1)
-    curves = np.empty((n_seg, width), dtype=dtype)
-    np.add(cum[:, :width], plan["offset"], out=curves, casting="unsafe")
+    size = n_seg * (width + 1)
+    if col.ndim == 1:
+        hist = np.bincount(col, weights=plan["steps"], minlength=size)
+        cum = np.cumsum(hist).reshape(n_seg, width + 1)
+    else:
+        nodes = len(col)
+        col += np.arange(0, nodes * size, size)[:, None]
+        hist = np.bincount(col.ravel(), weights=np.tile(plan["steps"], nodes),
+                           minlength=nodes * size)
+        cum = np.cumsum(hist.reshape(nodes, size), axis=1).reshape(nodes, n_seg, width + 1)
+    curves = np.empty(cum.shape[:-1] + (width,), dtype=dtype)
+    np.add(cum[..., :width], plan["offset"], out=curves, casting="unsafe")
     return curves
 
 
@@ -169,6 +199,9 @@ def sibling_plan(steps, start, seg, moves, bs, lo: int, width: int) -> dict:
     # segment s's view starts at the move head of sibling v = -bs
     plan["views"] = [(s * full + head - low, axes) for s, (head, axes) in enumerate(views)]
     plan["length"] = width
+    # the nodes whose segment and sibling curves one block holds
+    siblings = math.prod(2 * b + 1 for b in bs)
+    plan["nodes"] = max(1, _CHUNK_ELEMENTS // (len(moves) * (full + 1) + siblings * width))
     return plan
 
 
@@ -176,13 +209,64 @@ def sibling_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray
     """Loss curves of the siblings of plan, scores being every row's score
     before its segment moves: entry [i_0, .., i_{L-1}, q] is the loss units
     of sibling v_l = i_l - bs[l] with every score further moved by lo + q.
-    dtype must hold every sum of the loss units."""
+    dtype must hold every sum of the loss units. scores of shape (n, rows)
+    give every node's siblings, under a leading node axis."""
     curves = loss_curves(plan, scores, dtype)
-    views = [strided(curves, first, steps, plan["length"]) for first, steps in plan["views"]]
+    nodes = [(curves[0].size, len(curves))] if curves.ndim > 2 else []
+    views = [strided(curves, first, nodes + steps, plan["length"])
+             for first, steps in plan["views"]]
     out = views[0] if len(views) == 1 else views[0] + views[1]
     for view in views[2:]:
         out += view
     return out
+
+
+def feature_leaves(cols, steps, start, scores, b: int, grid, order, dtype):
+    """(units, lam0), two (P, 2 b + 1) arrays: entry [j, i] is least_loss of
+    the leaf that adds v = i - b times feature j's column to scores, for
+    every one of the P features of cols (P, rows) at once. steps and start
+    are as for curve_plan, grid and order as for least_loss.
+
+    A leaf's curve over the offsets t is C(t) - C_j(t) + C_j(t + v), C
+    being the curve of every row and C_j that of the rows setting j. The
+    rows are grouped by their step's column on the grid widened by b, a
+    bincount compaction, so one float64 product of the rows' feature
+    columns (and a column of ones for C) with the groups' step weights
+    gives every histogram at once, in blocks of rows. Each leaf curve is
+    then a strided view, and least_loss runs on blocks of features. Both
+    kinds of block hold at most _LEAF_ELEMENTS elements. Every partial sum
+    is a sum of some rows' steps or starts, so it is exact in float64."""
+    p, length = len(cols), len(grid)
+    lo, width = int(grid[0]) - b, length + 2 * b
+    col = (1 - lo) - scores
+    np.maximum(col, 0, out=col)
+    np.minimum(col, width, out=col)
+    present = np.bincount(col, minlength=width + 1) > 0
+    group = (np.cumsum(present) - 1)[col]
+    n_groups = int(present.sum())
+    hist = np.zeros((p + 1, n_groups + 1))  # the last column sums the starts
+    step = max(1, _LEAF_ELEMENTS // (p + n_groups + 2))
+    for r in range(0, len(col), step):
+        rows, n = slice(r, r + step), min(step, len(col) - r)
+        x = np.empty((p + 1, n))
+        x[:p], x[p] = cols[:, rows], 1
+        weights = np.zeros((n, n_groups + 1))
+        weights[np.arange(n), group[rows]] = steps[rows]
+        weights[:, n_groups] = start[rows]
+        hist += x @ weights
+    wide = np.zeros((p + 1, width))
+    wide[:, np.flatnonzero(present[:width])] = hist[:, :present[:width].sum()]
+    curves = np.cumsum(wide, axis=1)
+    curves += hist[:, -1:]
+    unmoved = curves[p, b:b + length] - curves[:p, b:b + length]
+    moved = strided(curves, 0, ((width, p), (1, 2 * b + 1)), length)
+    units, lam0 = np.empty((2, p, 2 * b + 1), dtype=np.int64)
+    block = max(1, _LEAF_ELEMENTS // ((2 * b + 1) * length))
+    for f in range(0, p, block):
+        part = np.empty((min(block, p - f), 2 * b + 1, length), dtype=dtype)
+        np.add(unmoved[f:f + block, None], moved[f:f + block], out=part, casting="unsafe")
+        units[f:f + block], lam0[f:f + block] = least_loss(part, grid, order)
+    return units, lam0
 
 
 def refined_groups(cols, feats, bounds):
@@ -215,11 +299,6 @@ def strided(arr: np.ndarray, start: int, steps, length: int) -> np.ndarray:
                       start * size, tuple(s * size for s, _ in steps) + (size,))
 
 
-# elements per child-curve block: siblings are bounded in blocks of this
-# size, which caps the memory of many groups on a wide grid
-_CHUNK_ELEMENTS = 1 << 20
-
-
 def grouped_plan(steps, start, inverse, half, col, b: int, lo: int, length: int) -> dict:
     """What grouped_bounds needs that does not depend on the scores.
 
@@ -247,33 +326,43 @@ def grouped_plan(steps, start, inverse, half, col, b: int, lo: int, length: int)
         levels[k][1].append((g0, g1, pad - s, 2 * s + 1 - (1 << k)))
     segs = curve_plan(steps, start, col * n_groups + inverse, 2 * n_groups,
                       lo - pad - b, t_len + 2 * b)
+    # the children one block holds, and the nodes whose every child it holds
+    chunk = max(1, _CHUNK_ELEMENTS // (n_groups * t_len))
     return {"b": b, "n_groups": n_groups, "pad": pad, "t_len": t_len, "grid": length,
-            "levels": levels, "segs": segs,
-            "chunk": max(1, _CHUNK_ELEMENTS // (n_groups * t_len))}
+            "levels": levels, "segs": segs, "chunk": chunk, "nodes": max(1, chunk // (2 * b + 1))}
 
 
 def grouped_bounds(plan: dict, scores: np.ndarray, dtype, first: int = 0,
                    count: int = None) -> np.ndarray:
     """The grouped bound, in loss units, of the children plan was built for
     whose value v = i - b has i in first .. first + count - 1 (all by
-    default), scores being the node's scores. dtype must hold every sum
-    of the loss units."""
+    default), scores being the node's scores. scores of shape (n, rows)
+    bound the children of n nodes at once: the result is (n, count), and a
+    block holds every node's children of a few values. dtype must hold
+    every sum of the loss units."""
     b, n_groups, t_len = plan["b"], plan["n_groups"], plan["t_len"]
     count = 2 * b + 1 - first if count is None else count
     width = t_len + 2 * b
     curves = loss_curves(plan["segs"], scores, dtype)
-    bounds = np.empty(count, dtype=np.int64)
-    for v0 in range(first, first + count, plan["chunk"]):
-        n_values = min(plan["chunk"], first + count - v0)
-        size = n_groups * n_values * t_len
-        # rows (group, child) of child curves c0(t) + c1(t + v), then a
-        # tail that window reads of the last row may run into
+    if curves.ndim == 2:
+        n, chunk, nodes, c0 = 1, plan["chunk"], (), curves[:n_groups, None, b:b + t_len]
+    else:
+        n = len(curves)
+        chunk, nodes = max(1, plan["chunk"] // n), ((2 * n_groups * width, n),)
+        c0 = curves[:, :n_groups, b:b + t_len].transpose(1, 0, 2)[:, :, None]
+    bounds = np.empty(scores.shape[:-1] + (count,), dtype=np.int64)
+    for v0 in range(first, first + count, chunk):
+        n_values = min(chunk, first + count - v0)
+        size = n_groups * n * n_values * t_len
+        # rows (group, node, child) of child curves c0(t) + c1(t + v), then
+        # a tail that window reads of the last row may run into
         level = np.empty(size + 2 * plan["pad"], dtype=dtype)
-        np.add(curves[:n_groups, None, b:b + t_len],
-               strided(curves, n_groups * width + v0,
-                       ((width, n_groups), (1, n_values)), t_len),
-               out=level[:size].reshape(n_groups, n_values, t_len))
-        bounds[v0 - first:v0 - first + n_values] = _window_bounds(plan, level, n_values)
+        c1 = strided(curves, n_groups * width + v0,
+                     ((width, n_groups),) + nodes + ((1, n_values),), t_len)
+        np.add(c0, c1, out=level[:size].reshape(c1.shape))
+        window = _window_bounds(plan, level, n * n_values)
+        bounds[..., v0 - first:v0 - first + n_values] = \
+            window if n == 1 else window.reshape(n, n_values)
     return bounds
 
 
@@ -305,14 +394,16 @@ class Rows:
     The rows are the distinct patterns of agg, positives first: units and
     unit_den are loss_units', cols holds the features by column, and steps
     (float64, as curve_plan takes them) and start are exact_steps'. dtype
-    is the narrowest integer type that holds every sum of the units. Every
+    is the narrowest unsigned integer type that holds every sum of the
+    units: no curve or bound is ever negative, and uint16 holds a
+    paper-scale dataset's total at w+ = 1, where int16 does not. Every
     curve reads lam0_grid, the intercepts -grid_half .. grid_half of
     intercept_grid, and least_loss ranks them by its lam0_order.
 
     base holds every row's score under the coefficients the search has
     fixed: move(j, v) fixes coefficient j at v and move(j, -v) frees it
     again. branch() sets the branching order and the groupings that bound
-    the children of each depth. leaf_plan and child_bounds build their
+    the children of each depth. leaf_plan and child_plan build their
     plans on first use and keep them.
     """
 
@@ -326,7 +417,7 @@ class Rows:
         steps, self.start = exact_steps(self.units, self.n_pos)
         self.steps = steps.astype(np.float64)
         total = int(self.units.sum())
-        self.dtype = np.int16 if total < 2 ** 15 else np.int32 if total < 2 ** 31 else np.int64
+        self.dtype = np.uint16 if total < 2 ** 16 else np.uint32 if total < 2 ** 32 else np.uint64
         self.lam0_grid, self.lam0_order = intercept_grid(intercept_bound, self.bounds)
         self.grid_half = int(self.lam0_grid[-1])
         self.base = np.zeros(len(self.units), dtype=np.int64)
@@ -366,15 +457,16 @@ class Rows:
                 -self.grid_half, len(self.lam0_grid))
         return plan
 
-    def leaf_curves(self, feats):
-        """sibling_curves of leaf_plan(feats) at base: axis l holds the
+    def leaf_curves(self, feats, scores=None):
+        """sibling_curves of leaf_plan(feats) at base, or at the (n, rows)
+        scores of n nodes under a leading node axis: axis l holds the
         values -b .. b of feats[l], the last axis the intercept grid."""
-        return sibling_curves(self.leaf_plan(feats), self.base, self.dtype)
+        return sibling_curves(self.leaf_plan(feats),
+                              self.base if scores is None else scores, self.dtype)
 
-    def child_bounds(self, depth, first=0, count=None):
-        """grouped_bounds of the children of the current node at depth,
-        which set feature j = order[depth] to the values -b + first ..
-        -b + first + count - 1 (all 2 b + 1 by default), b its bound. Their
+    def child_plan(self, depth):
+        """The grouped_plan of the children of a node at depth, which set
+        feature j = order[depth] to each value -b .. b, b its bound. Their
         free features are order[depth + 1:], grouped by groupings[depth + 1]."""
         plan = self._child_plans.get(depth)
         if plan is None:
@@ -382,4 +474,12 @@ class Rows:
             plan = self._child_plans[depth] = grouped_plan(
                 self.steps, self.start, *self.groupings[depth + 1], self.cols[j],
                 int(self.bounds[j]), -self.grid_half, len(self.lam0_grid))
-        return grouped_bounds(plan, self.base, self.dtype, first, count)
+        return plan
+
+    def child_bounds(self, depth, first=0, count=None, scores=None):
+        """grouped_bounds of the children of the current node at depth that
+        set order[depth] to the values -b + first .. -b + first + count - 1
+        (all 2 b + 1 by default), or of every child of the n nodes whose
+        (n, rows) scores are given, under a leading node axis."""
+        return grouped_bounds(self.child_plan(depth), self.base if scores is None else scores,
+                              self.dtype, first, count)

@@ -56,11 +56,15 @@ contributes the sliding-window minimum of its exact loss curve.
 Conflicting label pairs always share a group and are costed exactly by its
 curve.
 
-Expanding a node bounds all 2b+1 children at once, from one kernel call
-over an offset grid widened by the bound b of the feature branched on. The
-last two coefficients are not bounded: every value pair is scored at once
-by the solver's sibling kernel (loss.sibling_curves), from the four loss
-curves of the patterns split by their bits on the pair, and takes its
+The search runs a depth at a time. The live nodes of one depth are
+expanded together, in chunks one kernel block holds, depth first over the
+chunks: one grouped_bounds pass over a chunk's stacked scores bounds all
+2b+1 children of every node, on an offset grid widened by the bound b of
+the feature branched on, and each child is pruned against the incumbent
+as it stands. The last two coefficients are not bounded: every value pair
+of every node of a chunk is scored in one pass of the solver's sibling
+kernel (loss.sibling_curves), from the four loss curves of each node's
+patterns split by their bits on the pair, and the least takes its
 intercept by the solver's rule (loss.least_loss).
 
 The result is the least key over the support's whole lattice, so it does
@@ -84,8 +88,11 @@ from .data import AggregatedDataset, aggregate_counts
 from .loss import Rows, class_units, curve_plan, intercept_grid, least_loss, loss_curves
 from .model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
 
-# the largest support polish accepts; its projection has up to 2^cap patterns per class
-POLISH_CAP = 12
+# the largest support polish accepts; its projection has up to 2^cap patterns
+# per class. Nine terms on about 7,000 patterns polish within the 5 s
+# budget; ten terms took up to 24 s on the same lattice (10/100; 2-vCPU
+# Xeon VM)
+POLISH_CAP = 9
 # the smallest support on which the halved-bounds warm search runs first
 WARM_TERMS = 6
 # the number of threshold functions of k inputs, k = 0, 1, .. (OEIS A000609)
@@ -145,24 +152,31 @@ class _RestrictedSearch(Rows):
     grid at every leaf. The incumbent key is (loss units, coefficient l1,
     coefficient tuple in position order), with the intercept canonicalized
     to smallest magnitude (negative first) among loss minimizers, so the
-    result is independent of branching and value orders, and of the
-    incumbent the search starts from. On three or more terms run() prunes
-    against an incumbent, which seed() sets, and tries values nearest
-    seed_coefs first; on fewer it is one leaf batch.
+    result is independent of branching and value orders, of the order the
+    nodes are visited in, and of the incumbent the search starts from. On
+    three or more terms run() prunes against an incumbent, which seed()
+    sets, and lists each node's children by their value's nearness to
+    seed_coefs; on fewer it is one leaf batch.
 
-    Expanding a node at depth d bounds all of its children at once
-    (Rows.child_bounds); a node at depth k - 2 scores all its leaves at
-    once (_offer).
+    The search runs a depth at a time. A node is its coefficients (zero
+    where free), its l1 and the bound its parent gave it. The nodes of one
+    depth are split into chunks that one block of the kernel holds
+    (plan["nodes"]), which are expanded in order, depth first: a chunk is
+    first filtered against the incumbent as it stands, then one
+    grouped_bounds pass over its nodes' stacked scores bounds all of their
+    children (Rows.child_bounds), and the children that might still beat
+    the incumbent are the next depth's nodes. At depth k - 2 one leaf batch
+    scores the last two coefficients of every node of a chunk (_offer).
     """
 
     def __init__(self, proj: AggregatedDataset, cfg: PenaltyConfig,
                  bounds: np.ndarray, intercept_bound: int, seed_coefs):
         super().__init__(proj, cfg, bounds, intercept_bound)
         self.k = proj.p
-        self.coef = np.zeros(self.k, dtype=np.int64)
         self.values = [
-            sorted(range(-int(self.bounds[j]), int(self.bounds[j]) + 1),
-                   key=lambda v, j=j: (abs(v - int(seed_coefs[j])), v))
+            np.array(sorted(range(-int(self.bounds[j]), int(self.bounds[j]) + 1),
+                            key=lambda v, j=j: (abs(v - int(seed_coefs[j])), v)),
+                     dtype=np.int64)
             for j in range(self.k)
         ]
         # branch on widely shared features first so patterns decouple from
@@ -173,65 +187,87 @@ class _RestrictedSearch(Rows):
         self.best = None  # (units, l1, coef tuple, intercept)
         self.l1_norms = {}  # feats: see _offer
 
-    def _offer(self, feats, l1_fixed):
-        """Make the best completion of the current node over the sorted
-        features feats the incumbent if it beats it."""
-        profile = self.leaf_curves(feats)
-        units = profile.min(axis=-1)
-        u = int(units.min())
+    def _live(self, bound, l1):
+        """Which nodes of these bounds and l1 might hold a key below the
+        incumbent's: no completion of one with (bound, l1) > best[:2] can."""
+        if self.best is None:
+            return np.ones(np.shape(bound), dtype=bool)
+        units, l1_best = self.best[:2]
+        return (bound < units) | ((bound == units) & (l1 <= l1_best))
+
+    def _offer(self, feats, coefs, l1_fixed):
+        """Make the least key among the completions over the sorted
+        features feats of the nodes with coefficient rows coefs and l1
+        l1_fixed the incumbent if it beats it."""
+        profile = self.leaf_curves(feats, coefs @ self.cols)
+        units = profile.min(axis=-1).reshape(len(coefs), -1)
+        u = units.min(axis=1)
         absv = self.l1_norms.get(feats)
         if absv is None:
-            # the l1 norm of every value tuple, with leaf_curves' axes
+            # the l1 norm of every value tuple, with leaf_curves' axes flattened
             absv = self.l1_norms[feats] = sum(
                 np.ix_(*[np.abs(np.arange(-b, b + 1)) for b in self.bounds[list(feats)]]),
-                np.zeros((), dtype=np.int64))
-        l1 = np.where(units == u, absv, np.iinfo(np.int64).max)
-        key = (u, l1_fixed + int(l1.min()))
+                np.zeros((), dtype=np.int64)).ravel()
+        l1 = np.where(units == u[:, None], absv, np.iinfo(np.int64).max)
+        least = l1.min(axis=1)
+        total = l1_fixed + least
+        tied = np.flatnonzero(u == u.min())
+        tied = tied[total[tied] == total[tied].min()]
+        key = (int(u[tied[0]]), int(total[tied[0]]))
         if self.best is not None and key > self.best[:2]:
             return
-        # axes follow position order and values ascend along each, so the
-        # first tie is the smallest coefficient tuple
-        idx = np.unravel_index(int(np.argmax(l1 == l1.min())), l1.shape)
-        coef = self.coef.copy()
-        for j, i in zip(feats, idx):
-            coef[j] = int(i) - int(self.bounds[j])
-        key += (tuple(int(c) for c in coef),)
+        # axes follow position order and values ascend along each, so a
+        # node's first tie is its smallest coefficient tuple
+        def first_tie(node):
+            idx = int(np.argmax(l1[node] == least[node]))
+            coef = coefs[node].copy()
+            coef[list(feats)] = np.unravel_index(idx, profile.shape[1:-1]) \
+                - self.bounds[list(feats)]
+            return tuple(coef.tolist()), node, idx
+
+        coef, node, idx = min(map(first_tie, tied.tolist()))
+        key += (coef,)
         if self.best is None or key < self.best[:3]:
-            _, lam0 = least_loss(profile[idx], self.lam0_grid, self.lam0_order)
+            _, lam0 = least_loss(profile[node].reshape(-1, profile.shape[-1])[idx],
+                                 self.lam0_grid, self.lam0_order)
             self.best = key + (int(lam0),)
-
-    def _apply(self, j, v):
-        if v:
-            self.move(j, v)
-            self.coef[j] = v
-
-    def _undo(self, j, v):
-        if v:
-            self.move(j, -v)
-            self.coef[j] = 0
 
     def seed(self, coefs):
         """Make the coefficients coefs, one per position, the incumbent."""
-        for j, v in enumerate(coefs):
-            self._apply(j, int(v))
-        self._offer((), int(np.abs(self.coef).sum()))
-        for j, v in enumerate(coefs):
-            self._undo(j, int(v))
+        coefs = np.asarray(coefs, dtype=np.int64).reshape(1, self.k)
+        self._offer((), coefs, np.abs(coefs).sum(axis=1))
 
-    def run(self, depth=0, l1_fixed=0):
-        if self.k - depth <= 2:
-            self._offer(tuple(sorted(self.order[depth:])), l1_fixed)
-            return
-        j = self.order[depth]
-        b = int(self.bounds[j])
-        child = self.child_bounds(depth).tolist()
-        for v in self.values[j]:
-            l1 = l1_fixed + abs(v)
-            if (child[v + b], l1) > self.best[:2]:
-                continue  # no completion can beat the incumbent key
-            self._apply(j, v)
-            self.run(depth + 1, l1)
-            self._undo(j, v)
+    def run(self):
+        """Search every completion of the root."""
+        zero = np.zeros(1, dtype=np.int64)
+        self._expand(0, np.zeros((1, self.k), dtype=np.int64), zero, zero)
+
+    def _expand(self, depth, coefs, l1, bound):
+        """Search below the nodes at depth, given by their coefficient rows,
+        l1 and bounds, a chunk at a time, depth first."""
+        last = self.k - depth <= 2
+        if last:
+            feats = tuple(sorted(self.order[depth:]))
+            plan = self.leaf_plan(feats)
+        else:
+            plan = self.child_plan(depth)
+            j = self.order[depth]
+            vals = self.values[j]
+        for first in range(0, len(coefs), plan["nodes"]):
+            chunk = slice(first, first + plan["nodes"])
+            live = self._live(bound[chunk], l1[chunk])
+            c, c_l1 = coefs[chunk][live], l1[chunk][live]
+            if not len(c):
+                continue
+            if last:
+                self._offer(feats, c, c_l1)
+                continue
+            child = self.child_bounds(depth, scores=c @ self.cols)[:, vals + plan["b"]]
+            child_l1 = c_l1[:, None] + np.abs(vals)
+            node, which = np.nonzero(self._live(child, child_l1))
+            kids = c[node]
+            kids[:, j] = vals[which]
+            self._expand(depth + 1, kids, child_l1[node, which], child[node, which])
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,8 @@ scores all children of a node on its first visit and then walks them in
 value order: a leaf child is recorded, an inner child is pruned on its
 bound, and only a child the search descends into is applied to base, so
 pruned and leaf children never touch the state. Greedy seeding scores
-every value of every free feature the same way, one pass per feature.
+every value of every free feature at once, from one product of the rows'
+feature columns with their step weights per step (loss.feature_leaves).
 
 Pruning keeps one incumbent per sparsity budget, read off the solution
 pool: a subtree is cut only when its bound exceeds the best total found
@@ -107,8 +108,8 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (Rows, grouped_bounds, grouped_plan, least_loss, loss_units, refined_groups,
-                   sibling_curves, sibling_plan)
+from .loss import (Rows, feature_leaves, grouped_bounds, grouped_plan, least_loss, loss_units,
+                   refined_groups, sibling_curves, sibling_plan)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -281,6 +282,7 @@ class SolveReport:
     wall_time: float
     status: str  # optimal | time_limit | node_limit
     search: str  # tree | support
+    seed_time: float = 0.0  # seconds of greedy seeding; the support search seeds none
 
     def to_json(self) -> dict:
         return {
@@ -289,6 +291,7 @@ class SolveReport:
             "gap": frac_str(self.gap),
             "nodes_explored": self.nodes_explored,
             "wall_time": self.wall_time,
+            "seed_time": self.seed_time,
             "status": self.status,
             "search": self.search,
         }
@@ -632,21 +635,23 @@ class _Search(Rows):
     def greedy_seed(self, deadline):
         """Deterministic forward selection used to warm-start the incumbents:
         at each sparsity step, score every single-coefficient extension of
-        the current support, keep the best, and record everything in the
-        pool."""
+        the current support at once (loss.feature_leaves), record each in
+        (feature, value order), and keep the first best."""
         chosen = []
+        b = int(self.bounds.max(initial=0))
         for _ in range(self.cap):
             best = None
             fixed = dict(self.terms)
+            units, lam0 = (a.tolist() for a in feature_leaves(
+                self.cols, self.steps, self.start, self.base, b, self.lam0_grid,
+                self.lam0_order, self.dtype))
             for j in range(self.p):
                 if j in fixed:
                     continue
-                vals = self.values[j]
-                at = list(range(1, len(vals)))
-                for c, units, lam0 in zip(at, *self.child_leaves(j, at)):
-                    total = self.record(j, vals[c], units, lam0)
+                for v in self.values[j][1:]:
+                    total = self.record(j, v, units[j][v + b], lam0[j][v + b])
                     if best is None or total < best[0]:
-                        best = (total, j, vals[c])
+                        best = (total, j, v)
             if best is None or time.monotonic() > deadline:
                 break
             _, j, v = best
@@ -688,7 +693,9 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
     # even under a zero node budget, then warm-start with greedy forward
     # selection (everything it touches lands in the pool)
     search.record(0, 0, *search.leaf())
+    seeding = time.monotonic()
     search.greedy_seed(started + 0.4 * scfg.time_limit)
+    seed_time = time.monotonic() - seeding
 
     # frames[d] enumerates values for feature order[d]; "kids" holds all of
     # its children, scored at once (search.children) on its first visit;
@@ -776,6 +783,7 @@ def solve(agg: AggregatedDataset, cfg: PenaltyConfig, lattice: LatticeSpec,
         wall_time=time.monotonic() - started,
         status=status,
         search="tree",
+        seed_time=seed_time,
     )
     if telemetry is not None:
         telemetry({"time": report.wall_time, "nodes": search.nodes,

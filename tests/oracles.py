@@ -1,10 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive: plain Python loops and Fractions,
-no shared code with the library's evaluation or search paths. Two
+no shared code with the library's evaluation or search paths. Three
 exceptions check batched code against per-node code built on the same
 loss curves: per_leaf_greedy_seed drives the solver's own per-node
-primitives, and restricted_bound_units bounds one polish node at a time.
+primitives, restricted_bound_units bounds one polish node at a time, and
+per_node_polish is polish's search one node at a time.
 _polished_pool and _best_at_k are model selection as first written, a
 dedupe dict, a sort and a walk, over the library's own polish. expand and
 filter_rules_any are helpers only the tests use: the inverse of aggregate,
@@ -22,7 +23,7 @@ import numpy as np
 
 from intscore.common import frac_float
 from intscore.data import AggregatedDataset, BinaryDataset, DataError, FeatureSpec
-from intscore.loss import curve_plan, loss_curves
+from intscore.loss import curve_plan, least_loss, loss_curves
 from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem
 from intscore.mps import VARIANTS, _loss_rows
 from intscore.polish import polish
@@ -380,6 +381,58 @@ def restricted_bound_units(search, depth):
         window_min = sliding_min(curves[half == s], 2 * s + 1)
         profile += window_min[:, pad - s:pad - s + len(search.lam0_grid)].sum(axis=0)
     return int(profile.min())
+
+
+def per_node_polish(search):
+    """Polish's restricted search as first written: depth first, one node
+    at a time on the shared row state, each node's children bounded by one
+    grouped_bounds call at base and pruned by (bound, l1) > best[:2], and
+    the last two coefficients of each node scored by its own leaf batch,
+    offered under the same (loss, l1, coefficient tuple) rule with the
+    canonical intercept. Runs on a _RestrictedSearch state after its seed(),
+    if any, and leaves in search.best what its batched run() must leave."""
+    coef = np.zeros(search.k, dtype=np.int64)
+    absv = {}
+
+    def offer(feats, l1_fixed):
+        profile = search.leaf_curves(feats)
+        units = profile.min(axis=-1)
+        u = int(units.min())
+        if feats not in absv:
+            absv[feats] = sum(np.ix_(*[np.abs(np.arange(-b, b + 1))
+                                       for b in search.bounds[list(feats)]]),
+                              np.zeros((), dtype=np.int64))
+        l1 = np.where(units == u, absv[feats], np.iinfo(np.int64).max)
+        key = (u, l1_fixed + int(l1.min()))
+        if search.best is not None and key > search.best[:2]:
+            return
+        idx = np.unravel_index(int(np.argmax(l1 == l1.min())), l1.shape)
+        full = coef.copy()
+        for j, i in zip(feats, idx):
+            full[j] = int(i) - int(search.bounds[j])
+        key += (tuple(int(c) for c in full),)
+        if search.best is None or key < search.best[:3]:
+            _, lam0 = least_loss(profile[idx], search.lam0_grid, search.lam0_order)
+            search.best = key + (int(lam0),)
+
+    def run(depth, l1_fixed):
+        if search.k - depth <= 2:
+            offer(tuple(sorted(search.order[depth:])), l1_fixed)
+            return
+        j = search.order[depth]
+        b = int(search.bounds[j])
+        child = search.child_bounds(depth).tolist()
+        for v in search.values[j].tolist():
+            l1 = l1_fixed + abs(v)
+            if search.best is not None and (child[v + b], l1) > search.best[:2]:
+                continue
+            search.move(j, v)
+            coef[j] = v
+            run(depth + 1, l1)
+            search.move(j, -v)
+            coef[j] = 0
+
+    run(0, 0)
 
 
 class ReferencePool:

@@ -62,6 +62,7 @@ class TestTrain:
         assert model.l0 <= 3
         report = json.loads(Path(f"{out}.report.json").read_text())
         assert report["status"] in ("optimal", "node_limit", "time_limit")
+        assert 0 <= report["seed_time"] <= report["wall_time"]
 
     def test_rerun_is_byte_identical(self, dataset_csv, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

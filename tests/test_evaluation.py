@@ -21,6 +21,7 @@ from intscore.evaluation import (
     weighted_error,
 )
 from intscore.model import LatticeSpec, ScoringSystem, objective, trivial_model
+from intscore.polish import POLISH_CAP
 from intscore.solver import SolutionPool, SolveConfig
 
 import oracles
@@ -389,12 +390,12 @@ class TestSweep:
         y = np.where(X[:, 0] + X[:, 1] > X[:, 2], 1, -1)
         wide = BinaryDataset(tuple(FeatureSpec(f"x{j}") for j in range(14)), X, y)
         protocol = SweepProtocol((1,), pool_size=20, sparsity_grid=(1, 2))
-        with pytest.raises(ValueError, match="polish cap 12"):
+        with pytest.raises(ValueError, match=f"polish cap {POLISH_CAP}"):
             sweep(wide, make_folds(wide, seed=1), protocol, LatticeSpec(1, 4), self.scfg(),
-                  max_terms=13)
+                  max_terms=POLISH_CAP + 1)
         assert solves == []
         narrow, _ = planted_dataset()
-        for ds, max_terms in ((wide, 12), (narrow, 13)):
+        for ds, max_terms in ((wide, POLISH_CAP), (narrow, 13)):
             result = sweep(ds, make_folds(ds, seed=1), protocol, LatticeSpec(1, 4),
                            self.scfg(), max_terms=max_terms)
             assert result.points[0].error == "RuntimeError: solve called"

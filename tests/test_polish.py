@@ -10,13 +10,13 @@ import pytest
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.loss import curve_plan, intercept_grid, loss_curves, loss_units
 from intscore.model import LatticeSpec, PenaltyConfig, ScoringSystem, objective
-from intscore.polish import (TABLE_HALF, TABLE_REACH, TABLE_TERMS, WARM_TERMS, ActiveSet,
-                             labeling_table, polish, project_active, table_admits)
+from intscore.polish import (POLISH_CAP, TABLE_HALF, TABLE_REACH, TABLE_TERMS, WARM_TERMS,
+                             ActiveSet, labeling_table, polish, project_active, table_admits)
 from intscore.solver import SolveConfig, solve
 
 from instances import a1a2_dataset, random_instance
-from oracles import (brute_force_solve, lattice_labelings, restricted_bound_units,
-                     restricted_optimum)
+from oracles import (brute_force_solve, lattice_labelings, per_node_polish,
+                     restricted_bound_units, restricted_optimum)
 
 
 class TestActiveSet:
@@ -161,8 +161,9 @@ class TestPolish:
         agg = aggregate(ds)
         lattice = LatticeSpec(1, 5)
         cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms=14)
-        m = ScoringSystem.from_dense(0, [1] * 13 + [0], ds.feature_names)
-        with pytest.raises(ValueError, match="polish cap 12"):
+        m = ScoringSystem.from_dense(0, [1] * (POLISH_CAP + 1) + [0] * (13 - POLISH_CAP),
+                                     ds.feature_names)
+        with pytest.raises(ValueError, match=f"polish cap {POLISH_CAP}"):
             polish(m, agg, cfg, lattice)
 
     def test_model_of_another_width_rejected(self):
@@ -194,6 +195,24 @@ class TestPolish:
         out, value = polish(m, agg, cfg, lattice)
         elapsed = time.monotonic() - started
         assert elapsed <= 5.0
+        assert value.total <= objective(m, agg, cfg).total
+
+
+    def test_cap_term_polish_within_five_seconds(self):
+        # the widest support polish accepts, on about 7,000 patterns
+        ds = synth_generate([0.5] * 12, [0.8, -0.6, 0.5, -0.4, 0.7, -0.3, 0.2, 0.4, -0.5, 0.3,
+                                         -0.2, 0.6], n=20000, seed=21, bias=-0.2)
+        agg = aggregate(ds)
+        assert agg.n_pos_patterns + agg.n_neg_patterns > 6500
+        lattice = LatticeSpec(10, 100)
+        cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms=POLISH_CAP)
+        start = [5, -4, 3, -2, 4, -2, 1, 2, -3, 2, -1, 3]
+        m = ScoringSystem.from_dense(-3, start[:POLISH_CAP] + [0] * (12 - POLISH_CAP),
+                                     ds.feature_names)
+        polish(ScoringSystem.from_dense(0, [1] + [0] * 11, ds.feature_names), agg, cfg, lattice)
+        started = time.monotonic()
+        out, value = polish(m, agg, cfg, lattice)
+        assert time.monotonic() - started <= 5.0
         assert value.total <= objective(m, agg, cfg).total
 
 
@@ -244,9 +263,10 @@ def test_result_depends_only_on_support():
 
 @pytest.mark.parametrize("chunk_elements", [None, 1])
 def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
-    # the search prunes with the bounds of all siblings computed at once,
-    # in one block or (chunk_elements=1) one sibling per block; each must
-    # equal the per-node bound of that child
+    # the search prunes with the bounds of all siblings of all the nodes of
+    # a chunk computed at once, in one block or (chunk_elements=1) one
+    # sibling of one node per block; each must equal the per-node bound of
+    # that child, and a node's row must equal its bounds computed alone
     import sys
 
     from intscore.polish import _RestrictedSearch
@@ -273,23 +293,64 @@ def test_batched_child_bounds_match_per_node_bound(chunk_elements, monkeypatch):
         s = _RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, [0] * agg.p)
         dtypes.add(np.dtype(s.dtype).itemsize)
         for depth in range(agg.p - 2):
-            for _ in range(4):
-                applied = [(j, int(rng.integers(-bounds[j], bounds[j] + 1)))
-                           for j in s.order[:depth]]
-                for j, v in applied:
-                    s._apply(j, v)
+            j = s.order[depth]
+            b = int(bounds[j])
+            nodes = np.zeros((4, agg.p), dtype=np.int64)
+            for i in s.order[:depth]:
+                nodes[:, i] = rng.integers(-bounds[i], bounds[i] + 1, size=4)
+            stacked = s.child_bounds(depth, scores=nodes @ s.cols)
+            for node, row in zip(nodes, stacked):
+                s.base[:] = node @ s.cols
                 batched = s.child_bounds(depth)
-                j = s.order[depth]
-                b = int(bounds[j])
+                assert row.tolist() == batched.tolist()
                 for v in range(-b, b + 1):
-                    s._apply(j, v)
+                    s.move(j, v)
                     assert batched[v + b] == restricted_bound_units(s, depth + 1)
-                    s._undo(j, v)
+                    s.move(j, -v)
                     checked += 1
-                for j, v in reversed(applied):
-                    s._undo(j, v)
     assert dtypes == {2, 4, 8}
     assert checked > 500
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 1 << 62])
+def test_search_matches_per_node_search(chunk_elements, monkeypatch):
+    # the search a depth at a time, in chunks of one node (one sibling per
+    # block) or of the whole frontier, leaves the incumbent that the search
+    # one node at a time leaves from the same start: on every support size
+    # of an instance with conflict pairs and uneven per-feature bounds, at
+    # full and halved bounds (the warm search of WARM_TERMS and more), at
+    # weights needing 16-, 32- and 64-bit curves, the last at class_units'
+    # limit
+    from intscore.polish import _RestrictedSearch
+
+    monkeypatch.setattr(sys.modules["intscore.loss"], "_CHUNK_ELEMENTS", chunk_elements)
+    ds = synth_generate([0.3, 0.6, 0.5, 0.4, 0.7, 0.5, 0.35],
+                        [0.9, -0.7, 0.5, -0.4, 0.3, -0.6, 0.2], n=500, seed=3, bias=0.1)
+    agg = aggregate(ds)
+    assert len(agg.conflict_pairs)
+    lattice = LatticeSpec((3, 1, 4, 2, 5, 2, 3), 6)
+    den = (2 ** 53 - 1) // (2 * agg.source_n)
+    rng = np.random.default_rng(53)
+    dtypes, sizes = set(), set()
+    for w_plus in (Fraction(7, 5), Fraction(10001, 10000), Fraction(den + 1, den)):
+        cfg = PenaltyConfig.auto(w_plus, ds.n, ds.p, lattice)
+        for k in range(1, ds.p + 1):
+            support = sorted(rng.choice(ds.p, size=k, replace=False).tolist())
+            proj = project_active(agg, ActiveSet(tuple(support)))
+            full = lattice.bounds_for(ds.p)[support]
+            for bounds in (full, (full + 1) // 2):
+                start = rng.integers(-bounds, bounds + 1)
+                searches = [_RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, start)
+                            for _ in range(2)]
+                if k > 2:
+                    for s in searches:
+                        s.seed(start)
+                searches[0].run()
+                per_node_polish(searches[1])
+                assert searches[0].best == searches[1].best
+                dtypes.add(np.dtype(searches[0].dtype).itemsize)
+                sizes.add(k)
+    assert dtypes == {2, 4, 8} and max(sizes) > WARM_TERMS
 
 
 def test_segment_curves_count_every_offset():
@@ -315,9 +376,10 @@ def test_segment_curves_count_every_offset():
 
 
 def test_leaf_batch_offers_least_key():
-    # the last two coefficients are scored together; the incumbent offered
-    # must be the least (loss, l1, coefficient tuple) key over all value
-    # pairs, with the canonical intercept, as a direct enumeration finds it
+    # the last two coefficients of several nodes are scored together; the
+    # incumbent offered must be the least (loss, l1, coefficient tuple) key
+    # over all value pairs of every node, with the canonical intercept, as
+    # a direct enumeration finds it
     from intscore.polish import _RestrictedSearch
 
     rng = np.random.default_rng(29)
@@ -326,24 +388,27 @@ def test_leaf_batch_offers_least_key():
         ds, agg, cfg, lattice = random_instance(seed)
         proj = project_active(agg, ActiveSet(tuple(range(ds.p))))
         bounds = lattice.bounds_for(ds.p)
-        for _ in range(3):
+        for n_nodes in (1, 2, 3):
             s = _RestrictedSearch(proj, cfg, bounds, lattice.intercept_bound, [0] * ds.p)
+            nodes = np.zeros((n_nodes, ds.p), dtype=np.int64)
             for j in s.order[:-2]:
-                s._apply(j, int(rng.integers(-bounds[j], bounds[j] + 1)))
-            l1_fixed = int(np.abs(s.coef).sum())
+                nodes[:, j] = rng.integers(-bounds[j], bounds[j] + 1, size=n_nodes)
+            l1_fixed = np.abs(nodes).sum(axis=1)
             feats = tuple(sorted(s.order[-2:]))
-            s._offer(feats, l1_fixed)
+            s._offer(feats, nodes, l1_fixed)
             is_pos = np.arange(len(s.units)) < len(proj.pos_counts)
             want = None
-            for pair in product(*[range(-int(bounds[j]), int(bounds[j]) + 1) for j in feats]):
-                coef = s.coef.copy()
-                coef[list(feats)] = pair
-                score = coef @ s.cols
-                for lam0 in s.lam0_grid.tolist():
-                    lost = np.where(is_pos, score + lam0 <= 0, score + lam0 >= 1) * s.units
-                    key = (int(lost.sum()), l1_fixed + sum(map(abs, pair)),
-                           tuple(coef.tolist()), (abs(lam0), lam0))
-                    want = key if want is None else min(want, key)
+            for node, l1 in zip(nodes, l1_fixed.tolist()):
+                for pair in product(*[range(-int(bounds[j]), int(bounds[j]) + 1)
+                                      for j in feats]):
+                    coef = node.copy()
+                    coef[list(feats)] = pair
+                    score = coef @ s.cols
+                    for lam0 in s.lam0_grid.tolist():
+                        lost = np.where(is_pos, score + lam0 <= 0, score + lam0 >= 1) * s.units
+                        key = (int(lost.sum()), l1 + sum(map(abs, pair)),
+                               tuple(coef.tolist()), (abs(lam0), lam0))
+                        want = key if want is None else min(want, key)
             assert s.best == want[:3] + (want[3][1],)
             checked += 1
     assert checked == 36

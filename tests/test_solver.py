@@ -226,6 +226,7 @@ class TestSupportSearch:
         assert report.lower_bound == report.best_objective == pool.best()[1].total
         assert report.nodes_explored == sum(math.comb(ds.p, k) for k in range(cap + 1))
         assert report.to_json()["search"] == "support"
+        assert report.seed_time == report.to_json()["seed_time"] == 0.0
         assert [r["nodes"] for r in telemetry] == \
             [sum(math.comb(ds.p, k) for k in range(m + 1)) for m in range(cap + 1)]
         assert [r["bound"] for r in telemetry] == ["0"] * cap + [frac_str(report.best_objective)]
@@ -672,7 +673,7 @@ def _solve_outputs(agg, cfg, lattice, pool_size, node_limit):
     report, pool = solve(agg, cfg, lattice,
                          SolveConfig(time_limit=60, pool_size=pool_size, node_limit=node_limit),
                          telemetry=telemetry.append)
-    return (replace(report, wall_time=None),
+    return (replace(report, wall_time=None, seed_time=None),
             [pool.best_with_at_most(k) for k in range(cfg.max_terms + 1)],
             pool.entries,
             [{k: v for k, v in r.items() if k != "time"} for r in telemetry])
@@ -708,7 +709,7 @@ def test_pool_size_leaves_solve_unchanged(tree_search):
                 report, pool = solve(agg, cfg, lattice, SolveConfig(
                     time_limit=60, pool_size=pool_size, node_limit=node_limit))
                 assert report.search == "tree"
-                outputs.append((replace(report, wall_time=None),
+                outputs.append((replace(report, wall_time=None, seed_time=None),
                                 [pool.best_with_at_most(k)[0].key()
                                  for k in range(cfg.max_terms + 1)]))
             assert all(out == outputs[-1] for out in outputs), node_limit
@@ -1069,20 +1070,32 @@ class TestSiblingBatching:
         assert seen["grouped"] and seen["interval"]
         assert dtypes == {2, 4, 8}
 
-    def test_greedy_seed_matches_per_leaf_seed(self):
-        instances = [random_instance(seed)[1:] for seed in range(12)]
-        for agg, cfg, lattice in instances + _uneven_instances():
-            searches = [_Search(agg, cfg, lattice, quick_cfg(), None) for _ in range(2)]
-            for search in searches:
-                search.record(0, 0, *search.leaf())
-            searches[0].greedy_seed(float("inf"))
-            per_leaf_greedy_seed(searches[1])
-            batched, per_leaf = searches
-            assert [batched.pool.best_total(k) for k in range(batched.cap + 1)] == \
-                [per_leaf.pool.best_total(k) for k in range(per_leaf.cap + 1)]
-            assert [(m.key(), v) for m, v in batched.pool.entries] == \
-                [(m.key(), v) for m, v in per_leaf.pool.entries]
-            assert not batched.base.any() and batched.terms == ()
+    def test_greedy_seed_matches_per_leaf_seed(self, monkeypatch):
+        # seeding's product and curves in blocks of one row and one
+        # feature, by default, and all at once; the uneven instances have
+        # conflict pairs and per-feature bounds, and the last one a weight
+        # denominator at class_units' limit
+        instances = [random_instance(seed)[1:] for seed in range(12)] + _uneven_instances()
+        agg, _, lattice = instances[-1]
+        den = (2 ** 53 - 1) // (2 * agg.source_n)
+        instances.append((agg, PenaltyConfig.auto(Fraction(den + 1, den), agg.source_n, agg.p,
+                                                  lattice, max_terms=7), lattice))
+        loss_module = sys.modules["intscore.loss"]
+        for leaf_elements in (1, loss_module._LEAF_ELEMENTS, 1 << 62):
+            monkeypatch.setattr(loss_module, "_LEAF_ELEMENTS", leaf_elements)
+            for agg, cfg, lattice in instances:
+                searches = [_Search(agg, cfg, lattice, quick_cfg(), None) for _ in range(2)]
+                for search in searches:
+                    search.record(0, 0, *search.leaf())
+                searches[0].greedy_seed(float("inf"))
+                per_leaf_greedy_seed(searches[1])
+                batched, per_leaf = searches
+                assert [batched.pool.best_total(k) for k in range(batched.cap + 1)] == \
+                    [per_leaf.pool.best_total(k) for k in range(per_leaf.cap + 1)]
+                assert [(m.key(), v) for m, v in batched.pool.entries] == \
+                    [(m.key(), v) for m, v in per_leaf.pool.entries]
+                assert not batched.base.any() and batched.terms == ()
+        assert np.dtype(searches[0].dtype).itemsize == 8
 
 
 # Outputs of a node-limited solve. Any change to node order, value order,
@@ -1148,6 +1161,9 @@ def test_pinned_node_limited_solve(tree_search):
                          SolveConfig(time_limit=60, pool_size=30, node_limit=5000),
                          telemetry=telemetry.append)
     assert (report.nodes_explored, report.status, report.search) == (5000, "node_limit", "tree")
+    # greedy seeding runs first and its time is reported
+    assert 0 < report.seed_time <= report.wall_time
+    assert report.to_json()["seed_time"] == report.seed_time
     assert (report.best_objective, report.lower_bound) == \
         (Fraction(10963, 34000), Fraction(123, 500))
     assert [(m.key(), frac_str(v.total)) for m, v in pool.entries] == PINNED_POOL
