@@ -2,8 +2,10 @@
 
 Commands: encode, train, sweep, evaluate, rules, export-mps, print, synth,
 replay. Every file-producing command also writes a run manifest capturing
-the argv, configuration, input hashes and seed, so deterministic runs can
-be reproduced bit for bit.
+the argv, every option of the command as it ran, the hashes of the files
+it read and the seed, so deterministic runs can be reproduced bit for bit.
+Every output goes to its path whole or not at all (_write), and every JSON
+input that cannot be read is a data error naming its file (_read_json).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -103,7 +105,9 @@ def build_parser() -> _Parser:
     _lattice_flags(p)
     _solver_flags(p)
     p.add_argument("--w-plus", default="1", help="positive-class weight in [0, 2]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the model's provenance and the manifest only: "
+                        "training is deterministic")
     p.add_argument("--output", required=True, help="model JSON path")
     p.add_argument("--report", help="solve report JSON (default: <output>.report.json)")
     p.add_argument("--telemetry", help="line-delimited JSON progress log")
@@ -208,47 +212,94 @@ def _lattice(args) -> LatticeSpec:
     return LatticeSpec(args.coef_bound, args.intercept_bound)
 
 
-def _write(path, text):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_parts(path, parts):
-    """Write the str parts to path as they arrive. They go to a sibling
-    file that takes path's place after the last part, so a failure part
-    way leaves no partial file at path."""
+def _write(path, content):
+    """Write content to path: a str, an iterable of str parts written as
+    they arrive, or a function that writes the file whose path it is given.
+    It is written to a sibling file that takes path's place at the end, so
+    a failure part way leaves no file at path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        if callable(content):
+            content(partial)
+        else:
+            with open(partial, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines([content] if isinstance(content, str) else content)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-def _manifest(args, argv, inputs, outputs, config, seed=None, path=None):
-    """Write the manifest of a command that main started at args.started."""
-    manifest = RunManifest.begin(argv, config, inputs, args.started, seed)
-    manifest.finish()
-    target = path or f"{outputs[0]}.manifest.json"
-    manifest.write(target)
-    return target
+# what a parse of a malformed JSON document raises
+_DOC_ERRORS = (ValueError, LookupError, TypeError, AttributeError)
+
+
+def _reason(exc):
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _read_json(path, parse):
+    """parse(doc) of the JSON object in the file at path. Whatever the file
+    holds that parse cannot take, from invalid JSON and a document that is
+    not an object to a missing key or a value of the wrong type, is a
+    DataError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DataError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except _DOC_ERRORS as exc:
+        raise DataError(f"{path}: {_reason(exc)}") from None
+
+
+def _manifest(args, argv, inputs, path, seed=None):
+    """Write to path the manifest of a command that main started at
+    args.started. Its config is every option of the command after the
+    --config overrides, and a --config file is hashed with the inputs."""
+    config = {k: v for k, v in vars(args).items() if k not in ("cmd", "config", "started")}
+    if args.config:
+        inputs = [*inputs, args.config]
+    manifest = RunManifest(list(argv), config, {str(p): sha256_file(p) for p in inputs},
+                           seed, started=args.started, finished=timestamp())
+    _write(path, manifest.to_json())
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+def _parse_rules(doc):
+    """(label column, positive token, features) of an encoding rules
+    document: one (source, cuts) pair per feature, cuts None for a binary
+    passthrough column."""
+    features = []
+    for i, feat in enumerate(doc.get("features", [])):
+        try:
+            source = feat.get("source")
+            if feat.get("kind") == "binary":
+                features.append((source, None))
+                continue
+            cuts = []
+            for r in feat.get("rules", []):
+                if r.get("kind") == "band":
+                    cuts.append(BandRule(source, r.get("low"), r.get("high")))
+                elif r.get("kind") == "threshold":
+                    cuts.append(ThresholdRule(source, r["comparator"], r["value"]))
+                else:
+                    raise DataError(f"unknown rule kind {r.get('kind')!r}")
+            features.append((source, cuts))
+        except _DOC_ERRORS as exc:
+            raise DataError(f"features[{i}]: {_reason(exc)}") from None
+    return str(doc.get("label_column", "y")), str(doc.get("positive_token", "1")), features
+
+
 def _cmd_encode(args, argv):
-    try:
-        with open(args.rules, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.rules}:{exc.lineno}: {exc.msg}") from None
+    label_col, positive, features = _read_json(args.rules, _parse_rules)
 
     import csv as _csv
     with open(args.raw, newline="", encoding="utf-8") as fh:
@@ -257,19 +308,15 @@ def _cmd_encode(args, argv):
         header = reader.fieldnames or []
     if not rows:
         raise DataError(f"{args.raw}: no data rows")
-
-    label_col = spec.get("label_column", "y")
-    positive = str(spec.get("positive_token", "1"))
     if label_col not in header:
         raise DataError(f"{args.raw}: label column {label_col!r} not found")
 
     columns, specs = [], []
-    for i, feat in enumerate(spec.get("features", [])):
+    for i, (source, cuts) in enumerate(features):
         where = f"{args.rules}: features[{i}]"
-        source = feat.get("source")
-        if source is None or source not in header:
+        if source not in header:
             raise DataError(f"{where}: unknown source column {source!r}")
-        if feat.get("kind") == "binary":
+        if cuts is None:
             vals = [row[source] for row in rows]
             if any(v not in ("0", "1") for v in vals):
                 raise DataError(f"{where}: column {source!r} is not 0/1")
@@ -278,16 +325,8 @@ def _cmd_encode(args, argv):
             continue
         try:
             raw_vals = [float(row[source]) for row in rows]
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{where}: {exc}") from None
-        cuts = []
-        for r in feat.get("rules", []):
-            if r.get("kind") == "band":
-                cuts.append(BandRule(source, r.get("low"), r.get("high")))
-            elif r.get("kind") == "threshold":
-                cuts.append(ThresholdRule(source, r["comparator"], r["value"]))
-            else:
-                raise DataError(f"{where}: unknown rule kind {r.get('kind')!r}")
         for fs, col in binarize_continuous(raw_vals, cuts):
             specs.append(fs)
             columns.append(col)
@@ -298,11 +337,10 @@ def _cmd_encode(args, argv):
     y = np.array([1 if row[label_col] == positive else -1 for row in rows],
                  dtype=np.int8)
     ds = BinaryDataset(tuple(specs), X, y)
-    write_csv(ds, args.output, label_column=label_col)
+    _write(args.output, lambda path: write_csv(ds, path, label_column=label_col))
     specs_path = args.specs or f"{args.output}.specs.json"
     _write(specs_path, json.dumps([s.to_json() for s in ds.features], indent=2) + "\n")
-    _manifest(args, argv, [args.raw, args.rules], [args.output],
-              {"command": "encode", "rules": args.rules})
+    _manifest(args, argv, [args.raw, args.rules], f"{args.output}.manifest.json")
     print(f"encoded {ds.n} rows x {ds.p} features -> {args.output}")
     return EXIT_OK
 
@@ -358,13 +396,7 @@ def _cmd_train(args, argv):
                                       provenance=provenance))
     report_path = args.report or f"{args.output}.report.json"
     _write(report_path, json.dumps(report_doc, sort_keys=True, indent=2) + "\n")
-    _manifest(args, argv, [args.dataset], [args.output],
-              {"command": "train", "w_plus": frac_str(w_plus),
-               "max_terms": args.max_terms, "time_limit": args.time_limit,
-               "node_limit": args.node_limit, "pool": args.pool,
-               "coef_bound": args.coef_bound,
-               "intercept_bound": args.intercept_bound},
-              seed=args.seed)
+    _manifest(args, argv, [args.dataset], f"{args.output}.manifest.json", seed=args.seed)
     print(format_sheet(model), end="")
     return EXIT_OK
 
@@ -393,7 +425,6 @@ def _cmd_sweep(args, argv):
                    max_terms=args.max_terms, jobs=args.jobs)
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     curve = result.curve()
     _write(outdir / "curve.json", json.dumps(result.to_json(), indent=2) + "\n")
     _write(outdir / "curve.csv", curve.to_csv())
@@ -404,12 +435,7 @@ def _cmd_sweep(args, argv):
                    point.model.to_json(lattice=lattice))
     if args.plot:
         _write(outdir / "curve.svg", roc_svg(curve))
-    _manifest(args, argv, [args.dataset], [outdir / "curve.json"],
-              {"command": "sweep", "grid": [frac_str(w) for w in grid],
-               "test_ratio": frac_str(as_fraction(args.test_ratio)),
-               "max_terms": args.max_terms, "pool": args.pool,
-               "time_limit": args.time_limit, "node_limit": args.node_limit},
-              seed=args.folds_seed, path=outdir / "manifest.json")
+    _manifest(args, argv, [args.dataset], outdir / "manifest.json", seed=args.folds_seed)
     failed = sum(1 for point in result.points if point.status == "failed")
     print(f"swept {len(result.points)} weights ({failed} failed), "
           f"AUC = {frac_float(curve.auc):.4f} -> {outdir}")
@@ -417,8 +443,7 @@ def _cmd_sweep(args, argv):
 
 
 def _cmd_evaluate(args, argv):
-    with open(args.model, encoding="utf-8") as fh:
-        model = ScoringSystem.from_json(fh.read())
+    model = _read_json(args.model, ScoringSystem.from_json)
     ds = _load_dataset(args)
     if model.n_features != ds.p:
         raise DataError(f"model expects {model.n_features} features, "
@@ -436,16 +461,13 @@ def _cmd_evaluate(args, argv):
         doc["max_fpr"] = frac_str(cap)
         doc["fpr_within_limit"] = counts.fpr is not None and counts.fpr <= cap
     text = json.dumps(doc, indent=2) + "\n"
+    if args.calibration_csv:
+        _write(args.calibration_csv, table.to_csv())
     if args.output:
         _write(args.output, text)
-        if args.calibration_csv:
-            _write(args.calibration_csv, table.to_csv())
-        _manifest(args, argv, [args.model, args.dataset], [args.output],
-                  {"command": "evaluate", "calib_bins": args.calib_bins})
+        _manifest(args, argv, [args.model, args.dataset], f"{args.output}.manifest.json")
     else:
         sys.stdout.write(text)
-        if args.calibration_csv:
-            _write(args.calibration_csv, table.to_csv())
     return EXIT_OK
 
 
@@ -456,10 +478,7 @@ def _cmd_rules(args, argv):
     text = rules_csv(mined)
     if args.output:
         _write(args.output, text)
-        _manifest(args, argv, [args.dataset], [args.output],
-                  {"command": "rules", "min_support": args.min_support,
-                   "min_confidence": args.min_confidence,
-                   "max_vars": args.max_vars})
+        _manifest(args, argv, [args.dataset], f"{args.output}.manifest.json")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -468,7 +487,7 @@ def _cmd_rules(args, argv):
 def _cmd_export_mps(args, argv):
     ds = _load_dataset(args)
     lattice = _lattice(args)
-    w_plus, cfg = _train_config(args, ds, lattice)
+    _, cfg = _train_config(args, ds, lattice)
     if cfg is None:
         raise UsageError("weight endpoints have no validated penalty "
                          "configuration; choose 0 < w+ < 2")
@@ -482,21 +501,17 @@ def _cmd_export_mps(args, argv):
         if missing:
             raise DataError(f"unknown feature names: {missing}")
         active = ActiveSet(tuple(index[n] for n in names))
-    _write_parts(args.output, mps_parts(aggregate(ds), cfg, lattice, args.variant, active))
-    _manifest(args, argv, [args.dataset], [args.output],
-              {"command": "export-mps", "variant": args.variant,
-               "w_plus": frac_str(w_plus), "max_terms": args.max_terms})
+    _write(args.output, mps_parts(aggregate(ds), cfg, lattice, args.variant, active))
+    _manifest(args, argv, [args.dataset], f"{args.output}.manifest.json")
     print(f"wrote {args.variant} MPS model -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_print(args, argv):
-    with open(args.model, encoding="utf-8") as fh:
-        model = ScoringSystem.from_json(fh.read())
+    model = _read_json(args.model, ScoringSystem.from_json)
     sys.stdout.write(format_sheet(model, args.outcome_label))
     if args.manifest:
-        _manifest(args, argv, [args.model], [args.manifest],
-                  {"command": "print"}, path=args.manifest)
+        _manifest(args, argv, [args.model], args.manifest)
     return EXIT_OK
 
 
@@ -506,18 +521,15 @@ def _cmd_synth(args, argv):
     if len(marginals) != len(weights):
         raise UsageError("--marginals and --weights must have equal length")
     ds = synth_generate(marginals, weights, args.n, args.seed, bias=args.bias)
-    write_csv(ds, args.output)
-    _manifest(args, argv, [], [args.output],
-              {"command": "synth", "marginals": marginals, "weights": weights,
-               "bias": args.bias, "n": args.n},
-              seed=args.seed)
+    _write(args.output, lambda path: write_csv(ds, path))
+    _manifest(args, argv, [], f"{args.output}.manifest.json", seed=args.seed)
     print(f"wrote {ds.n} rows x {ds.p} features -> {args.output} "
           f"(positive rate {ds.n_positive / ds.n:.3f})")
     return EXIT_OK
 
 
 def _cmd_replay(args, argv):
-    manifest = RunManifest.read(args.manifest)
+    manifest = _read_json(args.manifest, lambda doc: RunManifest(**doc))
     stale = manifest.verify_inputs()
     if stale:
         raise DataError(f"inputs changed since the recorded run: {stale}")
@@ -549,10 +561,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

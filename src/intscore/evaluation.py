@@ -317,7 +317,9 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
           jobs: int = 1) -> SweepResult:
     """Train one model per weight in the grid and evaluate it on the test
     split; grid points are independent and may run in parallel. Each
-    training set is aggregated once, here, for every weight."""
+    training set is aggregated once, here, for every weight. Every fit
+    solves under scfg with one change: protocol.pool_size replaces
+    scfg.pool_size."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if folds.n != dataset.n:

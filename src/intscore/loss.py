@@ -13,14 +13,14 @@ histogram of the step positions and one cumulative sum. Callers choose the
 scores (exact ones for a leaf, optimistic ones for a bound) and the step
 weights (a bound folds its conflict pairs into them).
 
-sibling_curves scores many sibling score vectors at once when they differ
-only by whole segments moving by amounts linear in the values of a few
-coefficients: setting coefficient j to v moves exactly the rows with
-x_j = 1, by v. Moving a segment by d reads its curve d columns further on,
-so one kernel call on a grid widened by the spread of the moves gives every
+sibling_curves scores at once the siblings that set a few coefficients to
+every value: setting coefficient j to v moves exactly the rows with
+x_j = 1, by v, so the rows fall in segments by which of the coefficients
+they set. Moving a segment by d reads its curve d columns further on, so
+one kernel call on a grid widened by the spread of the moves gives every
 sibling's curve as a sum of strided views of the segment curves, one view
 per segment, with one axis per coefficient. The widened grid and the views
-depend only on the segments and on the moves, not on the scores, so
+depend only on the segments and on the bounds, not on the scores, so
 sibling_plan builds them once. least_loss reads a curve's canonical
 intercept, the one rule by which every search picks it. feature_leaves
 scores the leaves that set one more coefficient, every value of every
@@ -179,29 +179,25 @@ def loss_curves(plan: dict, scores: np.ndarray, dtype=np.int64) -> np.ndarray:
     return curves
 
 
-def sibling_plan(steps, start, seg, moves, bs, lo: int, width: int) -> dict:
+def sibling_plan(steps, start, seg, bs, lo: int, width: int) -> dict:
     """What sibling_curves needs that does not depend on the scores: the
     siblings set L coefficients to every v with v_l in -bs[l] .. bs[l].
-    steps, start and seg are as for curve_plan, with one segment per entry
-    of moves: in sibling v segment s moves by moves[s][L] + sum over l of
-    moves[s][l] * v_l. The siblings' curves cover offsets lo .. lo + width
-    - 1. The views are worked out in Python ints, which cost less than
-    numpy calls on plans this small."""
-    views, low, high = [], 0, 0
-    for m in moves:
-        head, reach = m[-1], 0
-        for m_l, b in zip(m, bs):
-            head, reach = head - m_l * b, reach + abs(m_l) * b
-        views.append((head, [(m_l, 2 * b + 1) for m_l, b in zip(m, bs)]))
-        low, high = min(low, m[-1] - reach), max(high, m[-1] + reach)
-    full = width + high - low
-    plan = curve_plan(steps, start, seg, len(moves), lo + low, full)
-    # segment s's view starts at the move head of sibling v = -bs
-    plan["views"] = [(s * full + head - low, axes) for s, (head, axes) in enumerate(views)]
+    steps and start are as for curve_plan. Bit l of seg[i] says whether row
+    i sets coefficient l, so its segment, one of 2^L, moves by the sum of
+    the v_l of its bits. The siblings' curves cover offsets lo .. lo +
+    width - 1. The views are worked out in Python ints, which cost less
+    than numpy calls on plans this small."""
+    reach, n_seg = sum(bs), 1 << len(bs)
+    full = width + 2 * reach
+    plan = curve_plan(steps, start, seg, n_seg, lo - reach, full)
+    # segment s's view starts at its move in sibling v = -bs
+    bits = [[s >> l & 1 for l in range(len(bs))] for s in range(n_seg)]
+    plan["views"] = [(s * full + reach - sum(x * b for x, b in zip(bits[s], bs)),
+                      [(x, 2 * b + 1) for x, b in zip(bits[s], bs)]) for s in range(n_seg)]
     plan["length"] = width
     # the nodes whose segment and sibling curves one block holds
     siblings = math.prod(2 * b + 1 for b in bs)
-    plan["nodes"] = max(1, _CHUNK_ELEMENTS // (len(moves) * (full + 1) + siblings * width))
+    plan["nodes"] = max(1, _CHUNK_ELEMENTS // (n_seg * (full + 1) + siblings * width))
     return plan
 
 
@@ -450,10 +446,8 @@ class Rows:
         if plan is None:
             seg = sum((self.cols[j] << bit for bit, j in enumerate(feats)),
                       np.zeros(len(self.units), dtype=np.int64))
-            moves = [[(cls >> bit) & 1 for bit in range(len(feats))] + [0]
-                     for cls in range(1 << len(feats))]
             plan = self._leaf_plans[feats] = sibling_plan(
-                self.steps, self.start, seg, moves, [int(self.bounds[j]) for j in feats],
+                self.steps, self.start, seg, [int(self.bounds[j]) for j in feats],
                 -self.grid_half, len(self.lam0_grid))
         return plan
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 TOOL_VERSION = "0.1.0"
@@ -25,51 +25,30 @@ def sha256_file(path) -> str:
 
 @dataclass
 class RunManifest:
+    """command is a run's argv, config every option of its command as the
+    run used it, and input_hashes the SHA-256 of every file it read."""
+
     command: list
     config: dict
     input_hashes: dict
-    seed: Optional[int]
+    seed: Optional[int] = None
     tool_version: str = TOOL_VERSION
     started: str = ""
     finished: str = ""
 
-    @staticmethod
-    def begin(command, config, inputs, started, seed=None) -> "RunManifest":
-        return RunManifest(
-            command=list(command),
-            config=dict(config),
-            input_hashes={str(p): sha256_file(p) for p in inputs},
-            seed=seed,
-            started=started,
-        )
-
-    def finish(self) -> "RunManifest":
-        self.finished = timestamp()
-        return self
+    def __post_init__(self):
+        if not (isinstance(self.command, list) and all(isinstance(a, str) for a in self.command)):
+            raise TypeError("command must be a list of strings")
+        if not (isinstance(self.config, dict) and isinstance(self.input_hashes, dict)):
+            raise TypeError("config and input_hashes must be JSON objects")
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def read(path) -> "RunManifest":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return RunManifest(doc["command"], doc["config"], doc["input_hashes"],
-                           doc.get("seed"), doc.get("tool_version", ""),
-                           doc.get("started", ""), doc.get("finished", ""))
+            return RunManifest(**json.load(fh))
 
     def verify_inputs(self) -> list:
         """Paths whose current hash no longer matches the recorded one."""

@@ -299,10 +299,14 @@ class ScoringSystem:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @staticmethod
-    def from_json(text: str) -> "ScoringSystem":
-        doc = json.loads(text)
+    def from_json(text) -> "ScoringSystem":
+        """The model of to_json's text, or of the document it holds."""
+        doc = json.loads(text) if isinstance(text, str) else text
         terms = tuple((t["index"], t["points"]) for t in doc["terms"])
         names = tuple(t["feature"] for t in doc["terms"])
+        if any(type(v) is not int for v in (doc["intercept"], doc["n_features"], *sum(terms, ()))):
+            raise TypeError("intercept, n_features and each term's index and points "
+                            "must be integers")
         return ScoringSystem(doc["intercept"], terms, names, doc["n_features"])
 
 

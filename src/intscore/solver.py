@@ -108,8 +108,8 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (Rows, feature_leaves, grouped_bounds, grouped_plan, least_loss, loss_units,
-                   refined_groups, sibling_curves, sibling_plan)
+from .loss import (Rows, curve_plan, feature_leaves, grouped_bounds, grouped_plan, least_loss,
+                   loss_curves, loss_units, refined_groups)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
@@ -451,9 +451,7 @@ class _Search(Rows):
         # the lowest it can give a negative one
         reach = self.bounds @ self.cols
         self.edge = np.concatenate([reach[:self.n_pos], -reach[self.n_pos:]])
-        bound_plan = sibling_plan(self.bound_steps, self.start, np.zeros_like(self.base),
-                                  [(0,)], (), -self.grid_half, len(self.lam0_grid))
-        self.root_units = int(sibling_curves(bound_plan, self.edge, self.dtype).min())
+        self.root_units = self._edge_units(-self.grid_half, len(self.lam0_grid))
 
         # the values of the widest coefficient, for the grouped rule, which
         # refuses every depth above the first one it refuses
@@ -562,10 +560,14 @@ class _Search(Rows):
         elif lam0 is None:
             units = self.root_units
         else:
-            plan = sibling_plan(self.bound_steps, self.start, np.zeros_like(self.base), [(0,)],
-                                (), int(lam0), 1)
-            units = sibling_curves(plan, self.edge, self.dtype)[0]
+            units = self._edge_units(int(lam0), 1)
         return self._total(int(units), self.n_nonzero, self.l1_fixed)
+
+    def _edge_units(self, lo, width) -> int:
+        """The interval bound over the intercepts lo .. lo + width - 1: the
+        least loss of the edge scores, with the conflict pairs' steps."""
+        plan = curve_plan(self.bound_steps, self.start, np.zeros_like(self.base), 1, lo, width)
+        return int(loss_curves(plan, self.edge, self.dtype).min())
 
     def leaf(self):
         """(units, lam0): the loss of the current coefficients at their

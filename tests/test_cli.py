@@ -400,3 +400,166 @@ def test_manifest_times_the_command(tmp_path, capsys, monkeypatch):
                "--output", out) == 0
     doc = json.loads(Path(f"{out}.manifest.json").read_text())
     assert int(doc["started"]) < events.index("run") < int(doc["finished"])
+
+
+def _synth_manifest(tmp_path):
+    out = tmp_path / "synth.csv"
+    assert run("synth", "--marginals", "0.5,0.3", "--weights", "1.0,-1.0", "--n", "50",
+               "--seed", "3", "--output", out) == 0
+    return json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+def _model_doc(tmp_path):
+    return json.loads(ScoringSystem.from_dense(0, [1, 0, -2], ["x1", "x2", "x3"]).to_json())
+
+
+def _rules_doc(tmp_path):
+    return {"label_column": "y", "features": [
+        {"source": "age", "rules": [{"kind": "band", "low": None, "high": 20},
+                                    {"kind": "threshold", "comparator": ">=", "value": 30}]}]}
+
+
+def _edited(doc, path, *value):
+    """A copy of doc with the entry at path set to value, or deleted when
+    no value is given."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    if value:
+        inner[path[-1]] = value[0]
+    else:
+        del inner[path[-1]]
+    return doc
+
+
+# for each command that reads a JSON document: how to build a valid one,
+# how to run the command on it, and a document missing a required key and
+# one with a value of the wrong type
+_JSON_INPUTS = {
+    "print": (_model_doc, lambda f, tmp, data: ("print", f),
+              lambda d: _edited(d, ("terms",)), lambda d: _edited(d, ("intercept",), "0")),
+    "evaluate": (_model_doc, lambda f, tmp, data: ("evaluate", f, data),
+                 lambda d: _edited(d, ("n_features",)),
+                 lambda d: _edited(d, ("terms", 0, "points"), 2.5)),
+    "encode": (_rules_doc,
+               lambda f, tmp, data: ("encode", tmp / "raw.csv", "--rules", f,
+                                     "--output", tmp / "enc.csv"),
+               lambda d: _edited(d, ("features", 0, "rules", 1, "comparator")),
+               lambda d: _edited(d, ("features", 0, "rules", 0, "low"), "x")),
+    "replay": (_synth_manifest, lambda f, tmp, data: ("replay", f),
+               lambda d: _edited(d, ("config",)), lambda d: _edited(d, ("command",), "synth")),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_JSON_INPUTS))
+@pytest.mark.parametrize("fault", ["not json", "list", "missing key", "wrong type"])
+def test_malformed_json_input_is_data_error(dataset_csv, tmp_path, capsys, cmd, fault):
+    # a model, rules or manifest file the command cannot read is a data
+    # error that names the file, never a traceback or a usage error
+    (tmp_path / "raw.csv").write_text("age,y\n17,1\n35,0\n")
+    valid, argv, missing, wrong = _JSON_INPUTS[cmd]
+    doc = valid(tmp_path)
+    text = {"not json": "{not json", "list": json.dumps([doc]),
+            "missing key": json.dumps(missing(doc)), "wrong type": json.dumps(wrong(doc))}
+    bad = tmp_path / "input.json"
+    bad.write_text(text[fault])
+    capsys.readouterr()
+    assert run(*argv(bad, tmp_path, dataset_csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+
+
+def test_json_inputs_read_when_valid(dataset_csv, tmp_path, capsys):
+    # the documents the malformed variants are made from are read
+    (tmp_path / "raw.csv").write_text("age,y\n17,1\n35,0\n")
+    for cmd, (valid, argv, _, _) in _JSON_INPUTS.items():
+        good = tmp_path / f"{cmd}.json"
+        good.write_text(json.dumps(valid(tmp_path)))
+        assert run(*argv(good, tmp_path, dataset_csv)) == 0, cmd
+
+
+class _FullDisk:
+    """A file that takes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, parts):
+        for part in parts:
+            self.fh.write(part[:len(part) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("cmd, target", [("train", "model.json"), ("sweep", "curve.json")])
+def test_failed_write_leaves_no_file(dataset_csv, tmp_path, capsys, monkeypatch, cmd, target):
+    def opening(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return _FullDisk(fh) if Path(path).name == target + ".partial" else fh
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    out = tmp_path / "out"
+    where = ("--output", out / "model.json") if cmd == "train" \
+        else ("--grid", "1", "--outdir", out)
+    with pytest.raises(OSError, match="No space left"):
+        run(cmd, dataset_csv, "--coef-bound", "2", "--intercept-bound", "4", "--max-terms", "2",
+            "--pool", "10", "--node-limit", "500", *where)
+    assert not (out / target).exists()
+    assert not (out / f"{target}.partial").exists()
+
+
+def _manifest_config(path):
+    return json.loads(Path(path).read_text())["config"]
+
+
+def test_manifest_config_is_every_option(dataset_csv, tmp_path, capsys):
+    # the parsed options after the config file's overrides, whatever the command
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("max-terms = 1\n")
+    out = tmp_path / "m.json"
+    assert run("--config", cfgfile, "train", dataset_csv, "--max-terms", "3", "--coef-bound", "2",
+               "--intercept-bound", "4", "--pool", "10", "--node-limit", "500",
+               "--output", out) == 0
+    config = _manifest_config(f"{out}.manifest.json")
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "cmd")
+    train = {a.dest for a in commands.choices["train"]._actions} - {"help"}
+    assert set(config) == train
+    assert config["max_terms"] == 1 and config["coef_bound"] == 2 and config["report"] is None
+
+    mps_out = tmp_path / "p.mps"
+    assert run("export-mps", dataset_csv, "--coef-bound", "3", "--intercept-bound", "5",
+               "--variant", "polish", "--active", "x1,x3", "--output", mps_out) == 0
+    config = _manifest_config(f"{mps_out}.manifest.json")
+    assert (config["coef_bound"], config["intercept_bound"], config["active"]) == (3, 5, "x1,x3")
+
+    outdir = tmp_path / "sweep"
+    assert run("sweep", dataset_csv, "--grid", "1", "--coef-bound", "2", "--intercept-bound", "4",
+               "--max-terms", "2", "--pool", "10", "--node-limit", "500",
+               "--outdir", outdir) == 0
+    config = _manifest_config(outdir / "manifest.json")
+    assert (config["coef_bound"], config["intercept_bound"], config["grid"]) == (2, 4, "1")
+
+
+def test_replay_refuses_an_edited_config_file(tmp_path, capsys):
+    # the config file is a run input: replay after an edit is a data error,
+    # as for a changed dataset
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 50\n")
+    out = tmp_path / "synth.csv"
+    assert run("--config", cfgfile, "synth", "--marginals", "0.5,0.3", "--weights", "1.0,-1.0",
+               "--n", "80", "--output", out) == 0
+    manifest = Path(f"{out}.manifest.json")
+    assert str(cfgfile) in json.loads(manifest.read_text())["input_hashes"]
+    assert run("replay", manifest) == 0
+    cfgfile.write_text("n = 60\n")
+    capsys.readouterr()
+    assert run("replay", manifest) == 2
+    assert str(cfgfile) in capsys.readouterr().err
