@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -177,9 +179,11 @@ def _apply_config_file(parser, args):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in commands.choices[args.cmd]._actions}
     path = Path(args.config)
-    if not path.exists():
-        raise UsageError(f"config file {path} not found")
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except OSError as exc:  # missing, a directory or unreadable
+        raise UsageError(f"config file {path}: {exc.strerror or exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,8 +208,18 @@ def _apply_config_file(parser, args):
     return args
 
 
+def _read_input(path, read):
+    """read(path) of an input file. A path that cannot be opened or read,
+    one that is missing, a directory or unreadable, and a file the csv
+    module or the UTF-8 codec refuses, is a DataError that names it."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _load_dataset(args) -> BinaryDataset:
-    return load_csv(args.dataset, args.label, args.positive)
+    return _read_input(args.dataset, lambda path: load_csv(path, args.label, args.positive))
 
 
 def _lattice(args) -> LatticeSpec:
@@ -244,17 +258,20 @@ def _read_json(path, parse):
     """parse(doc) of the JSON object in the file at path. Whatever the file
     holds that parse cannot take, from invalid JSON and a document that is
     not an object to a missing key or a value of the wrong type, is a
-    DataError that names the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise DataError(f"expected a JSON object, got {type(doc).__name__}")
-        return parse(doc)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except _DOC_ERRORS as exc:
-        raise DataError(f"{path}: {_reason(exc)}") from None
+    DataError that names the file, as is a file that cannot be read."""
+    def read(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise DataError(f"expected a JSON object, got {type(doc).__name__}")
+            return parse(doc)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except _DOC_ERRORS as exc:
+            raise DataError(f"{path}: {_reason(exc)}") from None
+
+    return _read_input(path, read)
 
 
 def _manifest(args, argv, inputs, path, seed=None):
@@ -298,14 +315,17 @@ def _parse_rules(doc):
     return str(doc.get("label_column", "y")), str(doc.get("positive_token", "1")), features
 
 
+def _read_dict_rows(path):
+    """(rows as dicts, header) of the CSV file at path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return list(reader), reader.fieldnames or []
+
+
 def _cmd_encode(args, argv):
     label_col, positive, features = _read_json(args.rules, _parse_rules)
 
-    import csv as _csv
-    with open(args.raw, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        rows = list(reader)
-        header = reader.fieldnames or []
+    rows, header = _read_input(args.raw, _read_dict_rows)
     if not rows:
         raise DataError(f"{args.raw}: no data rows")
     if label_col not in header:
@@ -429,10 +449,15 @@ def _cmd_sweep(args, argv):
     _write(outdir / "curve.json", json.dumps(result.to_json(), indent=2) + "\n")
     _write(outdir / "curve.csv", curve.to_csv())
     _write(outdir / "folds.json", folds.to_json() + "\n")
-    for i, point in enumerate(result.points):
-        if point.model is not None:
-            _write(outdir / f"model_{i:02d}.json",
-                   point.model.to_json(lattice=lattice))
+    models = {f"model_{i:02d}.json": point.model for i, point in enumerate(result.points)
+              if point.model is not None}
+    for name, model in models.items():
+        _write(outdir / name, model.to_json(lattice=lattice))
+    # an earlier sweep's models in outdir would read as this run's points
+    for stale in outdir.glob("model_*.json"):
+        if re.fullmatch(r"model_\d{2,}\.json", stale.name) and stale.name not in models \
+                and stale.is_file():
+            stale.unlink()
     if args.plot:
         _write(outdir / "curve.svg", roc_svg(curve))
     _manifest(args, argv, [args.dataset], outdir / "manifest.json", seed=args.folds_seed)

@@ -10,8 +10,8 @@ support, and keeps the polished models in a SolutionPool, whose best model
 with at most k terms is the candidate at term count k. A support is not
 polished when a superset of it already polished to a model inside it,
 which is then its polished model too. A fit solved by the support search
-is not polished again: its pool already holds every support's polished
-model. The term count is tuned by mean weighted validation error, and the
+is not polished again: its pool holds the polished model of every
+support that could reach its frontier. The term count is tuned by mean weighted validation error, and the
 chosen full-training model is evaluated on the held-out test rows. Each
 point keeps the search, status, gap and nodes of its fits' solves, so a
 curve shows whether it rests on certified models. Weight endpoints 0 and
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -239,9 +238,13 @@ def _polished_fit(agg: AggregatedDataset, w_plus: Fraction, lattice: LatticeSpec
     polish(S) is M, which the pool already holds. Supports are ordered and
     skipped by the pool's keys, so only the entries polished are built.
 
-    A solve by support search offered polish(S) of every support S, so its
-    pool is returned as it is: its best entry with at most k terms is the
-    optimum with at most k terms."""
+    A solve by support search offered polish(S) of every support S its
+    screen kept, so its pool is returned as it is: its best entry with at
+    most k terms is the optimum with at most k terms. The screen drops a
+    k-support only when its cell Bayes error plus k (c0 + epsilon) exceeds
+    L, the pool's best total with at most k terms before size k: L only
+    falls within a size, so such a support reaches no level >= k, and an
+    optimum with a zero coefficient belongs to a smaller support."""
     cfg = PenaltyConfig.auto(w_plus, agg.source_n, agg.p, lattice, max_terms)
     report, pool = solve(agg, cfg, lattice, scfg, feature_names=feature_names)
     if report.search == "support":
@@ -336,6 +339,9 @@ def sweep(dataset: BinaryDataset, folds: FoldAssignment, protocol: SweepProtocol
                    + [folds.train_mask()])
     shared = (dataset, folds, protocol, lattice, scfg, max_terms)
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial sweep and
+        # every other use of the package never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
                                  initargs=shared + (trains,)) as pool:
             points = list(pool.map(_worker_point, protocol.w_plus_grid))

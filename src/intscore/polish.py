@@ -26,8 +26,9 @@ key over the lattice is the least (loss, entry) over the table: one
 product of the labelings with the cells' loss units, and the canonical
 intercept of the winning coefficients from one loss curve.
 table_optima does this for many supports of one size at once, which is
-how the solver's support search scores every support; polish calls it on
-one. Five terms would need 94,572 entries, so the table stops at four.
+how the solver's support search scores the supports its screen keeps;
+polish calls it on one. Five terms would need 94,572 entries, so the table
+stops at four.
 
 A cell's loss units are its row count in each class times that class's
 units, so the counts hold no weight. They come from one set-count matrix
@@ -35,15 +36,13 @@ per class over the rows (_cell_counts). Built over every feature, for the
 widest support a solve scores, the matrices serve every support at every
 weight, so the aggregate keeps them: a sweep builds them once per
 training set, not once per weight and support size. One support's polish
-sums over its own features and keeps nothing. The product itself is often
-not needed. With d = b - a the cells' loss differences, a labeling loses
-sum(a) plus d summed over its positive cells. Where no d is 0, the sign
-labeling {c : d_c < 0} alone reaches the least sum, so if some integer
-model produces it, its table entry is the one least entry, read off an
-index. Only the other supports, with a d of 0 or a sign labeling no model
-produces, take the product. Two block budgets, both from _BLOCK_ELEMENTS,
-bound the temporaries: one for the labels product and a smaller one for
-the loss-curve pass that finds the intercepts.
+sums over its own features and keeps nothing. The same counts give the
+solver's support search its screen: a cell loses at least the smaller of
+its two classes' loss units whatever the model labels it, so a support's
+cell Bayes error, that sum over its cells, bounds the loss of every model
+on it. Two block budgets, both from _BLOCK_ELEMENTS, bound the
+temporaries: one for the labels product and a smaller one for the
+loss-curve pass that finds the intercepts.
 
 Wider supports, and lattices that do not admit the table, are searched.
 The data is first projected onto the active columns, which collapses it to
@@ -279,9 +278,7 @@ class LabelingTable:
     the bit mask masks[e] (labels[e, x] is 1 for them, 0 for the others).
     coefs[e] is the least (l1, coefficient tuple) integer model producing
     that labeling, with the intercepts lo[e] .. hi[e] (+-_UNBOUNDED for an
-    open end). Entries ascend by that key. entry[mask], over every mask of
-    2^k bits, is the index of the mask's entry, or -1 for a labeling no
-    integer model produces.
+    open end). Entries ascend by that key.
     """
 
     cells: np.ndarray
@@ -290,12 +287,10 @@ class LabelingTable:
     coefs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    entry: np.ndarray
 
     def __post_init__(self):
         # labeling_table hands one table to every caller
-        for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi,
-                    self.entry):
+        for arr in (self.cells, self.masks, self.labels, self.coefs, self.lo, self.hi):
             arr.setflags(write=False)
 
 
@@ -349,9 +344,7 @@ def labeling_table(k: int) -> LabelingTable:
         l1 += 1
     masks, coefs, lo, hi = (np.concatenate(column) for column in zip(*parts))
     labels = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    entry = np.full(1 << n, -1, dtype=np.int16)
-    entry[masks] = np.arange(len(masks))
-    return LabelingTable(cells, masks, labels, coefs, lo, hi, entry)
+    return LabelingTable(cells, masks, labels, coefs, lo, hi)
 
 
 def _set_columns(x: np.ndarray, width: int) -> np.ndarray:
@@ -473,15 +466,12 @@ def _cell_counts(agg: AggregatedDataset, supports: np.ndarray, widest: int):
 
 def _least_entries(table: LabelingTable, d: np.ndarray) -> np.ndarray:
     """The first least entry of table.labels @ d_s for each row d_s of the
-    (m, 2^k) int64 array d: by its sign labeling where that is decisive
-    and a threshold labeling (table_optima), by the labels product, in
-    blocks of at most _BLOCK_ELEMENTS labelings times rows, elsewhere."""
-    entry = table.entry[(d < 0) @ (1 << np.arange(d.shape[1]))]
-    rest = np.flatnonzero((entry < 0) | (d == 0).any(axis=1))
+    (m, 2^k) int64 array d, by the labels product in blocks of at most
+    _BLOCK_ELEMENTS labelings times rows."""
+    entry = np.empty(len(d), dtype=np.int64)
     block = max(1, _BLOCK_ELEMENTS // len(table.labels))
-    for first in range(0, len(rest), block):
-        rows = rest[first:first + block]
-        entry[rows] = np.argmin(d[rows] @ table.labels.T, axis=1)
+    for first in range(0, len(d), block):
+        entry[first:first + block] = np.argmin(d[first:first + block] @ table.labels.T, axis=1)
     return entry
 
 
@@ -499,15 +489,15 @@ def table_optima(agg: AggregatedDataset, cfg: PenaltyConfig, intercept_bound: in
     weight enters only here: the loss units of the positives, a, and of
     the negatives, b, are the counts times class_units. A labeling loses a
     on the cells it labels negative and b on the rest: sum(a) + the sum of
-    d = b - a over its positive cells. Where no cell has d = 0, any other
-    subset of cells than the sign labeling {c : d_c < 0} adds a positive d
-    or leaves out a negative one, so the sign labeling alone reaches the
-    least sum. When it is a threshold labeling, its entry (table.entry) is
-    then the one least entry, which the product below would pick too. The
-    labels product runs only on the other supports, those with a cell of
-    d = 0 or a sign labeling that no integer model produces, in blocks of
-    at most _BLOCK_ELEMENTS labelings times supports, and takes the first
-    least entry (_least_entries).
+    d = b - a over its positive cells. The labels product with d, in
+    blocks of at most _BLOCK_ELEMENTS labelings times supports, gives every
+    entry's sum, and the first least entry wins (_least_entries). So a
+    support loses at least its cells' Bayes error, the sum of min(a, b),
+    and the solver's support search passes only the supports whose Bayes
+    error plus the least penalties of their size is at most the pool's
+    level: that level only falls while a size is scored, the others reach
+    no level of their size or above, and an optimum with a zero
+    coefficient is a smaller support's.
 
     Then one loss_curves pass per block of supports, with one segment of
     2^k cells per support, gives every canonical intercept (least_loss).

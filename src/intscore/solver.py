@@ -4,19 +4,31 @@ A rule on the input alone (_support_search_fits) picks the support search
 when supports are few: cap = min(max_terms, P) is at most
 polish.TABLE_TERMS, every support of at most cap features has a lattice
 that admits its labeling table, the support count fits the node limit,
-and the work fits _SUPPORT_ELEMENTS. It scores every support at once, one
-batch per support size (polish.table_optima), and offers each support's
-optimum, its polish result, to the pool. That is exact: let m* be an
-optimum with at most k terms, on support T. polish(T) loses no more than
-m*, and if it loses less, it loses at least one weight quantum over N less,
-while its penalty exceeds m*'s by less than min(1/N, c0), which is below
-that quantum over N for any c0 validate_for accepts; at equal loss it has
-no larger l1 and no more terms. So the least total over the supports of
-at most k features is the optimum with at most k terms, and the pool's
-frontier is exact. An optimum that sets a coefficient to 0 is a smaller
-support's optimum too, so it is offered from there. One support scored is
-one node, and the search never stops part way: a partial enumeration has
-no lower bound. It ends optimal with gap 0.
+and the work fits _SUPPORT_ELEMENTS. It goes one support size k at a
+time, smallest first, scores the supports of size k its screen keeps in
+one batch (polish.table_optima), and offers each one's optimum, its
+polish result, to the pool. Scoring every support would be exact: let m*
+be an optimum with at most k terms, on support T. polish(T) loses no
+more than m*, and if it loses less, it loses at least one weight quantum
+over N less, while its penalty exceeds m*'s by less than min(1/N, c0),
+which is below that quantum over N for any c0 validate_for accepts; at
+equal loss it has no larger l1 and no more terms. So the least total over
+the supports of at most k features is the optimum with at most k terms.
+
+The screen keeps that frontier. A model that sets all k coefficients of
+T nonzero loses at least T's cell Bayes error, the sum over its 2^k cells
+of the cheaper class's loss units (each cell's rows get one label; the
+equivalent-points bound of CORELS), and pays at least c0 + epsilon per
+term. A support is scored only when that bound is at most L, the pool's
+best total with at most k terms read before size k; ties are scored, so
+the pool's order among equal totals is kept. L only falls within a size,
+and the levels above k are at most level k, so a support above L reaches
+no level >= k; an optimum with a zero coefficient belongs to a smaller
+support, offered from there. So the pool holds only the optima of the
+supports scored, and its best entry with at most k terms is the full
+enumeration's at every k. One support, scored or screened out, is one
+node, and the search never stops part way: a partial enumeration has no
+lower bound. It ends optimal with gap 0.
 
 Every other input is searched by branch and bound, the tree search. It
 branches on feature coefficients only. Features are branched in
@@ -108,15 +120,15 @@ import numpy as np
 
 from .common import frac_str
 from .data import AggregatedDataset
-from .loss import (Rows, curve_plan, feature_leaves, grouped_bounds, grouped_plan, least_loss,
-                   loss_curves, loss_units, refined_groups)
+from .loss import (Rows, class_units, curve_plan, feature_leaves, grouped_bounds, grouped_plan,
+                   least_loss, loss_curves, refined_groups)
 from .model import (
     LatticeSpec,
     ObjectiveValue,
     PenaltyConfig,
     ScoringSystem,
 )
-from .polish import TABLE_TERMS, THRESHOLD_FUNCTIONS, table_admits, table_optima
+from .polish import TABLE_TERMS, THRESHOLD_FUNCTIONS, _cell_counts, table_admits, table_optima
 
 _TINY = Fraction(1, 10**12)
 
@@ -382,32 +394,49 @@ def _supports(p: int, k: int) -> np.ndarray:
     return supports
 
 
+def _screen(agg, cfg, supports, level, unit_scale, penalty):
+    """The supports of one size whose cell Bayes error bound, their cells'
+    least loss units times unit_scale plus penalty, is at most level. The
+    comparison is exact: the bound's Python int side is floored to a loss
+    unit count, clipped to int64, before it meets the int64 Bayes errors."""
+    (unit_pos, unit_neg), _ = class_units(agg, cfg)
+    pos, neg = _cell_counts(agg, supports, min(cfg.max_terms, agg.p))
+    bayes = np.minimum(pos * unit_pos, neg * unit_neg).sum(axis=1)
+    most = (level - penalty) // unit_scale
+    return supports[bayes <= min(max(most, -1), np.iinfo(np.int64).max)]
+
+
 def _support_search(agg, cfg, lattice, scfg, telemetry, names):
-    """solve() by scoring every support of at most cap features with its
-    labeling table, one batch per support size (polish.table_optima), and
-    offering each support's optimum to the pool. It never stops part way,
-    so it always ends optimal."""
+    """solve() by the support search: one support size at a time, the
+    supports whose cell Bayes error bound reaches the pool's level (_screen)
+    are scored with their labeling table (polish.table_optima), and each
+    one's optimum is offered to the pool. It never stops part way, so it
+    always ends optimal."""
     started = time.monotonic()
     p, cap = agg.p, min(cfg.max_terms, agg.p)
-    _, unit_den = loss_units(agg, cfg)
+    _, unit_den = class_units(agg, cfg)
     den, unit_scale, c0_units, eps_units = _scales(cfg, unit_den)
     pool = SolutionPool(scfg.pool_size)
     nodes = 0
     for k in range(cap + 1):
         supports = _supports(p, k)
-        units, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, supports)
         nodes += len(supports)
-        # an optimum that sets a coefficient to 0 is a smaller support's too
-        full = (coefs != 0).all(axis=1)
-        for feats, u, lam, c, l1 in zip(supports[full].tolist(), units[full].tolist(),
-                                        lam0[full].tolist(), coefs[full].tolist(),
-                                        np.abs(coefs[full]).sum(axis=1).tolist()):
-            total = u * unit_scale + c0_units * k + eps_units * l1
-            if pool.rejects(total, k):
-                continue
-            terms = tuple(zip(feats, c))
-            pool.offer(total, (lam,) + terms, k, functools.partial(
-                _build_entry, names, p, unit_den, den, terms, lam, u, k, l1, total))
+        if k:
+            supports = _screen(agg, cfg, supports, pool.best_total(k), unit_scale,
+                               (c0_units + eps_units) * k)
+        if len(supports):
+            units, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, supports)
+            # an optimum that sets a coefficient to 0 is a smaller support's too
+            full = (coefs != 0).all(axis=1)
+            for feats, u, lam, c, l1 in zip(supports[full].tolist(), units[full].tolist(),
+                                            lam0[full].tolist(), coefs[full].tolist(),
+                                            np.abs(coefs[full]).sum(axis=1).tolist()):
+                total = u * unit_scale + c0_units * k + eps_units * l1
+                if pool.rejects(total, k):
+                    continue
+                terms = tuple(zip(feats, c))
+                pool.offer(total, (lam,) + terms, k, functools.partial(
+                    _build_entry, names, p, unit_den, den, terms, lam, u, k, l1, total))
         if telemetry is not None:
             incumbent = Fraction(pool.best_total(cap), den)
             telemetry({"time": time.monotonic() - started, "nodes": nodes,

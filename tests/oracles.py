@@ -6,6 +6,8 @@ exceptions check batched code against per-node code built on the same
 loss curves: per_leaf_greedy_seed drives the solver's own per-node
 primitives, restricted_bound_units bounds one polish node at a time, and
 per_node_polish is polish's search one node at a time.
+full_support_search is the solver's support search without its screen,
+over the library's own table_optima.
 _polished_pool and _best_at_k are model selection as first written, a
 dedupe dict, a sort and a walk, over the library's own polish. expand and
 filter_rules_any are helpers only the tests use: the inverse of aggregate,
@@ -17,16 +19,17 @@ the library's CSV reader and MPS writer, kept to pin their exact output.
 import csv
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
 from intscore.common import frac_float
 from intscore.data import AggregatedDataset, BinaryDataset, DataError, FeatureSpec
 from intscore.loss import curve_plan, least_loss, loss_curves
-from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem
+from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
 from intscore.mps import VARIANTS, _loss_rows
-from intscore.polish import polish
+from intscore.polish import polish, table_optima
 
 
 def row_weighted_error(intercept, coefs, X, y, w_plus, w_minus):
@@ -490,6 +493,35 @@ class ReferencePool:
             if model.l0 <= k:
                 return model, value
         return None
+
+
+def cell_bayes_error(agg, cfg, support):
+    """The least weighted error of any labeling of the cells of support:
+    each distinct pattern on its features costs its cheaper class."""
+    cells = {}  # cell -> [positive rows, negative rows]
+    for patterns, counts, side in ((agg.pos_patterns, agg.pos_counts, 0),
+                                   (agg.neg_patterns, agg.neg_counts, 1)):
+        for row, count in zip(patterns.tolist(), counts.tolist()):
+            cells.setdefault(tuple(row[j] for j in support), [0, 0])[side] += count
+    return sum((min(cfg.w_plus * pos, cfg.w_minus * neg) for pos, neg in cells.values()),
+               Fraction(0)) / agg.source_n
+
+
+def full_support_search(agg, cfg, lattice, capacity):
+    """The support search as it first ran, scoring every support: each
+    support of at most min(max_terms, P) features through table_optima,
+    and each optimum that sets all of its support's coefficients added,
+    with its exact objective, to a ReferencePool of the given capacity."""
+    p = agg.p
+    pool = ReferencePool(capacity)
+    for k in range(min(cfg.max_terms, p) + 1):
+        supports = np.array(list(combinations(range(p), k)), dtype=np.int64).reshape(comb(p, k), k)
+        _, lam0, coefs = table_optima(agg, cfg, lattice.intercept_bound, supports)
+        for feats, lam, c in zip(supports.tolist(), lam0.tolist(), coefs.tolist()):
+            if all(c):
+                model = ScoringSystem(lam, tuple(zip(feats, c)), tuple(f"f{j}" for j in feats), p)
+                pool.add(model, objective(model, agg, cfg))
+    return pool
 
 
 def _polished_pool(pool, agg, cfg, lattice):

@@ -30,6 +30,41 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert run("train", tmp_path / "nope.csv", "--output", tmp_path / "m.json") == 2
 
+    @pytest.mark.parametrize("cmd", ["print", "evaluate-model", "evaluate-data", "train"])
+    def test_unreadable_input_is_two(self, dataset_csv, tmp_path, capsys, cmd):
+        # an input path that is a directory is a data error that names it,
+        # for a model file and for a dataset alike, not a traceback
+        model = tmp_path / "m.json"
+        assert run("train", dataset_csv, "--coef-bound", "2", "--max-terms", "1",
+                   "--node-limit", "100", "--output", model) == 0
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {"print": ("print", folder),
+                "evaluate-model": ("evaluate", folder, dataset_csv),
+                "evaluate-data": ("evaluate", model, folder),
+                "train": ("train", folder, "--output", tmp_path / "t.json")}[cmd]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(folder) in err
+
+    def test_undecodable_dataset_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"a,y\n\xff,1\n0,0\n")
+        assert run("train", bad, "--output", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    def test_unreadable_config_file_is_one(self, dataset_csv, tmp_path, capsys, which):
+        config = tmp_path / "run.cfg"
+        if which == "directory":
+            config.mkdir()
+        assert run("--config", config, "train", dataset_csv,
+                   "--output", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and str(config) in err
+
     def test_bad_cell_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("f1,y\n7,1\n0,0\n")
@@ -176,6 +211,23 @@ class TestSweepCommand:
                    "--node-limit", "200", "--outdir", tmp_path / "out")
         assert code == 0
         assert "(0 failed)" in capsys.readouterr().out
+
+    def test_earlier_models_in_outdir_are_removed(self, tmp_path, capsys):
+        # a one-weight sweep into the outdir of a three-weight sweep leaves
+        # only its own model beside its curve; other files stay
+        ds = synth_generate([0.5, 0.3, 0.6, 0.4], [2.0, -2.0, 0.5, 1.0], n=300, seed=7,
+                            bias=-0.3)
+        data = tmp_path / "d.csv"
+        write_csv(ds, data)
+        outdir = tmp_path / "out"
+        for grid in ("1/2,1,3/2", "1"):
+            assert run("sweep", data, "--grid", grid, "--max-terms", "2", "--pool", "5",
+                       "--node-limit", "200", "--outdir", outdir) == 0
+            if grid != "1":
+                (outdir / "model_notes.json").write_text("{}")
+        assert sorted(p.name for p in outdir.glob("model_*.json")) == \
+            ["model_00.json", "model_notes.json"]
+        assert len(json.loads((outdir / "curve.json").read_text())["points"]) == 1
 
     def test_preset_names(self, tmp_path, capsys):
         # unknown preset falls through the fraction parser and fails as usage

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -529,3 +532,14 @@ def test_weighted_error_matches_confusion():
     # predicts +1 iff x=1: fn=0, fp=2
     assert weighted_error(m, ds, Fraction(3, 2), Fraction(1, 2)) == \
         (Fraction(3, 2) * 0 + Fraction(1, 2) * 2) / 10
+
+
+def test_import_loads_no_multiprocessing():
+    # only a sweep with jobs > 1 needs worker processes, so importing the
+    # package leaves multiprocessing unloaded
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    check = "import sys, intscore; print(sorted(m for m in sys.modules if " \
+            "m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -653,10 +653,9 @@ def test_table_polish_matches_restricted_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("block_elements", [None, 1])
 def test_sign_labeling_shortcut_picks_the_products_entry(block_elements, monkeypatch):
-    # a support whose cells all have d = b - a != 0 and whose sign
-    # labeling {c : d_c < 0} is a threshold labeling takes that entry
-    # without the labels product; on random d with empty cells (d = 0),
-    # ties and sign labelings no integer model produces, every pick is the
+    # on random d with empty cells (d = 0), ties, and sign labelings
+    # {c : d_c < 0} that are threshold labelings or that no integer model
+    # produces, every pick, in blocks of the product or in one, is the
     # full product's first least entry
     polish_module = sys.modules["intscore.polish"]
     if block_elements is not None:
@@ -674,11 +673,7 @@ def test_sign_labeling_shortcut_picks_the_products_entry(block_elements, monkeyp
         d = np.concatenate([rng.integers(-3, 4, size=(600, n)), large * signs.astype(np.int64)])
         got = polish_module._least_entries(table, d)
         assert got.tolist() == np.argmin(d @ table.labels.T, axis=1).tolist()
-        sign = table.entry[(d < 0) @ (1 << np.arange(n))]
-        zero = (d == 0).any(axis=1)
-        assert (~zero & (sign >= 0)).sum() >= 600 and zero.sum() > 50
-        if k >= 2:
-            assert (~zero & (sign < 0)).sum() > 0
+        assert (d == 0).any(axis=1).sum() > 50
 
 
 def test_one_support_polish_keeps_no_all_feature_counts(monkeypatch):

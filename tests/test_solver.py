@@ -3,7 +3,8 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from intscore.common import frac_str
 from intscore.data import BinaryDataset, FeatureSpec, aggregate, synth_generate
 from intscore.loss import exact_steps, loss_units, sibling_curves, sibling_plan
-from intscore.model import LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem, objective
+from intscore.model import (LatticeSpec, ObjectiveValue, PenaltyConfig, ScoringSystem,
+                            derive_c0_bound, derive_epsilon_bound, objective, weight_quantum)
 from intscore.polish import TABLE_HALF, TABLE_REACH, polish
 from intscore.solver import (
     SolutionPool,
@@ -23,9 +25,10 @@ from intscore.solver import (
 )
 
 from instances import a1a2_dataset, random_instance, wide_instance
-from oracles import (ReferencePool, brute_force_frontier, brute_force_solve, class_signal,
-                     conflict_lower_bound, grouped_relaxation, grouped_rule_admits,
-                     pattern_relaxation, per_leaf_greedy_seed, reference_branching)
+from oracles import (ReferencePool, brute_force_frontier, brute_force_solve, cell_bayes_error,
+                     class_signal, conflict_lower_bound, full_support_search, grouped_relaxation,
+                     grouped_rule_admits, pattern_relaxation, per_leaf_greedy_seed,
+                     reference_branching)
 
 
 def quick_cfg(pool=20, **kw):
@@ -140,6 +143,56 @@ def _admitted_instances():
     return out
 
 
+def _penalty_extremes(agg, cfg, lattice):
+    """cfg with a tiny c0 and half its epsilon cap, and with the largest
+    penalties validate_for accepts up to a factor 1 - 10**-6: c0 near
+    min(its cap, weight quantum / (N P)) and epsilon near the least of its
+    cap and what the quantum leaves."""
+    n, p = agg.source_n, agg.p
+    quantum = weight_quantum(cfg.w_plus, cfg.w_minus) / n
+    near = 1 - Fraction(1, 10 ** 6)
+    tiny = Fraction(1, 10 ** 30)
+    c0 = min(derive_c0_bound(cfg.w_plus, cfg.w_minus, n, p), quantum / p) * near
+    eps = min(derive_epsilon_bound(c0, n, lattice, p),
+              (quantum - c0 * p) / lattice.max_l1(p)) * near
+    out = [replace(cfg, c0=tiny, epsilon=derive_epsilon_bound(tiny, n, lattice, p) / 2),
+           replace(cfg, c0=c0, epsilon=eps)]
+    for extreme in out:
+        extreme.validate_for(n, p, lattice)
+    return out
+
+
+def _assert_screen_exact(agg, cfg, lattice):
+    """The screened support search against the full enumeration: at every
+    k the same best entry with at most k terms, by key and total, a pool
+    of entries the full enumeration holds too, and as the supports scored
+    of each size k >= 1 those whose cell Bayes error plus (c0 + epsilon) k
+    is at most the full enumeration's best total with at most k - 1
+    terms. Returns the counts of supports scored and of all supports."""
+    solver_module = sys.modules["intscore.solver"]
+    optima, scored = solver_module.table_optima, []
+
+    def recording(agg, cfg, intercept_bound, supports):
+        scored.extend(map(tuple, supports.tolist()))
+        return optima(agg, cfg, intercept_bound, supports)
+
+    with mock.patch.object(solver_module, "table_optima", recording):
+        report, pool = solve(agg, cfg, lattice, quick_cfg(pool=10 ** 6))
+    assert report.search == "support"
+    cap = min(cfg.max_terms, agg.p)
+    want = full_support_search(agg, cfg, lattice, 10 ** 6)
+    for k in range(cap + 1):
+        got, ref = pool.best_with_at_most(k), want.best_with_at_most(k)
+        assert (got[0].key(), got[1].total) == (ref[0].key(), ref[1].total)
+    full = {m.key(): v.total for m, v in want.entries}
+    assert all(full[m.key()] == v.total for m, v in pool.entries)
+    supports = [s for k in range(cap + 1) for s in combinations(range(agg.p), k)]
+    assert scored == [s for s in supports if not s or cell_bayes_error(agg, cfg, s)
+                      + (cfg.c0 + cfg.epsilon) * len(s)
+                      <= want.best_with_at_most(len(s) - 1)[1].total]
+    return len(scored), len(supports)
+
+
 class TestSupportSearch:
     def test_rule_refusals(self, monkeypatch):
         # cap 5, a coefficient bound of 2 at four terms, an intercept
@@ -182,6 +235,50 @@ class TestSupportSearch:
             assert [pool.best_with_at_most(k)[1].total for k in range(len(want))] == want
             assert report.best_objective == want[-1]
         assert searches.count("support") > 25 and "tree" in searches
+
+    def test_screen_keeps_the_full_enumerations_frontier(self):
+        # on the admitted instances, on the uneven instances with conflict
+        # pairs whose caps take the support search, and on each of them at
+        # tiny and at the largest accepted penalties
+        instances = [case for case in _admitted_instances() + _uneven_instances()
+                     if _support_search_fits(*case, quick_cfg())]
+        assert len(instances) > 25 and any(len(agg.conflict_pairs) for agg, _, _ in instances)
+        scored = total = 0
+        for agg, cfg, lattice in instances:
+            for penalties in [cfg] + _penalty_extremes(agg, cfg, lattice):
+                got, want = _assert_screen_exact(agg, penalties, lattice)
+                scored, total = scored + got, total + want
+        assert scored < total
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 6, 7])
+    def test_penalty_denominators_beyond_int64(self, seed):
+        # the support search's screen floors (level - penalty) / unit_scale
+        # in Python ints; here the totals' denominator is past 2**84, so
+        # int64 would wrap or refuse to convert
+        _, agg, cfg, lattice = random_instance(seed)
+        cfg = PenaltyConfig(1, 1, Fraction(1, 3 * 10 ** 22), Fraction(1, 7 * 10 ** 24),
+                            cfg.max_terms)
+        assert cfg.c0.denominator > 2 ** 64 and cfg.epsilon.denominator > 2 ** 64
+        report, pool = solve(agg, cfg, lattice, quick_cfg())
+        _, want = brute_force_solve(agg, cfg, lattice)
+        assert report.search == "support"
+        assert report.best_objective == report.lower_bound == want.total
+        for model, value in pool.entries:
+            assert objective(model, agg, cfg).total == value.total
+        _assert_screen_exact(agg, cfg, lattice)
+
+    def test_cv_sweep_sized_solve_scores_few_supports(self):
+        # 12 features at a cap of four terms: 794 supports, one node each,
+        # of which the screen passes a small share to table_optima
+        rng = np.random.default_rng(1)
+        ds = synth_generate(rng.uniform(0.1, 0.8, 12), rng.normal(0, 0.8, 12), 3000,
+                            seed=11, bias=-0.2)
+        agg, lattice = aggregate(ds), LatticeSpec(10, 100)
+        cfg = PenaltyConfig.auto(1, ds.n, ds.p, lattice, max_terms=4)
+        report, _ = solve(agg, cfg, lattice, quick_cfg(pool=500, node_limit=2000))
+        assert report.search == "support" and report.nodes_explored == 794
+        scored, supports = _assert_screen_exact(agg, cfg, lattice)
+        assert supports == 794 and scored < supports // 4
 
     def test_kept_set_counts_leave_solves_unchanged(self):
         # an aggregate keeps the weight-free set-count matrices its first
